@@ -15,6 +15,10 @@ _BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 COMMANDS = ("simulate", "decay", "limit-sweep", "pruss-scan", "kernel-check")
 
+# the envelope constants are sup fits over the first half of the run, so a
+# margin may touch zero by roundoff but not fall below it
+ENVELOPE_FLOOR = -1e-12
+
 
 def _parse(argv):
     parser = argparse.ArgumentParser(
@@ -74,7 +78,7 @@ def main(argv=None) -> int:
 
     code = 0
     try:
-        code = handler(cfg, manifest, out_dir)
+        handler(cfg, manifest, out_dir)
         if cfg.emit_plots_flag:
             for script in cfgmod.emit_plots(manifest.data, out_dir):
                 manifest.output(script)
@@ -85,9 +89,10 @@ def main(argv=None) -> int:
     except MemoplateError as exc:
         manifest.step(args.command, "failed", str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
-        code = 3
     finally:
         manifest.write(out_dir)
+    if code == 0 and any(s["status"] == "failed" for s in manifest.data["steps"]):
+        code = 3
     return code
 
 
@@ -111,7 +116,7 @@ def _initial(cfg, space):
 
 # --- commands --------------------------------------------------------
 
-def _cmd_kernel_check(cfg, manifest, out_dir) -> int:
+def _cmd_kernel_check(cfg, manifest, out_dir) -> None:
     import numpy as np
     from . import config as cfgmod
     from .kernels import build_kernel_family, CONCAVE_AFFINE_EXP, validate_assumptions
@@ -142,10 +147,9 @@ def _cmd_kernel_check(cfg, manifest, out_dir) -> int:
     manifest.step("kernel-check", "ok" if all_pass else "failed",
                   f"{len(rows)} conditions, all_pass={all_pass}")
     print(f"kernel-check: {len(rows)} conditions, all_pass={all_pass}")
-    return 0 if all_pass else 3
 
 
-def _cmd_simulate(cfg, manifest, out_dir) -> int:
+def _cmd_simulate(cfg, manifest, out_dir) -> None:
     import numpy as np
     from . import config as cfgmod
     from .dynamics import evolve
@@ -177,10 +181,9 @@ def _cmd_simulate(cfg, manifest, out_dir) -> int:
                   f"max relative step increase {increase:.3e}")
     print(f"simulate: {space.modes.count} modes, {e.size - 1} steps, "
           f"max relative energy increase {increase:.3e}")
-    return 0
 
 
-def _cmd_decay(cfg, manifest, out_dir) -> int:
+def _cmd_decay(cfg, manifest, out_dir) -> None:
     from . import config as cfgmod
     from .decay import (FunctionalConfig, check_differential_inequalities,
                         fit_decay_rate)
@@ -210,10 +213,9 @@ def _cmd_decay(cfg, manifest, out_dir) -> int:
                             ["sigma", "tau", "eps", "order", "rate", "prefactor",
                              "lambda_hat", "d0_hat", "residual", "r_squared"], rows)
     manifest.output(path)
-    return 0
 
 
-def _cmd_limit_sweep(cfg, manifest, out_dir) -> int:
+def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
     from . import config as cfgmod
     from .limits import compare_trajectories, fit_limit_constants, history_envelopes
 
@@ -230,7 +232,8 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> int:
                       f"supD={comp.sup_distance:.6g}")
         if cfg.with_history:
             env = history_envelopes(comp)
-            manifest.step(f"envelope[{idx}]", "ok",
+            held = min(env.eta_margin, env.xi_margin) >= ENVELOPE_FLOOR
+            manifest.step(f"envelope[{idx}]", "ok" if held else "failed",
                           f"k_eta={env.k_eta:.6g} k_xi={env.k_xi:.6g} "
                           f"eta_margin={env.eta_margin:.3e} xi_margin={env.xi_margin:.3e}")
     fits = fit_limit_constants(points)
@@ -247,10 +250,9 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> int:
     manifest.step("fit", "ok", f"k_hat_global={fits['k_hat']:.6g}")
     print(f"limit-sweep: {len(points)} points, shared quarter-power constant "
           f"{fits['k_hat']:.6g}")
-    return 0
 
 
-def _cmd_pruss_scan(cfg, manifest, out_dir) -> int:
+def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
     import numpy as np
     from . import config as cfgmod
     from .probe import HALVING_BAND, admissibility_report, residual_check, resolvent_scan
@@ -293,7 +295,6 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> int:
         manifest.step(f"slope.{label}", "ok", f"{coef[0]:.6f} +/- {half:.6f}")
     print(f"pruss-scan: ratio decreasing = {scan.ratio_decreasing}, "
           f"max quartic residual {np.max(scan.quartic_residual):.3e}")
-    return 0
 
 
 if __name__ == "__main__":

@@ -20,13 +20,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .kernels import KernelSpec, ScalarModel
-from .modes import Domain
+from .modes import Domain, Params
 from .probe import AbstractParams
 
 _PI = "3.141592653589793"
 
 DEFAULTS: dict[str, dict[str, str]] = {
-    "experiment": {"seed": "1234", "threads": "0"},
     "domain": {"kind": "interval", "lengths": _PI, "modes": "8"},
     "kernels": {"mu_family": "exponential", "mu_amplitude": "1", "mu_decay": "1",
                 "mu_singularity": "0", "beta_family": "exponential",
@@ -135,14 +134,6 @@ class ExperimentConfig:
         return values
 
     # --- typed views -------------------------------------------------
-    @property
-    def seed(self) -> int:
-        return self._int("experiment", "seed")
-
-    @property
-    def threads(self) -> int:
-        return self._int("experiment", "threads")
-
     def domain(self) -> Domain:
         return Domain(self._get("domain", "kind"), self._float_list("domain", "lengths"))
 
@@ -177,13 +168,11 @@ class ExperimentConfig:
         return self._int("parameters", "order")
 
     def dt_for(self, sigma: float, tau: float, eps: float) -> float:
-        text = self._get("integrator", "dt").strip().lower()
-        if text == "auto":
-            dt = 1e-3
-            for scale in (sigma, eps):
-                if scale > 0:
-                    dt = min(dt, scale / 20.0)
-            return dt
+        """The configured dt, or with dt = auto the default_time_step rule."""
+        if self._get("integrator", "dt").strip().lower() == "auto":
+            # imported here: dynamics loads scipy.sparse, which pruss-scan never needs
+            from .dynamics import default_time_step
+            return default_time_step(Params(sigma, tau, eps))
         return self._float("integrator", "dt")
 
     @property
@@ -366,7 +355,6 @@ class Manifest:
             "config_hash": config.config_hash(),
             "config": config.raw,
             "config_file": config_file,
-            "seed": config.seed,
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,

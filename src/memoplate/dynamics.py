@@ -15,16 +15,18 @@ whole state exactly.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 from .errors import DomainError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
-from .modes import ModeSet, Params, PhaseSpace, PhaseVector, build_phase_space, zero_phase_vector
+from .modes import (ModeSet, Params, PhaseSpace, PhaseVector, block_energies,
+                    build_phase_space, history_quadratures, zero_phase_vector)
 
 
 def mode_block_size(space: PhaseSpace) -> int:
@@ -69,23 +71,6 @@ def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
     return L
 
 
-def mode_weight_vector(space: PhaseSpace, mode_index: int, order: int) -> np.ndarray:
-    """Diagonal of the phase inner product restricted to one mode's block."""
-    g = float(space.modes.eigenvalues[mode_index])
-    m = order
-    parts = [np.array([g ** (m + 2), g ** m, g ** m])]
-    if space.params.has_eta:
-        w = np.zeros(space.eta_size)
-        if space.w_mu is not None:
-            w += g ** (m + 1) * space.w_mu
-        if space.w_nu is not None:
-            w += g ** m * space.w_nu
-        parts.append(w)
-    if space.params.has_xi:
-        parts.append(g ** (m + 2) * space.w_beta)
-    return np.concatenate(parts)
-
-
 def assemble_generator(space: PhaseSpace) -> sp.csc_matrix:
     blocks = [sp.csc_matrix(assemble_mode_operator(space, i))
               for i in range(space.modes.count)]
@@ -93,8 +78,23 @@ def assemble_generator(space: PhaseSpace) -> sp.csc_matrix:
 
 
 def weight_diagonal(space: PhaseSpace, order: int) -> np.ndarray:
-    return np.concatenate([mode_weight_vector(space, i, order)
-                           for i in range(space.modes.count)])
+    """Diagonal of the phase inner product in the flat layout of flatten()."""
+    n = space.modes.count
+    one = np.ones((n, 1))
+    eu, ev, eth, emu, enu, exi = block_energies(
+        space, order, one, one, one,
+        *(0.0 if w is None else w[None, :] for w in (space.w_mu, space.w_nu, space.w_beta)))
+    parts = [eu, ev, eth]
+    if space.params.has_eta:
+        parts.append(np.broadcast_to(emu + enu, (n, space.eta_size)))
+    if space.params.has_xi:
+        parts.append(exi)
+    return np.concatenate(parts, axis=1).ravel()
+
+
+def mode_weight_vector(space: PhaseSpace, mode_index: int, order: int) -> np.ndarray:
+    """Diagonal of the phase inner product restricted to one mode's block."""
+    return weight_diagonal(space, order).reshape(space.modes.count, -1)[mode_index]
 
 
 def flatten(vec: PhaseVector) -> np.ndarray:
@@ -130,13 +130,13 @@ def generator_quadratic_form(space: PhaseSpace, vec: PhaseVector) -> tuple[float
     return float((L @ x) @ (W * x)), float(x @ (W * x))
 
 
-def default_time_step(params: Params, cap: float = 1e-3) -> float:
-    """Step small enough to resolve the fastest active relaxation scale."""
-    dt = cap
-    if params.eps > 0:
-        dt = min(dt, params.eps / 20.0)
-    if params.sigma > 0:
-        dt = min(dt, params.sigma / 20.0)
+def default_time_step(params: Params) -> float:
+    """Step small enough to resolve the fastest active relaxation scale:
+    1e-3, capped at a twentieth of sigma and of eps when they are active."""
+    dt = 1e-3
+    for scale in (params.sigma, params.eps):
+        if scale > 0:
+            dt = min(dt, scale / 20.0)
     return dt
 
 
@@ -155,9 +155,14 @@ class TransportStepper:
         ab = np.zeros((2, size))
         ab[0] = 1.0 + a / h
         ab[1, :-1] = -(a / h)[1:]
-        self.ab = ab
         # response of the implicit half to a unit constant drive
         self.unit_response = solve_banded((1, 0), ab, np.ones(size))
+        # solve() calls the LAPACK routine solve_banded uses for this band on
+        # the same padded band, so results match it bit for bit; it skips the
+        # per-call validation, since _drive rejects non-finite states itself
+        self._gbsv, = get_lapack_funcs(("gbsv",), (ab,))
+        self._band = np.zeros((3, size))
+        self._band[1:] = ab
 
     def explicit_half(self, profile: np.ndarray) -> np.ndarray:
         """(I + a T) applied to (nodes, modes) profiles, zero inflow."""
@@ -166,7 +171,10 @@ class TransportStepper:
         return profile + self.a * (shifted - profile) / self.h[:, None]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return solve_banded((1, 0), self.ab, rhs)
+        _, _, x, info = self._gbsv(1, 0, self._band.copy(), rhs, overwrite_ab=True)
+        if info != 0:
+            raise SingularStepError(f"banded transport solve failed (info {info})")
+        return x
 
     def step_driven(self, profile: np.ndarray, drive_mid: np.ndarray) -> np.ndarray:
         """One midpoint step of profile' = T profile + drive, with the drive
@@ -315,10 +323,8 @@ class Trajectory:
     final_state: PhaseVector
 
     def modal_energy(self) -> np.ndarray:
-        g = self.space.modes.eigenvalues[:, None]
-        m = self.order
-        return (g ** (m + 2) * self.u ** 2 + g ** m * self.v ** 2
-                + g ** m * self.theta ** 2 + self.he_mu + self.he_nu + self.hx)
+        eu, ev, eth = block_energies(self.space, self.order, self.u, self.v, self.theta)[:3]
+        return eu + ev + eth + self.he_mu + self.he_nu + self.hx
 
     def total_energy(self) -> np.ndarray:
         return self.modal_energy().sum(axis=0)
@@ -328,14 +334,11 @@ class Trajectory:
         arr = {"eta_mu": self.he_mu, "eta_nu": self.he_nu, "xi": self.hx}[name]
         return np.sqrt(arr.sum(axis=0))
 
-    def triplet_distance_sq(self, other: "Trajectory") -> np.ndarray:
-        """Squared weighted distance of the (u, v, theta) blocks to another
-        trajectory sampled on the same times and mode set."""
-        g = self.space.modes.eigenvalues[:, None]
-        m = self.order
-        return ((g ** (m + 2) * (self.u - other.u) ** 2
-                 + g ** m * (self.v - other.v) ** 2
-                 + g ** m * (self.theta - other.theta) ** 2).sum(axis=0))
+
+def _step_count(dt: float, horizon: float) -> int:
+    if dt <= 0 or horizon <= 0:
+        raise DomainError(f"need positive dt and horizon, got {dt}, {horizon}")
+    return max(1, int(round(horizon / dt)))
 
 
 def _stored_steps(nsteps: int, stride: int) -> list[int]:
@@ -345,78 +348,71 @@ def _stored_steps(nsteps: int, stride: int) -> list[int]:
     return stored
 
 
+def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, stride: int,
+           sample, advance=None):
+    """The stepping and recording loop of evolve and compare_trajectories.
+
+    Advances ``initial`` to the horizon; ``advance()``, if given, moves any
+    companion system after each step. The block energies at the initial
+    order are taken at step 0 and after every step, and a non-finite total
+    raises SingularStepError. At every ``stride``-th step and the last,
+    ``sample(state, blocks)`` returns a tuple of values, which come back
+    stacked along a trailing sample axis.
+
+    Returns (stored step indices, per-step energy, sampled columns, final
+    state arrays).
+    """
+    if stride < 1:
+        raise DomainError(f"store_stride must be >= 1, got {stride}")
+    space, dt = stepper.space, stepper.dt
+    nsteps = _step_count(dt, horizon)
+    stored = np.array(_stored_steps(nsteps, stride))
+    k_of_step = {s: k for k, s in enumerate(stored.tolist())}
+    step_energy = np.zeros(nsteps + 1)
+    columns = None
+    state = _state_arrays(initial)
+    for step in range(nsteps + 1):
+        if step:
+            state = stepper.step(*state)
+            if advance is not None:
+                advance()
+        u, v, th, eta, xi = state
+        blocks = block_energies(space, initial.order, u, v, th,
+                                *history_quadratures(space, eta, xi))
+        e = float(np.sum(sum(blocks)))
+        if not math.isfinite(e):
+            raise SingularStepError(f"state left the finite range at step {step} "
+                                    f"(t = {step * dt:.6g})")
+        step_energy[step] = e
+        k = k_of_step.get(step)
+        if k is not None:
+            values = sample(state, blocks)
+            if columns is None:
+                columns = [np.zeros(np.shape(x) + (stored.size,)) for x in values]
+            for col, x in zip(columns, values):
+                col[..., k] = x
+    return stored, step_energy, columns, state
+
+
 def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
            *, store_stride: int = 1) -> Trajectory:
     """Implicit midpoint evolution up to the horizon.
 
     Raises SingularStepError if the state stops being finite.
     """
-    if dt <= 0 or horizon <= 0:
-        raise DomainError(f"need positive dt and horizon, got {dt}, {horizon}")
-    if store_stride < 1:
-        raise DomainError(f"store_stride must be >= 1, got {store_stride}")
-    nsteps = max(1, int(round(horizon / dt)))
     stepper = MidpointStepper(space, dt)
+    zero = np.zeros(space.modes.count)
 
-    n = space.modes.count
-    me, mx = space.eta_size, space.xi_size
-    g = space.modes.eigenvalues
+    def sample(state, blocks):
+        u, v, th, eta, xi = state
+        imu = space.w_mu @ eta if space.w_mu is not None else zero
+        ibe = space.w_beta @ xi if xi is not None else zero
+        return (u, v, th) + tuple(blocks[3:]) + (imu, ibe)
+
+    stored, step_energy, cols, state = _drive(stepper, initial, horizon, store_stride, sample)
     m = initial.order
-    wu, wv = g ** (m + 2), g ** m
-    wmu = g ** (m + 1)
-
-    stored = _stored_steps(nsteps, store_stride)
-    k_of_step = {s: k for k, s in enumerate(stored)}
-    K = len(stored)
-    U = np.zeros((n, K)); V = np.zeros((n, K)); TH = np.zeros((n, K))
-    HEMU = np.zeros((n, K)); HENU = np.zeros((n, K)); HX = np.zeros((n, K))
-    IMU = np.zeros((n, K)); IBE = np.zeros((n, K))
-    step_energy = np.zeros(nsteps + 1)
-
-    u, v, th, eta, xi = _state_arrays(initial)
-
-    def energy() -> float:
-        e = float(np.sum(wu * u ** 2 + wv * (v ** 2 + th ** 2)))
-        if eta is not None:
-            sq = eta ** 2
-            if space.w_mu is not None:
-                e += float(np.sum(wmu * (space.w_mu @ sq)))
-            if space.w_nu is not None:
-                e += float(np.sum(wv * (space.w_nu @ sq)))
-        if xi is not None:
-            e += float(np.sum(wu * (space.w_beta @ xi ** 2)))
-        return e
-
-    def record(step: int):
-        k = k_of_step.get(step)
-        if k is None:
-            return
-        U[:, k], V[:, k], TH[:, k] = u, v, th
-        if eta is not None:
-            sq = eta ** 2
-            if space.w_mu is not None:
-                HEMU[:, k] = wmu * (space.w_mu @ sq)
-                IMU[:, k] = space.w_mu @ eta
-            if space.w_nu is not None:
-                HENU[:, k] = wv * (space.w_nu @ sq)
-        if xi is not None:
-            HX[:, k] = wu * (space.w_beta @ xi ** 2)
-            IBE[:, k] = space.w_beta @ xi
-
-    step_energy[0] = energy()
-    record(0)
-    for step in range(1, nsteps + 1):
-        u, v, th, eta, xi = stepper.step(u, v, th, eta, xi)
-        e = energy()
-        if not np.isfinite(e):
-            raise SingularStepError(f"state left the finite range at step {step} "
-                                    f"(t = {step * dt:.6g})")
-        step_energy[step] = e
-        record(step)
-
-    times = dt * np.array(stored, dtype=float)
-    return Trajectory(space, m, dt, times, U, V, TH, HEMU, HENU, HX, IMU, IBE,
-                      step_energy, _state_vector(space, m, u, v, th, eta, xi))
+    return Trajectory(space, m, dt, dt * stored, *cols, step_energy,
+                      _state_vector(space, m, *state))
 
 
 def evolve_limit(modes: ModeSet, triplet0: np.ndarray, dt: float, horizon: float,
@@ -497,7 +493,7 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
         zeros = np.zeros(space.modes.count)
         initial_integrals = {"mu": zeros, "nu": zeros, "beta": zeros}
 
-    nsteps = max(1, int(round(horizon / dt)))
+    nsteps = _step_count(dt, horizon)
     stored = _stored_steps(nsteps, store_stride)
     k_of_step = {s: k for k, s in enumerate(stored)}
     K = len(stored)

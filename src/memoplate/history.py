@@ -8,7 +8,7 @@ for every admissible weight vector, which the evolution layer relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,18 +22,6 @@ WEIGHT_SUM_RTOL = 1e-4
 POLICY_MASS = "mass"
 POLICY_DECAY_CONSISTENT = "decay_consistent"
 POLICY_AUTO = "auto"
-
-
-@dataclass(frozen=True)
-class HistorySlice:
-    """Sampled history profile at the grid nodes; the boundary value at
-    s = 0 is implicitly zero."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("history slice carries non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -146,22 +134,21 @@ def _make_weights(bounds: np.ndarray, spacing: np.ndarray, kernel: KernelSpec,
     return w, POLICY_DECAY_CONSISTENT
 
 
-def translation_apply(grid: HistoryGrid, slc: HistorySlice | np.ndarray):
+def translation_apply(grid: HistoryGrid, values: np.ndarray) -> np.ndarray:
     """First-order upwind application of the transport generator f -> -f'
-    with inflow value 0 at s = 0."""
-    values = slc.values if isinstance(slc, HistorySlice) else np.asarray(slc)
+    with inflow value 0 at s = 0; profiles lie along the last axis."""
+    values = np.asarray(values)
     if values.shape[-1] != grid.size:
         raise DomainError(f"slice length {values.shape[-1]} does not match grid size {grid.size}")
     shifted = np.zeros_like(values)
     shifted[..., 1:] = values[..., :-1]
-    out = (shifted - values) / grid.spacing
-    return HistorySlice(out) if isinstance(slc, HistorySlice) else out
+    return (shifted - values) / grid.spacing
 
 
-def weighted_norm(grid: HistoryGrid, slc: HistorySlice | np.ndarray,
+def weighted_norm(grid: HistoryGrid, values: np.ndarray,
                   power_weight: float = 1.0, weights: np.ndarray | None = None) -> float:
     """sqrt(power_weight * sum_j w_j f_j^2)."""
-    values = slc.values if isinstance(slc, HistorySlice) else np.asarray(slc)
+    values = np.asarray(values)
     if values.shape[-1] != grid.size:
         raise DomainError(f"slice length {values.shape[-1]} does not match grid size {grid.size}")
     w = grid.weights if weights is None else weights

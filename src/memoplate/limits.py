@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularStepError
-from .dynamics import MidpointStepper, TransportStepper, _state_arrays
-from .modes import Params, PhaseSpace, PhaseVector, build_phase_space, zero_phase_vector
+from .errors import DomainError
+from .dynamics import MidpointStepper, TransportStepper, _drive, _step_count
+from .modes import (Params, PhaseSpace, PhaseVector, block_energies, build_phase_space,
+                    history_quadratures, zero_phase_vector)
 
 
 def lift_triplet(space: PhaseSpace, triplet: np.ndarray, order: int = 0) -> PhaseVector:
@@ -38,10 +39,6 @@ def project_triplet(vec: PhaseVector) -> np.ndarray:
     return np.stack([vec.u, vec.v, vec.theta], axis=1)
 
 
-def extract_histories(vec: PhaseVector) -> tuple[np.ndarray | None, np.ndarray | None]:
-    return vec.eta, vec.xi
-
-
 def pi_bounds(params: Params) -> tuple[float, float]:
     """Parameter powers controlling the closeness surplus: the quarter-power
     sum and the half-power thermal pair."""
@@ -57,20 +54,23 @@ def upsilon_coefficients(initial: PhaseVector) -> dict[str, float]:
             "xi": float(np.sqrt(b["xi"]))}
 
 
-def upsilon_series(space: PhaseSpace, coeff: dict[str, float], times: np.ndarray) -> np.ndarray:
-    """Decaying initial-history contribution at the given times.
+def upsilon_blocks(space: PhaseSpace, coeff: dict[str, float],
+                   times: np.ndarray) -> dict[str, np.ndarray]:
+    """Decaying initial-history terms per block ("eta_mu", "eta_nu", "xi"),
+    zero for a collapsed kernel.
 
     Each term decays at a quarter of its kernel's sampled relaxation rate.
     """
     t = np.asarray(times, dtype=float)
-    out = np.zeros_like(t)
-    if space.mu is not None:
-        out += coeff["eta_mu"] * np.exp(-0.25 * space.mu.decay * t)
-    if space.nu is not None:
-        out += coeff["eta_nu"] * np.exp(-0.25 * space.nu.decay * t)
-    if space.beta is not None:
-        out += coeff["xi"] * np.exp(-0.25 * space.beta.decay * t)
-    return out
+    return {name: (np.zeros_like(t) if k is None
+                   else coeff[name] * np.exp(-0.25 * k.decay * t))
+            for name, k in (("eta_mu", space.mu), ("eta_nu", space.nu), ("xi", space.beta))}
+
+
+def upsilon_series(space: PhaseSpace, coeff: dict[str, float], times: np.ndarray) -> np.ndarray:
+    """Decaying initial-history contribution at the given times."""
+    b = upsilon_blocks(space, coeff, times)
+    return b["eta_mu"] + b["eta_nu"] + b["xi"]
 
 
 @dataclass
@@ -128,89 +128,57 @@ class LimitComparison:
 
 
 def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
-                         horizon: float, *, t0: float = 0.5,
-                         store_stride: int | None = None) -> LimitComparison:
+                         horizon: float, *, t0: float = 0.5) -> LimitComparison:
     """Step the full and collapsed systems together and record distances.
 
     Both use the same implicit midpoint scheme and step, so the comparison
     isolates the model difference rather than the integrator difference.
+    At most about 2000 samples are stored. Raises SingularStepError if the
+    full state stops being finite.
     """
-    if dt <= 0 or horizon <= 0:
-        raise DomainError(f"need positive dt and horizon, got {dt}, {horizon}")
-    nsteps = max(1, int(round(horizon / dt)))
-    if store_stride is None:
-        store_stride = max(1, nsteps // 2000)
-
-    n = space.modes.count
-    me, mx = space.eta_size, space.xi_size
-    g = space.modes.eigenvalues
+    stride = max(1, _step_count(dt, horizon) // 2000)
     m = initial.order
-    wu, wv = g ** (m + 2), g ** m
-    wmu, wnu = g ** (m + 1), g ** m
+    n, me, mx = space.modes.count, space.eta_size, space.xi_size
 
     stepper = MidpointStepper(space, dt)
-    space_lim = build_phase_space(space.modes, Params(0.0, 0.0, 0.0))
-    stepper_lim = MidpointStepper(space_lim, dt)
+    stepper_lim = MidpointStepper(build_phase_space(space.modes, Params(0.0, 0.0, 0.0)), dt)
     tr_eta = TransportStepper(space.eta_grid, dt) if me else None
     tr_xi = TransportStepper(space.xi_grid, dt) if mx else None
 
-    u, v, th, eta, xi = _state_arrays(initial)
-    lu, lv, lth = u.copy(), v.copy(), th.copy()
+    lu, lv, lth = initial.u.copy(), initial.v.copy(), initial.theta.copy()
     eta_hat = np.zeros((me, n)) if me else None
     xi_hat = np.zeros((mx, n)) if mx else None
 
-    stored = list(range(0, nsteps + 1, store_stride))
-    if stored[-1] != nsteps:
-        stored.append(nsteps)
-    k_of_step = {s: k for k, s in enumerate(stored)}
-    K = len(stored)
-    D = np.zeros(K); DP = np.zeros(K); EF = np.zeros(K); EL = np.zeros(K)
-    HMU = np.zeros(K); HNU = np.zeros(K); HXI = np.zeros(K)
-
-    def record(step: int):
-        k = k_of_step.get(step)
-        if k is None:
-            return
-        trip = float(np.sum(wu * (u - lu) ** 2 + wv * ((v - lv) ** 2 + (th - lth) ** 2)))
-        hmu = hnu = hxi = 0.0
-        proof = trip
-        ef = float(np.sum(wu * u ** 2 + wv * (v ** 2 + th ** 2)))
-        if me:
-            sq = eta ** 2
-            dq = (eta - eta_hat) ** 2
-            if space.w_mu is not None:
-                hmu = float(np.sum(wmu * (space.w_mu @ sq)))
-                proof += float(np.sum(wmu * (space.w_mu @ dq)))
-            if space.w_nu is not None:
-                hnu = float(np.sum(wnu * (space.w_nu @ sq)))
-                proof += float(np.sum(wnu * (space.w_nu @ dq)))
-        if mx:
-            hxi = float(np.sum(wu * (space.w_beta @ xi ** 2)))
-            proof += float(np.sum(wu * (space.w_beta @ (xi - xi_hat) ** 2)))
-        D[k] = np.sqrt(trip + hmu + hnu + hxi)
-        DP[k] = np.sqrt(proof)
-        EF[k] = ef + hmu + hnu + hxi
-        EL[k] = float(np.sum(wu * lu ** 2 + wv * (lv ** 2 + lth ** 2)))
-        HMU[k], HNU[k], HXI[k] = np.sqrt(hmu), np.sqrt(hnu), np.sqrt(hxi)
-
-    record(0)
-    for step in range(1, nsteps + 1):
-        u, v, th, eta, xi = stepper.step(u, v, th, eta, xi)
+    def advance():
+        nonlocal lu, lv, lth, eta_hat, xi_hat
         lth_old, lv_old = lth, lv
         lu, lv, lth, _, _ = stepper_lim.step(lu, lv, lth, None, None)
         if me:
             eta_hat = tr_eta.step_driven(eta_hat, 0.5 * (lth_old + lth))
         if mx:
             xi_hat = tr_xi.step_driven(xi_hat, 0.5 * (lv_old + lv))
-        if not np.isfinite(u[0]):
-            raise SingularStepError(f"full state left the finite range at step {step}")
-        record(step)
 
-    times = dt * np.array(stored, dtype=float)
+    def sample(state, blocks):
+        u, v, th, eta, xi = state
+        hmu, hnu, hxi = (float(np.sum(b)) for b in blocks[3:])
+        # distance to the limit state with the reconstructed histories; its
+        # triplet part is also the triplet part of the zero-padded distance
+        diff = block_energies(space, m, u - lu, v - lv, th - lth, *history_quadratures(
+            space, eta - eta_hat if me else None, xi - xi_hat if mx else None))
+        trip = float(np.sum(diff[0] + diff[1] + diff[2]))
+        limit = block_energies(space, m, lu, lv, lth)
+        return (np.sqrt(trip + hmu + hnu + hxi),
+                np.sqrt(trip + sum(float(np.sum(b)) for b in diff[3:])),
+                float(np.sum(limit[0] + limit[1] + limit[2])),
+                np.sqrt(hmu), np.sqrt(hnu), np.sqrt(hxi))
+
+    stored, step_energy, cols, _ = _drive(stepper, initial, horizon, stride, sample, advance)
+    D, DP, EL, HMU, HNU, HXI = cols
+    times = dt * stored
     coeff = upsilon_coefficients(initial)
     ups = upsilon_series(space, coeff, times)
     flat, sharp = pi_bounds(space.params)
-    return LimitComparison(space, m, dt, t0, times, D, DP, ups, EF, EL,
+    return LimitComparison(space, m, dt, t0, times, D, DP, ups, step_energy[stored], EL,
                            HMU, HNU, HXI, coeff, flat, sharp)
 
 
@@ -240,38 +208,29 @@ class EnvelopeFit:
     xi_margin: float
 
 
-def history_envelopes(comp: LimitComparison, fit_fraction: float = 0.5) -> EnvelopeFit:
-    """Fit history-norm envelopes on the early window, check on the whole run.
+def history_envelopes(comp: LimitComparison) -> EnvelopeFit:
+    """Fit history-norm envelopes on the first half of the run, check on the
+    whole run.
 
     The measured slow-memory norm must stay under its initial decaying part
     plus a fitted multiple of sqrt(eps) + sqrt(psi); the viscous history gets
-    the same treatment over sqrt(sigma). Fitting uses only the first part of
+    the same treatment over sqrt(sigma). Fitting uses only the first half of
     the run, so the late-time check is a genuine prediction.
     """
     space, t = comp.space, comp.times
-    cut = t <= fit_fraction * t[-1]
+    cut = t <= 0.5 * t[-1]
+    dec = upsilon_blocks(space, comp.coeff, t)
+
+    def envelope(meas, decaying, scale):
+        k = 0.0
+        if scale > 0 and cut.any():
+            k = float(np.max(np.maximum(meas[cut] - decaying[cut], 0.0))) / scale
+        return k, decaying + k * scale
+
     meas_eta = np.sqrt(comp.eta_mu_norm ** 2 + comp.eta_nu_norm ** 2)
-    dec_eta = np.zeros_like(t)
-    if space.mu is not None:
-        dec_eta += comp.coeff["eta_mu"] * np.exp(-0.25 * space.mu.decay * t)
-    if space.nu is not None:
-        dec_eta += comp.coeff["eta_nu"] * np.exp(-0.25 * space.nu.decay * t)
-    scale_eta = np.sqrt(space.params.eps) + np.sqrt(space.params.psi())
-    k_eta = 0.0
-    if scale_eta > 0 and cut.any():
-        k_eta = float(np.max(np.maximum(meas_eta[cut] - dec_eta[cut], 0.0))) / scale_eta
-    env_eta = dec_eta + k_eta * scale_eta
-
-    meas_xi = comp.xi_norm
-    dec_xi = np.zeros_like(t)
-    if space.beta is not None:
-        dec_xi += comp.coeff["xi"] * np.exp(-0.25 * space.beta.decay * t)
-    scale_xi = np.sqrt(space.params.sigma)
-    k_xi = 0.0
-    if scale_xi > 0 and cut.any():
-        k_xi = float(np.max(np.maximum(meas_xi[cut] - dec_xi[cut], 0.0))) / scale_xi
-    env_xi = dec_xi + k_xi * scale_xi
-
+    k_eta, env_eta = envelope(meas_eta, dec["eta_mu"] + dec["eta_nu"],
+                              np.sqrt(space.params.eps) + np.sqrt(space.params.psi()))
+    k_xi, env_xi = envelope(comp.xi_norm, dec["xi"], np.sqrt(space.params.sigma))
     return EnvelopeFit(k_eta, k_xi, env_eta, env_xi,
                        float(np.min(env_eta - meas_eta)),
-                       float(np.min(env_xi - meas_xi)))
+                       float(np.min(env_xi - comp.xi_norm)))

@@ -8,7 +8,7 @@ in the package funnels its norms through this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,16 +165,37 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
     return PhaseSpace(modes, params, mu, nu, beta, eta_grid, xi_grid, w_mu, w_nu, w_beta)
 
 
-@dataclass(frozen=True)
-class ModalState:
-    """State of a single mode, read-only view."""
+def block_energies(space: PhaseSpace, order: int, u, v, theta,
+                   q_mu=0.0, q_nu=0.0, q_beta=0.0) -> tuple:
+    """Energies of the six blocks of the order-m phase norm, mode by mode:
+    (u, v, theta, eta under mu, eta under nu, xi).
 
-    gamma: float
-    u: float
-    v: float
-    theta: float
-    eta: np.ndarray | None
-    xi: np.ndarray | None
+    u, v and theta are modal amplitudes with the mode on the first axis;
+    q_mu, q_nu and q_beta are the quadratures sum_j w_j f_j^2 of the history
+    profiles under mu, nu and beta (0 for an absent block). Further axes
+    broadcast against the modes. This is the one place that knows the
+    eigenvalue powers of the norm.
+    """
+    g = space.modes.eigenvalues.reshape((-1,) + (1,) * (np.ndim(u) - 1))
+    g0 = g ** order
+    g1 = g0 * g
+    g2 = g1 * g
+    return (g2 * u ** 2, g0 * v ** 2, g0 * theta ** 2, g1 * q_mu, g0 * q_nu, g2 * q_beta)
+
+
+def history_quadratures(space: PhaseSpace, eta, xi) -> tuple:
+    """(q_mu, q_nu, q_beta) for block_energies from profiles stored
+    (nodes, modes); 0 for an absent block."""
+    q_mu = q_nu = q_beta = 0.0
+    if eta is not None:
+        sq = eta ** 2
+        if space.w_mu is not None:
+            q_mu = space.w_mu @ sq
+        if space.w_nu is not None:
+            q_nu = space.w_nu @ sq
+    if xi is not None:
+        q_beta = space.w_beta @ xi ** 2
+    return q_mu, q_nu, q_beta
 
 
 @dataclass
@@ -193,12 +214,6 @@ class PhaseVector:
     eta: np.ndarray | None = None
     xi: np.ndarray | None = None
 
-    def mode(self, i: int) -> ModalState:
-        return ModalState(float(self.space.modes.eigenvalues[i]),
-                          float(self.u[i]), float(self.v[i]), float(self.theta[i]),
-                          None if self.eta is None else self.eta[i],
-                          None if self.xi is None else self.xi[i])
-
     def copy(self) -> "PhaseVector":
         return PhaseVector(self.space, self.order, self.u.copy(), self.v.copy(),
                            self.theta.copy(),
@@ -208,23 +223,12 @@ class PhaseVector:
     def block_norms_sq(self, order: int | None = None) -> dict[str, float]:
         """Squared norm split by block: triplet, mu- and nu-weighted history,
         and the xi history."""
-        m = self.order if order is None else order
-        g = self.space.modes.eigenvalues
-        out = {
-            "u": float(np.sum(g ** (m + 2) * self.u ** 2)),
-            "v": float(np.sum(g ** m * self.v ** 2)),
-            "theta": float(np.sum(g ** m * self.theta ** 2)),
-            "eta_mu": 0.0, "eta_nu": 0.0, "xi": 0.0,
-        }
-        if self.eta is not None:
-            sq = self.eta ** 2
-            if self.space.w_mu is not None:
-                out["eta_mu"] = float(np.sum(g ** (m + 1) * (sq @ self.space.w_mu)))
-            if self.space.w_nu is not None:
-                out["eta_nu"] = float(np.sum(g ** m * (sq @ self.space.w_nu)))
-        if self.xi is not None and self.space.w_beta is not None:
-            out["xi"] = float(np.sum(g ** (m + 2) * ((self.xi ** 2) @ self.space.w_beta)))
-        return out
+        q = history_quadratures(self.space, None if self.eta is None else self.eta.T,
+                                None if self.xi is None else self.xi.T)
+        blocks = block_energies(self.space, self.order if order is None else order,
+                                self.u, self.v, self.theta, *q)
+        names = ("u", "v", "theta", "eta_mu", "eta_nu", "xi")
+        return {name: float(np.sum(e)) for name, e in zip(names, blocks)}
 
     def norm_sq(self, order: int | None = None) -> float:
         return sum(self.block_norms_sq(order).values())

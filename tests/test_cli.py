@@ -111,6 +111,30 @@ def test_pruss_scan_preset(tmp_path):
     assert "truncated mass" in steps["residual-span"]["detail"]
 
 
+def test_failed_halving_exits_3(tmp_path, monkeypatch):
+    monkeypatch.setattr("memoplate.probe.HALVING_BAND", (10.0, 20.0))
+    out = str(tmp_path / "a2")
+    assert main(["pruss-scan", "--preset", "thm-a2", "--out", out]) == 3
+    assert os.path.exists(os.path.join(out, "scan.csv"))
+    steps = {s["name"]: s for s in read_manifest(out)["steps"]}
+    assert steps["residual-halving"]["status"] == "failed"
+
+
+def test_failed_envelope_exits_3(tmp_path):
+    # one point with nonzero histories, stopped long before the memory-fed
+    # plateau the envelope fit needs
+    ini = tmp_path / "env.ini"
+    ini.write_text("[domain]\nmodes = 2\n\n[parameters]\nsigma = 0.25\ntau = 0.25\n"
+                   "eps = 0.25\n\n[integrator]\ndt = 0.01\nhorizon = 1\ngrid_size = 40\n"
+                   "\n[initial]\nwith_history = true\n")
+    out = str(tmp_path / "env")
+    assert main(["limit-sweep", "--config", str(ini), "--out", out]) == 3
+    assert os.path.exists(os.path.join(out, "sweep.csv"))
+    steps = {s["name"]: s for s in read_manifest(out)["steps"]}
+    assert steps["envelope[0]"]["status"] == "failed"
+    assert "xi_margin=-" in steps["envelope[0]"]["detail"]
+
+
 def test_csv_bit_identical_across_runs(small_ini, tmp_path):
     out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
     assert main(["decay", "--config", small_ini, "--out", out1]) == 0

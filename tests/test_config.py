@@ -13,7 +13,6 @@ from memoplate.config import (
 
 def test_default_config_roundtrip():
     cfg = default_config()
-    assert cfg.seed == 1234
     assert cfg.mode_count == 8
     assert cfg.horizon == pytest.approx(20.0)
     assert cfg.weight_policy == "auto"
@@ -60,7 +59,7 @@ def test_load_config_merges_and_validates(tmp_path):
     cfg = load_config(str(path))
     assert cfg.mode_count == 3
     assert cfg.horizon == pytest.approx(2.5)
-    assert cfg.seed == 1234  # untouched default
+    assert cfg.grid_size == 400  # untouched default
 
     bad = tmp_path / "bad.ini"
     bad.write_text("[domain]\nmodez = 3\n")

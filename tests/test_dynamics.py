@@ -108,6 +108,24 @@ def test_energy_non_increasing_every_step(small_space):
     assert traj.total_energy()[0] == pytest.approx(e[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("order", [0, 2])
+def test_phase_norm_agrees_across_layouts(small_space, order):
+    # the norm read from PhaseVector, from the flat weight diagonal, from the
+    # stepper's per-step energy and from the recorded trajectory blocks
+    z0 = random_state(small_space, 31, order)
+    x = flatten(z0)
+    assert x @ (weight_diagonal(small_space, order) * x) == pytest.approx(
+        z0.norm_sq(), rel=1e-12)
+    traj = evolve(small_space, z0, 1e-2, 0.05)
+    final = traj.final_state.norm_sq()
+    assert final < z0.norm_sq()
+    assert traj.step_energy[0] == pytest.approx(z0.norm_sq(), rel=1e-12)
+    assert traj.step_energy[-1] == pytest.approx(final, rel=1e-12)
+    assert traj.total_energy()[-1] == pytest.approx(final, rel=1e-12)
+    x1 = flatten(traj.final_state)
+    assert x1 @ (weight_diagonal(small_space, order) * x1) == pytest.approx(final, rel=1e-12)
+
+
 def test_evolution_linearity(small_space):
     za = random_state(small_space, 21)
     zb = random_state(small_space, 22)
@@ -202,6 +220,10 @@ def test_closure_oracle_contracts(interval_modes):
     zp = initial_data_preset("single-mode", sp_pow, 0)
     with pytest.raises(UnsupportedOracleError):
         closure_oracle_evolve(sp_pow, zp, 1e-3, 1.0)
+    z_rest = initial_data_preset("single-mode", space, 0)
+    for dt, horizon in ((0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0)):
+        with pytest.raises(DomainError):
+            closure_oracle_evolve(space, z_rest, dt, horizon)
 
 
 def test_default_time_step_rules():

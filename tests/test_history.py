@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from memoplate.errors import DomainError, MismatchError, ResolutionError
 from memoplate.history import (
     POLICY_DECAY_CONSISTENT, POLICY_MASS,
-    HistorySlice, build_history_grid, translation_apply, uniform_grid, weighted_norm,
+    build_history_grid, translation_apply, uniform_grid, weighted_norm,
 )
 from memoplate.kernels import EXPONENTIAL, KernelSpec, build_kernel_family, canonical_base, kernel_moment
 
@@ -120,11 +120,6 @@ def test_weighted_norm_power_weight(exp_grid):
     f = np.ones(exp_grid.size)
     base = weighted_norm(exp_grid, f)
     assert weighted_norm(exp_grid, f, power_weight=4.0) == pytest.approx(2.0 * base)
-
-
-def test_history_slice_rejects_nonfinite():
-    with pytest.raises(DomainError):
-        HistorySlice(np.array([1.0, np.nan]))
 
 
 def test_grid_construction_contracts():

@@ -3,8 +3,8 @@ records, surplus fits, history envelopes."""
 import numpy as np
 import pytest
 
-from memoplate.errors import DomainError
-from memoplate.dynamics import default_time_step
+from memoplate.errors import DomainError, SingularStepError
+from memoplate.dynamics import default_time_step, evolve
 from memoplate.limits import (
     compare_trajectories, fit_limit_constants, history_envelopes,
     lift_triplet, pi_bounds, project_triplet, upsilon_coefficients, upsilon_series,
@@ -139,3 +139,13 @@ def test_compare_contracts(memory_space):
         compare_trajectories(memory_space, z0, 0.0, 1.0)
     with pytest.raises(DomainError):
         compare_trajectories(memory_space, z0, 1e-3, -1.0)
+
+
+def test_nonfinite_history_raises_typed_error(modes):
+    space = build_phase_space(modes, Params(0.5, 0.25, 0.5), grid_size=60)
+    z0 = initial_data_preset("spectral-decay 4", space, 0, with_history=True)
+    z0.eta[2, 5] = np.nan
+    with pytest.raises(SingularStepError):
+        evolve(space, z0, 1e-3, 0.05)
+    with pytest.raises(SingularStepError):
+        compare_trajectories(space, z0, 1e-3, 0.05)

@@ -144,9 +144,3 @@ def test_spectral_decay_preset_with_history(small_space):
     with pytest.raises(DomainError):
         initial_data_preset("spectral-decay x", small_space, 0)
 
-
-def test_mode_view(small_space):
-    vec = initial_data_preset("spectral-decay 2", small_space, 0, with_history=True)
-    st0 = vec.mode(0)
-    assert st0.u == vec.u[0]
-    assert st0.eta.shape == (small_space.eta_size,)
