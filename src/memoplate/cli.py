@@ -37,6 +37,9 @@ def _parse(argv):
 
 def _apply_threads(count: int) -> None:
     if count > 0:
+        if "numpy" in sys.modules:
+            print(f"warning: thread cap {count} requested after NumPy was loaded; "
+                  "the running BLAS keeps its thread count", file=sys.stderr)
         for var in _BLAS_VARS:
             os.environ[var] = str(count)
 
@@ -241,7 +244,7 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
     for comp, k_row, q_row in zip(points, fits["k_hat_rows"], fits["q_hat"]):
         p = comp.space.params
         rows.append((p.sigma, p.tau, p.eps, comp.order, comp.t0, comp.sup_distance,
-                     comp.upsilon_at_t0, comp.pi_flat, comp.pi_sharp, k_row, q_row))
+                     comp.sup_upsilon_tail(), comp.pi_flat, comp.pi_sharp, k_row, q_row))
     path = cfgmod.write_csv(out_dir / "sweep.csv",
                             ["sigma", "tau", "eps", "order", "t0", "sup_distance",
                              "upsilon_t0", "pi_flat", "pi_sharp", "k_hat", "q_hat"],
@@ -264,9 +267,8 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
                       f"margin={margin:.6g}")
     scan = resolvent_scan(ap, cfg.probe_gammas())
 
-    residuals = [residual_check(ap, float(g), cfg.residual_size).residual
-                 for g in scan.gammas]
-    rows = [(g, l, zn, zt, rt, qr, dr) for (g, l, zn, zt, rt, qr), dr
+    residuals = [residual_check(ap, float(g), cfg.residual_size) for g in scan.gammas]
+    rows = [(g, l, zn, zt, rt, qr, res.residual) for (g, l, zn, zt, rt, qr), res
             in zip(scan.rows(), residuals)]
     path = cfgmod.write_csv(out_dir / "scan.csv",
                             ["gamma", "lam", "z_norm", "z_tilde_norm", "ratio",
@@ -275,9 +277,14 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
 
     fine = residual_check(ap, cfg.residual_gamma, 2 * cfg.residual_size)
     coarse = residual_check(ap, cfg.residual_gamma, cfg.residual_size)
+    # phase advance per uniform cell; above 1 the cells do not resolve the
+    # probe's oscillation
+    lam_h = [res.lam * res.cutoff / res.grid_size for res in residuals]
     manifest.step("residual-span", "ok",
                   f"cutoff={coarse.cutoff:.6g} truncated mass thermal="
-                  f"{coarse.tail_thermal:.3e} shear={coarse.tail_shear:.3e}")
+                  f"{coarse.tail_thermal:.3e} shear={coarse.tail_shear:.3e}; scan "
+                  f"max_lam_h={max(lam_h):.6g}, {sum(x > 1.0 for x in lam_h)} of "
+                  f"{len(lam_h)} scales with lam_h > 1")
     halving = coarse.residual / fine.residual
     lo, hi = HALVING_BAND
     manifest.step("residual-halving", "ok" if lo <= halving <= hi else "failed",

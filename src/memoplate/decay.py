@@ -109,19 +109,17 @@ class InequalityReport:
     """Largest constants satisfying the two differential inequalities on the
     sampled window, with the residual left at those constants."""
 
-    lambda_hat: float      # primary: dF1/dt <= -(phi/2) * lambda * F1 + slack
-    d0_hat: float          # secondary: dF2/dt <= -d0 * F2 + slack
+    lambda_hat: float      # primary: dF1/dt <= -(phi/2) * lambda * F1
+    d0_hat: float          # secondary: dF2/dt <= -d0 * F2
     scale: float
     residual: float
-    degenerate: bool       # phi = 0 turns the primary check into dF1/dt <= slack
-    window: tuple[float, float]
-    slack: float
+    degenerate: bool       # phi = 0 turns the primary check into dF1/dt <= 0
 
 
 def check_differential_inequalities(traj: Trajectory,
                                     config: FunctionalConfig = FunctionalConfig(),
-                                    window: tuple[float, float] = DEFAULT_WINDOW,
-                                    slack: float = 0.0) -> InequalityReport:
+                                    window: tuple[float, float] = DEFAULT_WINDOW
+                                    ) -> InequalityReport:
     """Fit the inequality constants along the run.
 
     With scale=None in the config, the secondary functional's energy multiple
@@ -143,19 +141,18 @@ def check_differential_inequalities(traj: Trajectory,
         degenerate = phi == 0.0
         if degenerate:
             lam = np.nan
-            res1 = float(np.max(np.maximum(dF1 - slack, 0.0)))
+            res1 = float(np.max(np.maximum(dF1, 0.0)))
         elif np.any(f1 <= 0.0):
             raise FitError("primary functional loses positivity inside the window")
         else:
-            lam = float(np.min(2.0 * (slack - dF1) / (phi * f1)))
-            res1 = float(np.max(np.maximum(dF1 + 0.5 * phi * lam * f1 - slack, 0.0)))
+            lam = float(np.min(-2.0 * dF1 / (phi * f1)))
+            res1 = float(np.max(np.maximum(dF1 + 0.5 * phi * lam * f1, 0.0)))
         if np.any(f2 <= 0.0):
             raise FitError("secondary functional loses positivity inside the window; "
                            "increase the energy scale")
-        d0 = float(np.min((slack - dF2) / f2))
-        res2 = float(np.max(np.maximum(dF2 + d0 * f2 - slack, 0.0)))
-        report = InequalityReport(lam, d0, float(N), max(res1, res2),
-                                  degenerate, window, slack)
+        d0 = float(np.min(-dF2 / f2))
+        res2 = float(np.max(np.maximum(dF2 + d0 * f2, 0.0)))
+        report = InequalityReport(lam, d0, float(N), max(res1, res2), degenerate)
         if best is None or report.d0_hat > best.d0_hat:
             best = report
         if d0 > 0.0:

@@ -92,11 +92,6 @@ def weight_diagonal(space: PhaseSpace, order: int) -> np.ndarray:
     return np.concatenate(parts, axis=1).ravel()
 
 
-def mode_weight_vector(space: PhaseSpace, mode_index: int, order: int) -> np.ndarray:
-    """Diagonal of the phase inner product restricted to one mode's block."""
-    return weight_diagonal(space, order).reshape(space.modes.count, -1)[mode_index]
-
-
 def flatten(vec: PhaseVector) -> np.ndarray:
     space = vec.space
     n = space.modes.count

@@ -35,10 +35,6 @@ class ResolutionError(MemoplateError):
         self.requested = requested
 
 
-class AssemblyError(MemoplateError):
-    """Operator assembly received mismatched grid/kernel data."""
-
-
 class SingularStepError(MemoplateError):
     """Linear solve inside a time step failed."""
 
@@ -49,10 +45,6 @@ class UnsupportedOracleError(MemoplateError):
 
 class DegenerateModeError(MemoplateError):
     """Probe construction hit a vanishing denominator for this mode."""
-
-
-class BranchError(MemoplateError):
-    """Probe construction hit the removable singularity b -> h0."""
 
 
 class FitError(MemoplateError):

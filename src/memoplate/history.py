@@ -77,8 +77,7 @@ def geometric_boundaries(s_max: float, count: int, ratio: float) -> np.ndarray:
 
 def build_history_grid(kernel: KernelSpec, size: int, *, ratio: float = DEFAULT_RATIO,
                        tail: float = DEFAULT_TAIL, s_max: float | None = None,
-                       weight_policy: str = POLICY_AUTO,
-                       weight_sum_rtol: float = WEIGHT_SUM_RTOL) -> HistoryGrid:
+                       weight_policy: str = POLICY_AUTO) -> HistoryGrid:
     """Geometric grid clustered at 0 with kernel-adapted cutoff and weights.
 
     The cutoff keeps the kernel tail mass beyond it under ``tail`` of the
@@ -88,8 +87,6 @@ def build_history_grid(kernel: KernelSpec, size: int, *, ratio: float = DEFAULT_
         raise DomainError(f"need at least 8 history nodes, got {size}")
     if ratio < 1.0:
         raise DomainError(f"grid ratio must be >= 1, got {ratio}")
-    if kernel.is_collapsed:
-        raise DomainError("cannot build a history grid for a collapsed kernel")
     cutoff = kernel.tail_cutoff(tail) if s_max is None else float(s_max)
     bounds = geometric_boundaries(cutoff, size, ratio)
     spacing = np.diff(bounds)
@@ -97,9 +94,9 @@ def build_history_grid(kernel: KernelSpec, size: int, *, ratio: float = DEFAULT_
     total = kernel_moment(kernel, 0)
     if total > 0:
         achieved = abs(float(np.sum(weights)) / total - 1.0)
-        if achieved > weight_sum_rtol:
+        if achieved > WEIGHT_SUM_RTOL:
             raise ResolutionError(f"{size} nodes cannot reproduce the kernel mass",
-                                  achieved=achieved, requested=weight_sum_rtol)
+                                  achieved=achieved, requested=WEIGHT_SUM_RTOL)
     return HistoryGrid(nodes=bounds[1:], spacing=spacing, weights=weights,
                        kernel=kernel, ratio=ratio, cutoff=cutoff, policy=policy)
 
@@ -133,30 +130,3 @@ def _make_weights(bounds: np.ndarray, spacing: np.ndarray, kernel: KernelSpec,
     w *= truncated_mass / np.sum(w)
     return w, POLICY_DECAY_CONSISTENT
 
-
-def translation_apply(grid: HistoryGrid, values: np.ndarray) -> np.ndarray:
-    """First-order upwind application of the transport generator f -> -f'
-    with inflow value 0 at s = 0; profiles lie along the last axis."""
-    values = np.asarray(values)
-    if values.shape[-1] != grid.size:
-        raise DomainError(f"slice length {values.shape[-1]} does not match grid size {grid.size}")
-    shifted = np.zeros_like(values)
-    shifted[..., 1:] = values[..., :-1]
-    return (shifted - values) / grid.spacing
-
-
-def weighted_norm(grid: HistoryGrid, values: np.ndarray,
-                  power_weight: float = 1.0, weights: np.ndarray | None = None) -> float:
-    """sqrt(power_weight * sum_j w_j f_j^2)."""
-    values = np.asarray(values)
-    if values.shape[-1] != grid.size:
-        raise DomainError(f"slice length {values.shape[-1]} does not match grid size {grid.size}")
-    w = grid.weights if weights is None else weights
-    return float(np.sqrt(power_weight * np.sum(w * values ** 2)))
-
-
-def uniform_grid(kernel: KernelSpec, size: int, s_max: float) -> HistoryGrid:
-    """Uniform-spacing variant used by the resolvent probe, where the test
-    profiles oscillate at a fixed frequency and clustering at 0 buys nothing."""
-    return build_history_grid(kernel, size, ratio=1.0, s_max=s_max,
-                              weight_policy=POLICY_MASS, weight_sum_rtol=1.0)

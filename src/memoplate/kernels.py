@@ -11,7 +11,7 @@ quadrature built independently of this code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammainc, gammaincc, gammainccinv
@@ -29,23 +29,19 @@ _FAMILIES = (EXPONENTIAL, POWER_EXPONENTIAL, CONCAVE_AFFINE_EXP)
 class KernelSpec:
     """One member of a kernel family: kappa * s^(-singularity) * exp(-decay*s).
 
-    ``relaxation`` records the parameter used to build the member (0 marks a
-    collapsed kernel whose history block is absent). The concave_affine_exp
-    family is exponential in shape (singularity 0) and shares every formula
-    with the exponential branch.
+    The concave_affine_exp family is exponential in shape (singularity 0) and
+    shares every formula with the exponential branch. An absent history block
+    has no KernelSpec at all: it is None.
     """
 
     family: str
     amplitude: float
     decay: float
     singularity: float = 0.0
-    relaxation: float = 1.0
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown kernel family {self.family!r}")
-        if self.is_collapsed:
-            return
         if self.amplitude < 0 or (self.amplitude == 0 and self.family != CONCAVE_AFFINE_EXP):
             raise DomainError(f"amplitude must be positive, got {self.amplitude}")
         if self.decay <= 0:
@@ -58,18 +54,12 @@ class KernelSpec:
             raise DomainError("only power_exponential kernels carry a singularity exponent")
 
     @property
-    def is_collapsed(self) -> bool:
-        return self.relaxation == 0.0
-
-    @property
     def is_exponential_shape(self) -> bool:
         return self.family in (EXPONENTIAL, CONCAVE_AFFINE_EXP)
 
     def __call__(self, s):
         """Pointwise values; vectorized over s > 0."""
         s = np.asarray(s, dtype=float)
-        if self.is_collapsed:
-            return np.zeros_like(s)
         base = self.amplitude * np.exp(-self.decay * s)
         if self.family == POWER_EXPONENTIAL and self.singularity > 0:
             return base * s ** (-self.singularity)
@@ -78,8 +68,6 @@ class KernelSpec:
     def derivative(self, s):
         """Analytic d/ds of the kernel, vectorized."""
         s = np.asarray(s, dtype=float)
-        if self.is_collapsed:
-            return np.zeros_like(s)
         if self.family == POWER_EXPONENTIAL and self.singularity > 0:
             return -self(s) * (self.singularity / s + self.decay)
         return -self.decay * self(s)
@@ -87,8 +75,6 @@ class KernelSpec:
     def cdf(self, s):
         """Primitive int_0^s kernel(r) dr, vectorized; exact."""
         s = np.asarray(s, dtype=float)
-        if self.is_collapsed:
-            return np.zeros_like(s)
         if self.is_exponential_shape:
             return self.amplitude / self.decay * (1.0 - np.exp(-self.decay * s))
         om = self.singularity
@@ -97,7 +83,7 @@ class KernelSpec:
 
     def tail_fraction(self, s: float) -> float:
         """Mass beyond s as a fraction of the total mass."""
-        if self.is_collapsed or self.amplitude == 0:
+        if self.amplitude == 0:
             return 0.0
         om = 0.0 if self.is_exponential_shape else self.singularity
         return float(gammaincc(1.0 - om, self.decay * s))
@@ -105,7 +91,7 @@ class KernelSpec:
     def tail_cutoff(self, tail: float = 1e-8) -> float:
         """Smallest s with tail_fraction(s) <= tail; closed form via the
         inverse regularized upper incomplete gamma."""
-        if self.is_collapsed or self.amplitude == 0:
+        if self.amplitude == 0:
             return 1.0
         om = 0.0 if self.is_exponential_shape else self.singularity
         return float(gammainccinv(1.0 - om, tail)) / self.decay
@@ -136,11 +122,6 @@ class ScalarModel:
         return ScalarModel(phi=lambda t: t, psi=lambda t: t, rate=1.0)
 
 
-def collapsed_kernel() -> KernelSpec:
-    """Sentinel for an absent history block."""
-    return KernelSpec(EXPONENTIAL, 1.0, 1.0, relaxation=0.0)
-
-
 def build_kernel_family(family: str, base, relaxation: float) -> KernelSpec:
     """Rescaled family member for one relaxation parameter in (0, 1].
 
@@ -151,31 +132,29 @@ def build_kernel_family(family: str, base, relaxation: float) -> KernelSpec:
     if not 0.0 < relaxation <= 1.0:
         raise DomainError(f"relaxation parameter must lie in (0,1], got {relaxation}")
     if family == CONCAVE_AFFINE_EXP:
-        model = base if isinstance(base, ScalarModel) else ScalarModel.default()
-        amp = model.psi(relaxation) * model.rate ** 2
+        if not isinstance(base, ScalarModel):
+            raise DomainError(f"{CONCAVE_AFFINE_EXP} kernels take a ScalarModel, "
+                              f"got {type(base).__name__}")
+        amp = base.psi(relaxation) * base.rate ** 2
         if amp < 0:
             raise DomainError("psi must be nonnegative")
-        return KernelSpec(CONCAVE_AFFINE_EXP, amp, model.rate, relaxation=relaxation)
+        return KernelSpec(CONCAVE_AFFINE_EXP, amp, base.rate)
     kappa, delta, omega = _base_params(base)
     if family == EXPONENTIAL:
         if omega != 0.0:
             raise DomainError("exponential base kernels have no singularity exponent")
-        return KernelSpec(EXPONENTIAL, kappa / relaxation ** 2, delta / relaxation,
-                          relaxation=relaxation)
+        return KernelSpec(EXPONENTIAL, kappa / relaxation ** 2, delta / relaxation)
     if family == POWER_EXPONENTIAL:
         if omega >= 1.0:
             raise NonIntegrableError(f"singularity exponent {omega} >= 1: not integrable")
         return KernelSpec(POWER_EXPONENTIAL, kappa * relaxation ** (omega - 2.0),
-                          delta / relaxation, omega, relaxation=relaxation)
+                          delta / relaxation, omega)
     raise DomainError(f"unknown kernel family {family!r}")
 
 
 def _base_params(base) -> tuple[float, float, float]:
     if isinstance(base, KernelSpec):
         return base.amplitude, base.decay, base.singularity
-    if isinstance(base, Mapping):
-        return (float(base.get("amplitude", 1.0)), float(base.get("decay", 1.0)),
-                float(base.get("singularity", 0.0)))
     raise DomainError(f"cannot read base kernel parameters from {type(base).__name__}")
 
 
@@ -201,8 +180,6 @@ def kernel_moment(kernel: KernelSpec, order: int) -> float:
     """int s^order kernel(s) ds on (0, inf), closed form."""
     if order not in (0, 1, 2):
         raise DomainError(f"moment order must be 0, 1 or 2, got {order}")
-    if kernel.is_collapsed:
-        return 0.0
     om = 0.0 if kernel.is_exponential_shape else kernel.singularity
     if om >= 1.0:
         raise NonIntegrableError("divergent moment integral")
@@ -212,8 +189,6 @@ def kernel_moment(kernel: KernelSpec, order: int) -> float:
 
 def laplace_transform(kernel: KernelSpec, lam: float) -> complex:
     """int kernel(s) exp(-i*lam*s) ds with the principal complex branch."""
-    if kernel.is_collapsed:
-        return 0.0 + 0.0j
     z = kernel.decay + 1j * lam
     if kernel.is_exponential_shape:
         return complex(kernel.amplitude / z)
@@ -226,7 +201,6 @@ class ConditionCheck:
     condition: str
     margin: float
     passed: bool
-    value: float | None = None
 
 
 @dataclass(frozen=True)
@@ -239,12 +213,6 @@ class ValidationReport:
 
     def rows(self) -> list[tuple[str, float, bool]]:
         return [(c.condition, c.margin, c.passed) for c in self.checks]
-
-    def __getitem__(self, condition: str) -> ConditionCheck:
-        for c in self.checks:
-            if c.condition == condition:
-                return c
-        raise KeyError(condition)
 
 
 def validate_assumptions(kernel: KernelSpec, decay_bound: float, sample_grid) -> ValidationReport:
@@ -263,16 +231,15 @@ def validate_assumptions(kernel: KernelSpec, decay_bound: float, sample_grid) ->
     vals = kernel(grid)
     deriv = kernel.derivative(grid)
     om = 0.0 if kernel.is_exponential_shape else kernel.singularity
-    second = None if om >= 1.0 else kernel_moment(kernel, 2)
     checks = []
 
-    def add(name, margin, value=None):
+    def add(name, margin):
         margin = float(margin)
-        checks.append(ConditionCheck(name, margin, margin <= 0.0, value))
+        checks.append(ConditionCheck(name, margin, margin <= 0.0))
 
     add("nonnegativity", np.max(-vals) if vals.size else 0.0)
     add("monotone_decreasing", np.max(deriv))
     add("exp_domination", np.max(deriv + decay_bound * vals))
     add("integrable", om - 1.0)
-    add("second_moment_finite", -1.0 if second is not None else 1.0, second)
+    add("second_moment_finite", -1.0 if om < 1.0 else 1.0)
     return ValidationReport(tuple(checks))

@@ -99,10 +99,6 @@ class LimitComparison:
         mask = self.times >= self.t0
         return float(np.max(self.distance[mask])) if mask.any() else 0.0
 
-    @property
-    def upsilon_at_t0(self) -> float:
-        return float(np.interp(self.t0, self.times, self.upsilon))
-
     def sup_upsilon_tail(self, t0: float | None = None) -> float:
         """Largest decaying-bound value from t0 on; the series is monotone
         decreasing so this is just its value at t0."""

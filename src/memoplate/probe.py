@@ -27,13 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchError, DegenerateModeError, DomainError, FitError
-from .history import DEFAULT_TAIL, uniform_grid
+from .errors import DegenerateModeError, DomainError, FitError
+from .history import DEFAULT_TAIL
 from .kernels import (POWER_EXPONENTIAL, ConditionCheck, KernelSpec,
                       ValidationReport, kernel_moment, laplace_transform)
-
-BRANCH_LARGER = "larger"
-BRANCH_SMALLER = "smaller"
 
 # A first-order defect halves under grid doubling; the band allows 30%.
 HALVING_BAND = (1.4, 2.6)
@@ -95,31 +92,31 @@ def admissibility_report(ap: AbstractParams) -> ValidationReport:
     construction: inside them the shear probe's resolvent ratio stays bounded.
     The rows are kept as derived.
     """
-    slack = 1e-12
+    roundoff = 1e-12
     checks = [
         ConditionCheck("memory_exponent_range",
                        max(-ap.alpha, ap.alpha - 2.0),
-                       0.0 < ap.alpha < 2.0, value=ap.alpha),
+                       0.0 < ap.alpha < 2.0),
         ConditionCheck("coupling_range",
                        max(-ap.coupling, ap.coupling - 1.0),
-                       0.0 <= ap.coupling <= 1.0, value=ap.coupling),
+                       0.0 <= ap.coupling <= 1.0),
     ]
     upper1 = 0.5 * (2.0 - ap.alpha)
     if not ap.with_shear:
         checks.append(ConditionCheck("omega1_window",
                                      max(-ap.omega1, ap.omega1 - upper1),
-                                     0.0 <= ap.omega1 < upper1, value=ap.omega1))
+                                     0.0 <= ap.omega1 < upper1))
     else:
         lower1 = 0.5 * (2.0 * ap.coupling - ap.alpha)
         checks.append(ConditionCheck("coupling_vs_memory", ap.alpha - 2.0 * ap.coupling,
-                                     ap.alpha <= 2.0 * ap.coupling + slack, value=ap.coupling))
+                                     ap.alpha <= 2.0 * ap.coupling + roundoff))
         checks.append(ConditionCheck("omega1_window",
                                      max(lower1 - ap.omega1, ap.omega1 - upper1),
-                                     lower1 - slack <= ap.omega1 < upper1, value=ap.omega1))
+                                     lower1 - roundoff <= ap.omega1 < upper1))
         upper2 = ap.omega1 - lower1
         checks.append(ConditionCheck("omega2_window",
                                      max(-ap.omega2, ap.omega2 - upper2),
-                                     0.0 <= ap.omega2 <= upper2 + slack, value=ap.omega2))
+                                     0.0 <= ap.omega2 <= upper2 + roundoff))
     return ValidationReport(tuple(checks))
 
 
@@ -131,17 +128,15 @@ class ProbeFrequency:
     quartic_residual: float
 
 
-def mode_frequency(ap: AbstractParams, gamma: float,
-                   branch: str = BRANCH_LARGER) -> ProbeFrequency:
+def mode_frequency(ap: AbstractParams, gamma: float) -> ProbeFrequency:
     """Real probe frequency from the quartic dispersion relation.
 
-    Picks one of the two positive roots of x^2 - B x + C in x = lam^2; the
-    larger root is the one whose probe state grows along the scan.
+    Takes the larger of the two positive roots of x^2 - B x + C in x = lam^2,
+    the one whose probe state grows along the scan. The roots multiply to C,
+    so the smaller frequency is sqrt(C) / lam.
     """
     if gamma <= 0:
         raise DomainError(f"gamma must be positive, got {gamma}")
-    if branch not in (BRANCH_LARGER, BRANCH_SMALLER):
-        raise BranchError(f"unknown branch {branch!r}")
     k0, h0 = ap.k0, ap.h0
     B = (1.0 + h0) * gamma ** 2 + gamma ** (2.0 * ap.coupling) + k0 * gamma ** ap.alpha
     C = k0 * (1.0 + h0) * gamma ** (ap.alpha + 2.0)
@@ -149,7 +144,7 @@ def mode_frequency(ap: AbstractParams, gamma: float,
     if disc < 0.0:
         raise DegenerateModeError(f"complex dispersion roots at gamma={gamma} "
                                   f"(discriminant {disc:.3g})")
-    root = 0.5 * (B + np.sqrt(disc)) if branch == BRANCH_LARGER else 0.5 * (B - np.sqrt(disc))
+    root = 0.5 * (B + np.sqrt(disc))
     if root <= 0.0:
         raise DegenerateModeError(f"nonpositive squared frequency at gamma={gamma}")
     lam = float(np.sqrt(root))
@@ -193,8 +188,7 @@ class ProbePair:
         return self.gamma * abs(self.shear_amp)
 
 
-def build_probe_pair(ap: AbstractParams, gamma: float,
-                     branch: str = BRANCH_LARGER) -> ProbePair:
+def build_probe_pair(ap: AbstractParams, gamma: float) -> ProbePair:
     """Exact resolvent pair at the quartic frequency.
 
     r is fixed by the thermal equation, p = gamma^c r / ((1+h0) gamma^2 -
@@ -205,7 +199,7 @@ def build_probe_pair(ap: AbstractParams, gamma: float,
     denominator is ~ -gamma^(2c), which sets the growth exponents listed on
     ProbePair.
     """
-    freq = mode_frequency(ap, gamma, branch)
+    freq = mode_frequency(ap, gamma)
     lam = freq.lam
     k0, h0 = ap.k0, ap.h0
     mu = ap.thermal_kernel()
@@ -272,13 +266,12 @@ def _log_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def resolvent_scan(ap: AbstractParams, gammas: np.ndarray,
-                   branch: str = BRANCH_LARGER) -> ScanResult:
+def resolvent_scan(ap: AbstractParams, gammas: np.ndarray) -> ScanResult:
     """Probe-pair norms along a scale sweep with fitted growth exponents."""
     g = np.asarray(gammas, dtype=float)
     if g.size < 2:
         raise FitError(f"scan needs at least two scales, got {g.size}")
-    pairs = [build_probe_pair(ap, float(x), branch) for x in g]
+    pairs = [build_probe_pair(ap, float(x)) for x in g]
     lam = np.array([p.lam for p in pairs])
     zn = np.array([p.z_norm for p in pairs])
     zt = np.array([p.z_tilde_norm for p in pairs])
@@ -318,8 +311,7 @@ def _cell_update_defect(f: np.ndarray, h: np.ndarray, lam: float,
 
 
 def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
-                   *, s_max: float | None = None,
-                   branch: str = BRANCH_LARGER) -> ResidualReport:
+                   *, s_max: float | None = None) -> ResidualReport:
     """Discrete resolvent defect of the sampled probe pair.
 
     The probe profiles oscillate at a fixed frequency, so the histories are
@@ -330,41 +322,46 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
     |gamma^2 (q + Lambda) b(lam)|^2) / ||z_tilde|| to leading order, first
     order in h, so it halves under grid doubling. The span defaults to the
     DEFAULT_TAIL cutoff of the slower kernel; the kernel mass left beyond it
-    is reported per channel.
+    is reported per channel. The cell weights are the kernel masses of the
+    cells.
     """
-    pair = build_probe_pair(ap, gamma, branch)
+    if grid_size < 8:
+        raise DomainError(f"need at least 8 history nodes, got {grid_size}")
+    pair = build_probe_pair(ap, gamma)
     lam = pair.lam
     mu = ap.thermal_kernel()
     beta = ap.shear_kernel()
     if s_max is None:
         s_max = max(k.tail_cutoff(DEFAULT_TAIL) for k in (mu, beta) if k is not None)
+    bounds = s_max * np.arange(grid_size + 1, dtype=float) / grid_size
+    nodes, spacing = bounds[1:], np.diff(bounds)
 
-    def profile(s: np.ndarray, amp: complex) -> np.ndarray:
-        return amp * (1.0 - np.exp(-1j * lam * s)) / (1j * lam)
+    def profile(amp: complex) -> np.ndarray:
+        return amp * (1.0 - np.exp(-1j * lam * nodes)) / (1j * lam)
 
-    grid_mu = uniform_grid(mu, grid_size, s_max)
+    w_mu = np.maximum(np.diff(mu.cdf(bounds)), 0.0)
     amp_th = pair.r + gamma ** (-0.5 * ap.alpha)
-    phi = profile(grid_mu.nodes, amp_th)
+    phi = profile(amp_th)
 
     res_u = 1j * lam * pair.p - pair.q
     res_th = 1j * lam * pair.r + gamma ** ap.coupling * pair.q \
-        + gamma ** ap.alpha * np.sum(grid_mu.weights * phi)
-    res_eta = _cell_update_defect(phi, grid_mu.spacing, lam, amp_th)
+        + gamma ** ap.alpha * np.sum(w_mu * phi)
+    res_eta = _cell_update_defect(phi, spacing, lam, amp_th)
     res_v = 1j * lam * pair.q + gamma ** 2 * pair.p - gamma ** ap.coupling * pair.r
 
     num_sq = (gamma ** 2 * abs(res_u) ** 2 + abs(res_th) ** 2
-              + gamma ** ap.alpha * float(np.sum(grid_mu.weights * np.abs(res_eta) ** 2)))
-    den_sq = float(np.sum(grid_mu.weights))
+              + gamma ** ap.alpha * float(np.sum(w_mu * np.abs(res_eta) ** 2)))
+    den_sq = float(np.sum(w_mu))
     tail_shear = 0.0
 
     if beta is not None:
-        grid_b = uniform_grid(beta, grid_size, s_max)
+        w_b = np.maximum(np.diff(beta.cdf(bounds)), 0.0)
         amp_sh = pair.q + pair.shear_amp
-        psi = profile(grid_b.nodes, amp_sh)
-        res_v += gamma ** 2 * np.sum(grid_b.weights * psi)
-        res_xi = _cell_update_defect(psi, grid_b.spacing, lam, amp_sh)
-        num_sq += gamma ** 2 * float(np.sum(grid_b.weights * np.abs(res_xi) ** 2))
-        den_sq += gamma ** 2 * abs(pair.shear_amp) ** 2 * float(np.sum(grid_b.weights))
+        psi = profile(amp_sh)
+        res_v += gamma ** 2 * np.sum(w_b * psi)
+        res_xi = _cell_update_defect(psi, spacing, lam, amp_sh)
+        num_sq += gamma ** 2 * float(np.sum(w_b * np.abs(res_xi) ** 2))
+        den_sq += gamma ** 2 * abs(pair.shear_amp) ** 2 * float(np.sum(w_b))
         tail_shear = beta.tail_fraction(s_max)
     num_sq += abs(res_v) ** 2
 

@@ -108,7 +108,12 @@ def test_pruss_scan_preset(tmp_path):
     assert any(s["name"].startswith("slope.") for s in man["steps"])
     steps = {s["name"]: s for s in man["steps"]}
     assert steps["residual-halving"]["status"] == "ok"
-    assert "truncated mass" in steps["residual-span"]["detail"]
+    span = steps["residual-span"]
+    assert span["status"] == "ok" and "truncated mass" in span["detail"]
+    # the scan's uniform cells leave most scales unresolved, and say so
+    assert "18 of 20 scales with lam_h > 1" in span["detail"]
+    max_lam_h = float(span["detail"].split("max_lam_h=")[1].split(",")[0])
+    assert 600.0 < max_lam_h < 700.0
 
 
 def test_failed_halving_exits_3(tmp_path, monkeypatch):
@@ -168,6 +173,22 @@ def test_thread_override(tmp_path, monkeypatch):
     monkeypatch.setenv(THREAD_ENV_VAR, "4")
     assert main(["kernel-check", "--out", out, "--threads", "3"]) == 0
     assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
+def test_thread_cap_after_numpy_warns(tmp_path, monkeypatch, capsys):
+    import numpy  # noqa: F401  (loaded before main, as in any test process)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", THREAD_ENV_VAR):
+        monkeypatch.delenv(var, raising=False)
+    out = str(tmp_path / "kc")
+    assert main(["kernel-check", "--out", out]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert main(["kernel-check", "--out", out, "--threads", "1"]) == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("warning: thread cap 1 ")
+    monkeypatch.setenv(THREAD_ENV_VAR, "1")
+    assert main(["kernel-check", "--out", out]) == 0
+    assert "warning: thread cap 1 " in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

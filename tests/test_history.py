@@ -6,10 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from memoplate.errors import DomainError, MismatchError, ResolutionError
-from memoplate.history import (
-    POLICY_DECAY_CONSISTENT, POLICY_MASS,
-    build_history_grid, translation_apply, uniform_grid, weighted_norm,
-)
+from memoplate.history import POLICY_DECAY_CONSISTENT, POLICY_MASS, build_history_grid
 from memoplate.kernels import EXPONENTIAL, KernelSpec, build_kernel_family, canonical_base, kernel_moment
 
 
@@ -59,6 +56,14 @@ def test_transport_stencil_values(exp_grid):
     assert lower.shape == (exp_grid.size - 1,)
 
 
+def upwind_apply(grid, f):
+    """The grid's transport stencil applied to one profile."""
+    diag, lower = grid.transport_stencil()
+    out = diag * f
+    out[1:] += lower * f[:-1]
+    return out
+
+
 @given(st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_upwind_dissipative_under_mass_weights(seed):
@@ -66,7 +71,7 @@ def test_upwind_dissipative_under_mass_weights(seed):
     rng = np.random.default_rng(seed)
     g = build_history_grid(canonical_base(), 40, weight_policy=POLICY_MASS)
     f = rng.standard_normal(g.size)
-    tf = translation_apply(g, f)
+    tf = upwind_apply(g, f)
     form = float(np.sum(g.weights * f * tf))
     assert form <= 1e-12 * float(np.sum(g.weights * f * f))
 
@@ -80,7 +85,7 @@ def test_upwind_decay_weights_give_exact_rate(seed):
     g = build_history_grid(k, 60, weight_policy=POLICY_DECAY_CONSISTENT)
     f = rng.standard_normal(g.size)
     norm_sq = float(np.sum(g.weights * f * f))
-    form = float(np.sum(g.weights * f * translation_apply(g, f)))
+    form = float(np.sum(g.weights * f * upwind_apply(g, f)))
     assert form <= -0.5 * k.decay * norm_sq + 1e-10 * norm_sq
 
 
@@ -110,16 +115,10 @@ def test_weighted_norm_converges_under_refinement():
     g = build_history_grid(k, 50, weight_policy=POLICY_MASS)
     errs = []
     for _ in range(3):
-        errs.append(abs(weighted_norm(g, f(g.nodes)) - exact))
+        errs.append(abs(np.sqrt(np.sum(g.weights * f(g.nodes) ** 2)) - exact))
         g = g.refine()
     assert errs[0] / errs[1] > 1.7
     assert errs[1] / errs[2] > 1.7
-
-
-def test_weighted_norm_power_weight(exp_grid):
-    f = np.ones(exp_grid.size)
-    base = weighted_norm(exp_grid, f)
-    assert weighted_norm(exp_grid, f, power_weight=4.0) == pytest.approx(2.0 * base)
 
 
 def test_grid_construction_contracts():
@@ -134,19 +133,6 @@ def test_grid_construction_contracts():
     with pytest.raises(ResolutionError):
         build_history_grid(KernelSpec(EXPONENTIAL, 1.0, 40.0), 8,
                            ratio=1.5, weight_policy=POLICY_DECAY_CONSISTENT)
-
-
-def test_translation_shape_mismatch(exp_grid):
-    with pytest.raises(DomainError):
-        translation_apply(exp_grid, np.ones(exp_grid.size + 1))
-    with pytest.raises(DomainError):
-        weighted_norm(exp_grid, np.ones(3))
-
-
-def test_uniform_grid_for_probe():
-    g = uniform_grid(canonical_base(), 100, 10.0)
-    assert np.allclose(np.diff(g.nodes), 0.1)
-    assert g.nodes[-1] == pytest.approx(10.0)
 
 
 def test_rescaled_kernel_grid_tracks_cutoff():

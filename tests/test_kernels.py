@@ -126,6 +126,14 @@ def test_thermal_family_from_scalar_model():
     assert kernel_moment(k, 0) == pytest.approx(0.5)
 
 
+def test_thermal_family_needs_a_scalar_model():
+    # a kernel in place of the model is an error, not the default model
+    with pytest.raises(DomainError):
+        build_kernel_family(CONCAVE_AFFINE_EXP, canonical_base(), 0.5)
+    with pytest.raises(DomainError):
+        build_kernel_family(EXPONENTIAL, {"amplitude": 1.0, "decay": 1.0}, 0.5)
+
+
 def test_scalar_model_default_identity():
     m = ScalarModel.default()
     assert m.phi(0.3) == pytest.approx(0.3)

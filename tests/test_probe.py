@@ -5,11 +5,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
-from memoplate.errors import BranchError, DegenerateModeError, DomainError, FitError
+from memoplate.errors import DomainError, FitError
 from memoplate.kernels import laplace_transform
 from memoplate.probe import (
-    BRANCH_LARGER, BRANCH_SMALLER, AbstractParams,
-    admissibility_report, build_probe_pair, mode_frequency, residual_check, resolvent_scan,
+    AbstractParams, admissibility_report, build_probe_pair, mode_frequency,
+    residual_check, resolvent_scan,
 )
 
 A2 = AbstractParams(alpha=1.0, coupling=1.0, omega1=0.25)
@@ -28,22 +28,17 @@ def test_frequency_against_polynomial_roots(ap, gamma):
     B, C = quartic_coefficients(ap, gamma)
     roots = np.roots([1.0, 0.0, -B, 0.0, C])
     real_pos = np.sort(roots[(abs(roots.imag) < 1e-9 * abs(roots.real)) & (roots.real > 0)].real)
-    freq_hi = mode_frequency(ap, gamma, BRANCH_LARGER)
-    freq_lo = mode_frequency(ap, gamma, BRANCH_SMALLER)
-    assert freq_hi.lam == pytest.approx(real_pos[-1], rel=1e-12)
-    assert freq_lo.lam == pytest.approx(real_pos[0], rel=1e-12)
-    assert freq_hi.quartic_residual <= 1e-9 * B ** 2
+    freq = mode_frequency(ap, gamma)
+    assert freq.lam == pytest.approx(real_pos[-1], rel=1e-12)
+    # the squared roots multiply to C
+    assert np.sqrt(freq.c_coeff) / freq.lam == pytest.approx(real_pos[0], rel=1e-12)
+    assert freq.quartic_residual <= 1e-9 * B ** 2
 
 
 def test_frequency_asymptote():
     # larger branch approaches sqrt(1 + h0) * gamma
-    lam = mode_frequency(A3, 1e6, BRANCH_LARGER).lam
+    lam = mode_frequency(A3, 1e6).lam
     assert lam / 1e6 == pytest.approx(np.sqrt(1.0 + A3.h0), rel=1e-3)
-
-
-def test_branch_name_checked():
-    with pytest.raises(BranchError):
-        mode_frequency(A2, 10.0, "middle")
 
 
 def test_params_contracts():
@@ -190,7 +185,8 @@ def sup_response(ap, gamma):
     def gain(lam):
         return np.linalg.norm(single_mode_response(ap, gamma, lam), 2)
 
-    roots = [mode_frequency(ap, gamma, br).lam for br in (BRANCH_SMALLER, BRANCH_LARGER)]
+    freq = mode_frequency(ap, gamma)
+    roots = [np.sqrt(freq.c_coeff) / freq.lam, freq.lam]
     lams = np.sort(np.concatenate([np.geomspace(1e-2, 20.0 * gamma, 400), roots]))
     vals = np.array([gain(x) for x in lams])
     k = int(np.argmax(vals))
