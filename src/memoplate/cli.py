@@ -111,6 +111,12 @@ def _build_space(cfg, sigma: float, tau: float, eps: float):
                              weight_policy=cfg.weight_policy)
 
 
+def _policy_note(space) -> str:
+    """The weight policy each history kernel received ("none" if absent)."""
+    return "policy " + " ".join(f"{name}={policy or 'none'}"
+                                for name, policy in space.policies.items())
+
+
 def _initial(cfg, space):
     from .modes import initial_data_preset
     return initial_data_preset(cfg.initial_preset, space, cfg.order,
@@ -163,7 +169,8 @@ def _cmd_simulate(cfg, manifest, out_dir) -> None:
     dt = cfg.dt_for(sigma, tau, eps)
     traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
     manifest.step("evolve", "ok",
-                  f"sigma={sigma} tau={tau} eps={eps} dt={dt} steps={traj.step_energy.size - 1}")
+                  f"sigma={sigma} tau={tau} eps={eps} dt={dt} steps={traj.step_energy.size - 1} "
+                  f"{_policy_note(space)}")
 
     modal = traj.modal_energy()
     eta_n = np.sqrt(traj.he_mu + traj.he_nu)
@@ -205,7 +212,8 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
         rows.append((sigma, tau, eps, cfg.order, fit.rate, fit.prefactor,
                      ineq.lambda_hat, ineq.d0_hat, ineq.residual, fit.r_squared))
         manifest.step(f"decay[{idx}]", "ok",
-                      f"tau={tau} rate={fit.rate:.6g} d0={ineq.d0_hat:.6g}")
+                      f"tau={tau} rate={fit.rate:.6g} d0={ineq.d0_hat:.6g} "
+                      f"{_policy_note(space)}")
         epath = cfgmod.write_csv(out_dir / f"energy_{idx}.csv", ["t", "energy"],
                                  zip(traj.times, traj.total_energy()))
         manifest.output(epath)
@@ -232,7 +240,7 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
         points.append(comp)
         manifest.step(f"compare[{idx}]", "ok",
                       f"sigma={sigma} tau={tau} eps={eps} dt={dt} "
-                      f"supD={comp.sup_distance:.6g}")
+                      f"supD={comp.sup_distance:.6g} {_policy_note(space)}")
         if cfg.with_history:
             env = history_envelopes(comp)
             held = min(env.eta_margin, env.xi_margin) >= ENVELOPE_FLOOR

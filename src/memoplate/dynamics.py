@@ -4,9 +4,13 @@ Each eigenvalue gets an independent linear block coupling the
 deflection/velocity/temperature triplet to the sampled history profiles
 through the quadrature weights. A collapsed kernel is replaced by its
 instantaneous counterpart: viscous memory by Kelvin-Voigt friction, thermal
-memory by the Fourier term. The assembled operator is dissipative in the
-weighted phase inner product for every norm order, and the implicit midpoint
-rule inherits that property exactly, up to roundoff.
+memory by the Fourier term. The stepper writes both substitutes once, into
+the per-mode triplet generator MidpointStepper builds; the three independent
+references (assemble_mode_operator, the collapsed limit_mode_matrix and the
+closure_oracle_evolve route) write them out for themselves. The assembled
+operator is dissipative in the weighted phase inner product for every norm
+order, and the implicit midpoint rule inherits that property exactly, up to
+roundoff.
 
 The midpoint solve never touches a generic sparse factorization: the history
 blocks are lower bidiagonal and couple to the triplet by rank-one terms, so
@@ -21,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs, solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
 from .modes import (ModeSet, Params, PhaseSpace, PhaseVector, block_energies,
-                    build_phase_space, history_quadratures, zero_phase_vector)
+                    build_phase_space, history_quadratures, lift_triplet)
 
 
 def mode_block_size(space: PhaseSpace) -> int:
@@ -100,9 +104,9 @@ def flatten(vec: PhaseVector) -> np.ndarray:
     arr = out.reshape(n, d)
     arr[:, 0], arr[:, 1], arr[:, 2] = vec.u, vec.v, vec.theta
     if space.params.has_eta:
-        arr[:, 3:3 + space.eta_size] = vec.eta
+        arr[:, 3:3 + space.eta_size] = vec.eta.T
     if space.params.has_xi:
-        arr[:, 3 + space.eta_size:] = vec.xi
+        arr[:, 3 + space.eta_size:] = vec.xi.T
     return out
 
 
@@ -112,8 +116,8 @@ def unflatten(space: PhaseSpace, flat: np.ndarray, order: int) -> PhaseVector:
     arr = flat.reshape(n, d)
     me = space.eta_size
     return PhaseVector(space, order, arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(),
-                       arr[:, 3:3 + me].copy() if space.params.has_eta else None,
-                       arr[:, 3 + me:].copy() if space.params.has_xi else None)
+                       arr[:, 3:3 + me].T.copy() if space.params.has_eta else None,
+                       arr[:, 3 + me:].T.copy() if space.params.has_xi else None)
 
 
 def generator_quadratic_form(space: PhaseSpace, vec: PhaseVector) -> tuple[float, float]:
@@ -146,24 +150,20 @@ class TransportStepper:
         a = 0.5 * dt
         h = grid.spacing
         size = grid.size
-        self.a, self.h, self.dt = a, h, dt
+        self.a, self.h = a, h
         ab = np.zeros((2, size))
         ab[0] = 1.0 + a / h
         ab[1, :-1] = -(a / h)[1:]
-        # response of the implicit half to a unit constant drive
-        self.unit_response = solve_banded((1, 0), ab, np.ones(size))
-        # solve() calls the LAPACK routine solve_banded uses for this band on
-        # the same padded band, so results match it bit for bit; it skips the
+        # the LAPACK routine scipy's solve_banded uses for this band, on the
+        # same padded band, so results match it bit for bit; it skips the
         # per-call validation, since _drive rejects non-finite states itself
         self._gbsv, = get_lapack_funcs(("gbsv",), (ab,))
         self._band = np.zeros((3, size))
         self._band[1:] = ab
-
-    def explicit_half(self, profile: np.ndarray) -> np.ndarray:
-        """(I + a T) applied to (nodes, modes) profiles, zero inflow."""
-        shifted = np.zeros_like(profile)
-        shifted[1:] = profile[:-1]
-        return profile + self.a * (shifted - profile) / self.h[:, None]
+        # response of the implicit half to a unit constant drive, through
+        # _gbsv rather than solve(), which runs once per history block and step
+        self.unit_response = self._gbsv(1, 0, self._band.copy(), np.ones(size),
+                                        overwrite_ab=True)[2]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         _, _, x, info = self._gbsv(1, 0, self._band.copy(), rhs, overwrite_ab=True)
@@ -171,10 +171,22 @@ class TransportStepper:
             raise SingularStepError(f"banded transport solve failed (info {info})")
         return x
 
-    def step_driven(self, profile: np.ndarray, drive_mid: np.ndarray) -> np.ndarray:
-        """One midpoint step of profile' = T profile + drive, with the drive
-        given at the midpoint (constant in s)."""
-        return self.solve(self.explicit_half(profile) + self.dt * drive_mid[None, :])
+    def partial(self, profile: np.ndarray, drive: np.ndarray) -> np.ndarray:
+        """First part of a midpoint step of profile' = T profile + drive:
+        the explicit half (I + a T) profile, zero inflow, plus the old drive
+        (modes,), solved with a zero new drive."""
+        shifted = np.zeros_like(profile)
+        shifted[1:] = profile[:-1]
+        return self.solve(profile + self.a * (shifted - profile) / self.h[:, None]
+                          + self.a * drive)
+
+    def complete(self, partial: np.ndarray, drive: np.ndarray) -> np.ndarray:
+        """Second part: add the share of the new drive (modes,) into
+        ``partial`` in place, and return it."""
+        # LAPACK returns partial in Fortran order; the transposed outer
+        # product matches it, so the add runs contiguously
+        partial += self.a * np.outer(drive, self.unit_response).T
+        return partial
 
 
 class MidpointStepper:
@@ -182,7 +194,10 @@ class MidpointStepper:
 
     State arrays: u, v, theta of shape (modes,), eta of shape
     (eta_nodes, modes) and xi of shape (xi_nodes, modes), or None when the
-    corresponding block is collapsed.
+    corresponding block is collapsed. Per mode, the triplet x = (u, v, theta)
+    obeys x' = T x - M(eta, xi) with the memory load M of memory_load; the
+    histories enter only through M, so eliminating them leaves one 3x3
+    solve per mode.
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
@@ -191,104 +206,58 @@ class MidpointStepper:
         self.space = space
         self.dt = dt
         a = 0.5 * dt
-        self.a = a
         p = space.params
         g = space.modes.eigenvalues
         self.g = g
-        self.phi = p.phi()
-
         self.eta_t = TransportStepper(space.eta_grid, dt) if p.has_eta else None
         self.xi_t = TransportStepper(space.xi_grid, dt) if p.has_xi else None
-        s_mu = s_nu = s_beta = 0.0
-        if self.eta_t is not None:
-            if space.w_mu is not None:
-                s_mu = float(space.w_mu @ self.eta_t.unit_response)
-            if space.w_nu is not None:
-                s_nu = float(space.w_nu @ self.eta_t.unit_response)
-        if self.xi_t is not None:
-            s_beta = float(space.w_beta @ self.xi_t.unit_response)
-        self.s_mu, self.s_nu, self.s_beta = s_mu, s_nu, s_beta
 
-        # triplet system after eliminating the history blocks
-        n = space.modes.count
-        cv = np.ones(n)
-        if p.has_xi:
-            cv += (a * g) ** 2 * s_beta
-        else:
-            cv += a * g ** 2
-        cth = np.full(n, 1.0 + a * self.phi)
-        if space.w_nu is not None:
-            cth += a * a * s_nu
-        if space.w_mu is not None:
-            cth += a * a * g * s_mu
-        else:
-            cth += a * g
-        A = np.zeros((n, 3, 3))
-        A[:, 0, 0] = 1.0
-        A[:, 0, 1] = -a
-        A[:, 1, 0] = a * g ** 2
-        A[:, 1, 1] = cv
-        A[:, 1, 2] = -a * g
-        A[:, 2, 1] = a * g
-        A[:, 2, 2] = cth
-        self.Ainv = np.linalg.inv(A)
+        T = np.zeros((g.size, 3, 3))
+        T[:, 0, 1] = 1.0
+        T[:, 1, 0] = -g ** 2
+        T[:, 1, 2] = g
+        T[:, 2, 1] = -g
+        T[:, 2, 2] = -p.phi()
+        if not p.has_xi:
+            T[:, 1, 1] -= g ** 2        # Kelvin-Voigt friction in place of viscous memory
+        if space.w_mu is None:
+            T[:, 2, 2] -= g             # Fourier term in place of thermal memory
+        # the new histories are the partial solves plus a * unit_response
+        # times the new theta (eta) or v (xi), which adds a^2 * s to the
+        # diagonal of the eliminated triplet matrix
+        s = self.memory_load(*(None if t is None else t.unit_response
+                               for t in (self.eta_t, self.xi_t)))
+        eye = np.eye(3)
+        Ainv = np.linalg.inv(eye - a * T + a * a * s[:, :, None] * eye)
+        self.P = Ainv @ (eye + a * T)
+        self.Q = a * Ainv
+
+    def memory_load(self, eta, xi) -> np.ndarray:
+        """(modes, 3) load (0, g^2 w_beta.xi, g w_mu.eta + w_nu.eta) of history
+        profiles stored (nodes, modes) or (nodes,); None for a collapsed block."""
+        space, g = self.space, self.g
+        load = np.zeros((g.size, 3))
+        if xi is not None:
+            load[:, 1] = g ** 2 * (space.w_beta @ xi)
+        if eta is not None:
+            if space.w_mu is not None:
+                load[:, 2] = g * (space.w_mu @ eta)
+            if space.w_nu is not None:
+                load[:, 2] += space.w_nu @ eta
+        return load
 
     def step(self, u, v, th, eta, xi):
-        space, a, g = self.space, self.a, self.g
-        # explicit halves of the history rows, then partial solves
-        y_eta = y_xi = None
-        w_mu_y = w_nu_y = w_beta_y = 0.0
-        if eta is not None:
-            rhs = self.eta_t.explicit_half(eta) + a * th[None, :]
-            y_eta = self.eta_t.solve(rhs)
-            if space.w_mu is not None:
-                w_mu_y = space.w_mu @ y_eta
-            if space.w_nu is not None:
-                w_nu_y = space.w_nu @ y_eta
-        if xi is not None:
-            rhs = self.xi_t.explicit_half(xi) + a * v[None, :]
-            y_xi = self.xi_t.solve(rhs)
-            w_beta_y = space.w_beta @ y_xi
-
-        # explicit halves of the triplet rows
-        r_u = u + a * v
-        if xi is not None:
-            mem_v = space.w_beta @ xi
-            r_v = v + a * (-g ** 2 * u + g * th - g ** 2 * mem_v)
-        else:
-            r_v = v + a * (-g ** 2 * u + g * th - g ** 2 * v)
-        r_th = th + a * (-self.phi * th - g * v)
-        if space.w_mu is not None:
-            r_th += a * (-g * (space.w_mu @ eta))
-        else:
-            r_th += a * (-g * th)
-        if space.w_nu is not None:
-            r_th += a * (-(space.w_nu @ eta))
-
-        b = np.stack([r_u,
-                      r_v - (a * g ** 2 * w_beta_y if xi is not None else 0.0),
-                      r_th - a * w_nu_y - a * g * w_mu_y], axis=1)
-        sol = np.einsum("nij,nj->ni", self.Ainv, b)
-        u1, v1, th1 = sol[:, 0], sol[:, 1], sol[:, 2]
-        eta1 = xi1 = None
-        if eta is not None:
-            eta1 = y_eta + a * np.outer(self.eta_t.unit_response, th1)
-        if xi is not None:
-            xi1 = y_xi + a * np.outer(self.xi_t.unit_response, v1)
+        y_eta = None if eta is None else self.eta_t.partial(eta, th)
+        y_xi = None if xi is None else self.xi_t.partial(xi, v)
+        # M is linear: loading the old histories and the partial solves apart
+        # needs no summed copy of either
+        load = self.memory_load(eta, xi) + self.memory_load(y_eta, y_xi)
+        x = np.stack([u, v, th], axis=1)
+        x1 = np.einsum("nij,nj->ni", self.P, x) - np.einsum("nij,nj->ni", self.Q, load)
+        u1, v1, th1 = x1[:, 0], x1[:, 1], x1[:, 2]
+        eta1 = None if eta is None else self.eta_t.complete(y_eta, th1)
+        xi1 = None if xi is None else self.xi_t.complete(y_xi, v1)
         return u1, v1, th1, eta1, xi1
-
-
-def _state_arrays(vec: PhaseVector):
-    u, v, th = vec.u.copy(), vec.v.copy(), vec.theta.copy()
-    eta = vec.eta.T.copy() if vec.eta is not None else None
-    xi = vec.xi.T.copy() if vec.xi is not None else None
-    return u, v, th, eta, xi
-
-
-def _state_vector(space: PhaseSpace, order: int, u, v, th, eta, xi) -> PhaseVector:
-    return PhaseVector(space, order, u.copy(), v.copy(), th.copy(),
-                       eta.T.copy() if eta is not None else None,
-                       xi.T.copy() if xi is not None else None)
 
 
 @dataclass
@@ -355,7 +324,8 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     stacked along a trailing sample axis.
 
     Returns (stored step indices, per-step energy, sampled columns, final
-    state arrays).
+    state arrays). The state starts from ``initial``'s own arrays, which
+    MidpointStepper.step never writes into.
     """
     if stride < 1:
         raise DomainError(f"store_stride must be >= 1, got {stride}")
@@ -365,7 +335,7 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     k_of_step = {s: k for k, s in enumerate(stored.tolist())}
     step_energy = np.zeros(nsteps + 1)
     columns = None
-    state = _state_arrays(initial)
+    state = (initial.u, initial.v, initial.theta, initial.eta, initial.xi)
     for step in range(nsteps + 1):
         if step:
             state = stepper.step(*state)
@@ -406,8 +376,12 @@ def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
 
     stored, step_energy, cols, state = _drive(stepper, initial, horizon, store_stride, sample)
     m = initial.order
+    # copied: the last step's own arrays sit above its freed temporaries,
+    # and holding them keeps that heap memory from being released (2 MB more
+    # peak RSS at 128 modes and 1600 + 1600 nodes)
     return Trajectory(space, m, dt, dt * stored, *cols, step_energy,
-                      _state_vector(space, m, *state))
+                      PhaseVector(space, m, *(None if x is None else x.copy()
+                                              for x in state)))
 
 
 def evolve_limit(modes: ModeSet, triplet0: np.ndarray, dt: float, horizon: float,
@@ -417,12 +391,8 @@ def evolve_limit(modes: ModeSet, triplet0: np.ndarray, dt: float, horizon: float
     triplet0 has shape (modes, 3) holding (u, v, theta) per mode.
     """
     space = build_phase_space(modes, Params(0.0, 0.0, 0.0))
-    z0 = zero_phase_vector(space, order)
-    t0 = np.asarray(triplet0, dtype=float)
-    if t0.shape != (modes.count, 3):
-        raise DomainError(f"triplet0 has shape {t0.shape}, expected ({modes.count}, 3)")
-    z0.u, z0.v, z0.theta = t0[:, 0].copy(), t0[:, 1].copy(), t0[:, 2].copy()
-    return evolve(space, z0, dt, horizon, store_stride=store_stride)
+    return evolve(space, lift_triplet(space, triplet0, order), dt, horizon,
+                  store_stride=store_stride)
 
 
 def limit_mode_matrix(gamma: float) -> np.ndarray:

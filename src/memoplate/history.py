@@ -38,8 +38,10 @@ class HistoryGrid:
     def size(self) -> int:
         return self.nodes.size
 
-    def weights_for(self, kernel: KernelSpec, policy: str = POLICY_AUTO) -> np.ndarray:
-        """Weights for a second kernel on this grid's nodes.
+    def weights_for(self, kernel: KernelSpec,
+                    policy: str = POLICY_AUTO) -> tuple[np.ndarray, str]:
+        """Weights for a second kernel on this grid's nodes, and the policy
+        actually used for them.
 
         Refuses kernels whose mass is not essentially contained in [0, cutoff],
         since quadrature against them would silently drop their tail.
@@ -48,7 +50,7 @@ class HistoryGrid:
             raise MismatchError(
                 f"grid cutoff {self.cutoff:.3g} truncates kernel with decay "
                 f"{kernel.decay:.3g}; build the grid for the slower kernel")
-        return _make_weights(self._boundaries(), self.spacing, kernel, policy)[0]
+        return _make_weights(self._boundaries(), self.spacing, kernel, policy)
 
     def refine(self) -> "HistoryGrid":
         """Double the node count; every new boundary set contains the old one

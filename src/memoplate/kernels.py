@@ -222,6 +222,8 @@ def validate_assumptions(kernel: KernelSpec, decay_bound: float, sample_grid) ->
     is <= 0. The decay_bound condition tests kernel' + decay_bound*kernel <= 0
     pointwise, which for our families is sharp exactly at
     decay_bound = kernel.decay (+ singularity/s for the singular family).
+    Integrability and a finite second moment need no row: KernelSpec
+    rejects a singularity of 1 or more when it is built.
     """
     grid = np.asarray(sample_grid, dtype=float)
     if grid.size == 0:
@@ -230,7 +232,6 @@ def validate_assumptions(kernel: KernelSpec, decay_bound: float, sample_grid) ->
         raise DomainError("sample grid must be strictly positive and finite")
     vals = kernel(grid)
     deriv = kernel.derivative(grid)
-    om = 0.0 if kernel.is_exponential_shape else kernel.singularity
     checks = []
 
     def add(name, margin):
@@ -240,6 +241,4 @@ def validate_assumptions(kernel: KernelSpec, decay_bound: float, sample_grid) ->
     add("nonnegativity", np.max(-vals) if vals.size else 0.0)
     add("monotone_decreasing", np.max(deriv))
     add("exp_domination", np.max(deriv + decay_bound * vals))
-    add("integrable", om - 1.0)
-    add("second_moment_finite", -1.0 if om < 1.0 else 1.0)
     return ValidationReport(tuple(checks))

@@ -18,20 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .dynamics import MidpointStepper, TransportStepper, _drive, _step_count
+from .dynamics import MidpointStepper, _drive, _step_count
 from .modes import (Params, PhaseSpace, PhaseVector, block_energies, build_phase_space,
-                    history_quadratures, zero_phase_vector)
-
-
-def lift_triplet(space: PhaseSpace, triplet: np.ndarray, order: int = 0) -> PhaseVector:
-    """Zero-padded embedding of collapsed states into the full phase space."""
-    t = np.asarray(triplet, dtype=float)
-    n = space.modes.count
-    if t.shape != (n, 3):
-        raise DomainError(f"triplet has shape {t.shape}, expected ({n}, 3)")
-    vec = zero_phase_vector(space, order)
-    vec.u, vec.v, vec.theta = t[:, 0].copy(), t[:, 1].copy(), t[:, 2].copy()
-    return vec
+                    history_quadratures)
 
 
 def project_triplet(vec: PhaseVector) -> np.ndarray:
@@ -138,10 +127,9 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
 
     stepper = MidpointStepper(space, dt)
     stepper_lim = MidpointStepper(build_phase_space(space.modes, Params(0.0, 0.0, 0.0)), dt)
-    tr_eta = TransportStepper(space.eta_grid, dt) if me else None
-    tr_xi = TransportStepper(space.xi_grid, dt) if mx else None
+    tr_eta, tr_xi = stepper.eta_t, stepper.xi_t
 
-    lu, lv, lth = initial.u.copy(), initial.v.copy(), initial.theta.copy()
+    lu, lv, lth = initial.u, initial.v, initial.theta
     eta_hat = np.zeros((me, n)) if me else None
     xi_hat = np.zeros((mx, n)) if mx else None
 
@@ -150,9 +138,9 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
         lth_old, lv_old = lth, lv
         lu, lv, lth, _, _ = stepper_lim.step(lu, lv, lth, None, None)
         if me:
-            eta_hat = tr_eta.step_driven(eta_hat, 0.5 * (lth_old + lth))
+            eta_hat = tr_eta.complete(tr_eta.partial(eta_hat, lth_old), lth)
         if mx:
-            xi_hat = tr_xi.step_driven(xi_hat, 0.5 * (lv_old + lv))
+            xi_hat = tr_xi.complete(tr_xi.partial(xi_hat, lv_old), lv)
 
     def sample(state, blocks):
         u, v, th, eta, xi = state

@@ -110,7 +110,11 @@ class Params:
 
 @dataclass(frozen=True)
 class PhaseSpace:
-    """Mode set, parameters, kernels and grids bundled for norm evaluation."""
+    """Mode set, parameters, kernels and grids bundled for norm evaluation.
+
+    ``policies`` maps "mu", "nu" and "beta" to the weight policy each active
+    kernel's weights were built with, or None for an absent kernel.
+    """
 
     modes: ModeSet
     params: Params
@@ -122,6 +126,7 @@ class PhaseSpace:
     w_mu: np.ndarray | None
     w_nu: np.ndarray | None
     w_beta: np.ndarray | None
+    policies: dict[str, str | None]
 
     @property
     def eta_size(self) -> int:
@@ -141,6 +146,7 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
     mu = nu = beta = None
     eta_grid = xi_grid = None
     w_mu = w_nu = w_beta = None
+    policies = {"mu": None, "nu": None, "beta": None}
     if params.eps > 0:
         mu = build_kernel_family(base_mu.family, base_mu, params.eps)
     if params.tau > 0:
@@ -153,16 +159,20 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
         s_max = max(k.tail_cutoff(tail) for k in candidates)
         eta_grid = build_history_grid(owner, grid_size, ratio=ratio, s_max=s_max,
                                       weight_policy=weight_policy)
+        # under "auto" the other kernel may resolve to a different policy
         if mu is not None:
-            w_mu = eta_grid.weights if owner is mu else eta_grid.weights_for(mu, weight_policy)
+            w_mu, policies["mu"] = ((eta_grid.weights, eta_grid.policy) if owner is mu
+                                    else eta_grid.weights_for(mu, weight_policy))
         if nu is not None:
-            w_nu = eta_grid.weights if owner is nu else eta_grid.weights_for(nu, weight_policy)
+            w_nu, policies["nu"] = ((eta_grid.weights, eta_grid.policy) if owner is nu
+                                    else eta_grid.weights_for(nu, weight_policy))
     if params.has_xi:
         beta = build_kernel_family(base_beta.family, base_beta, params.sigma)
         xi_grid = build_history_grid(beta, grid_size, ratio=ratio, tail=tail,
                                      weight_policy=weight_policy)
-        w_beta = xi_grid.weights
-    return PhaseSpace(modes, params, mu, nu, beta, eta_grid, xi_grid, w_mu, w_nu, w_beta)
+        w_beta, policies["beta"] = xi_grid.weights, xi_grid.policy
+    return PhaseSpace(modes, params, mu, nu, beta, eta_grid, xi_grid, w_mu, w_nu, w_beta,
+                      policies)
 
 
 def block_energies(space: PhaseSpace, order: int, u, v, theta,
@@ -202,8 +212,9 @@ def history_quadratures(space: PhaseSpace, eta, xi) -> tuple:
 class PhaseVector:
     """Aggregated modal states with a norm order.
 
-    eta has shape (modes, eta_nodes) when the slow-memory block is active,
-    and is None otherwise; likewise xi.
+    u, v and theta have shape (modes,). eta has shape (eta_nodes, modes)
+    when the slow-memory block is active, and is None otherwise; likewise xi
+    with (xi_nodes, modes). This is the layout MidpointStepper advances.
     """
 
     space: PhaseSpace
@@ -214,17 +225,10 @@ class PhaseVector:
     eta: np.ndarray | None = None
     xi: np.ndarray | None = None
 
-    def copy(self) -> "PhaseVector":
-        return PhaseVector(self.space, self.order, self.u.copy(), self.v.copy(),
-                           self.theta.copy(),
-                           None if self.eta is None else self.eta.copy(),
-                           None if self.xi is None else self.xi.copy())
-
     def block_norms_sq(self, order: int | None = None) -> dict[str, float]:
         """Squared norm split by block: triplet, mu- and nu-weighted history,
         and the xi history."""
-        q = history_quadratures(self.space, None if self.eta is None else self.eta.T,
-                                None if self.xi is None else self.xi.T)
+        q = history_quadratures(self.space, self.eta, self.xi)
         blocks = block_energies(self.space, self.order if order is None else order,
                                 self.u, self.v, self.theta, *q)
         names = ("u", "v", "theta", "eta_mu", "eta_nu", "xi")
@@ -239,16 +243,29 @@ class PhaseVector:
 
 def zero_phase_vector(space: PhaseSpace, order: int = 0) -> PhaseVector:
     n = space.modes.count
-    eta = np.zeros((n, space.eta_size)) if space.params.has_eta else None
-    xi = np.zeros((n, space.xi_size)) if space.params.has_xi else None
+    eta = np.zeros((space.eta_size, n)) if space.params.has_eta else None
+    xi = np.zeros((space.xi_size, n)) if space.params.has_xi else None
     return PhaseVector(space, order, np.zeros(n), np.zeros(n), np.zeros(n), eta, xi)
+
+
+def lift_triplet(space: PhaseSpace, triplet: np.ndarray, order: int = 0) -> PhaseVector:
+    """Zero-padded embedding of (modes, 3) collapsed states into the full
+    phase space."""
+    t = np.asarray(triplet, dtype=float)
+    n = space.modes.count
+    if t.shape != (n, 3):
+        raise DomainError(f"triplet has shape {t.shape}, expected ({n}, 3)")
+    vec = zero_phase_vector(space, order)
+    vec.u, vec.v, vec.theta = t[:, 0].copy(), t[:, 1].copy(), t[:, 2].copy()
+    return vec
 
 
 def project_initial_data(coefficients, space: PhaseSpace, order: int = 0) -> PhaseVector:
     """Assemble a PhaseVector from modal coefficient arrays.
 
     ``coefficients`` maps "u"/"v"/"theta" to length-N arrays and optionally
-    "eta"/"xi" to (N, nodes) history samples; omitted entries mean zero.
+    "eta"/"xi" to (nodes, N) history samples, one column per mode; omitted
+    entries mean zero.
     """
     vec = zero_phase_vector(space, order)
     n = space.modes.count
@@ -265,8 +282,8 @@ def project_initial_data(coefficients, space: PhaseSpace, order: int = 0) -> Pha
         arr = np.asarray(coefficients[name], dtype=float)
         if not active:
             raise ShapeError(f"{name} history supplied but that block is collapsed")
-        if arr.shape != (n, size):
-            raise ShapeError(f"{name} history has shape {arr.shape}, expected ({n}, {size})")
+        if arr.shape != (size, n):
+            raise ShapeError(f"{name} history has shape {arr.shape}, expected ({size}, {n})")
         setattr(vec, name, arr.copy())
     return vec
 
@@ -296,8 +313,8 @@ def initial_data_preset(name: str, space: PhaseSpace, order: int = 0,
     if with_history:
         if space.params.has_eta:
             prof = 1.0 - np.exp(-space.eta_grid.nodes)
-            data["eta"] = coef[:, None] * prof[None, :]
+            data["eta"] = prof[:, None] * coef[None, :]
         if space.params.has_xi:
             prof = 1.0 - np.exp(-space.xi_grid.nodes)
-            data["xi"] = coef[:, None] * prof[None, :]
+            data["xi"] = prof[:, None] * coef[None, :]
     return project_initial_data(data, space, order)

@@ -88,6 +88,23 @@ def test_decay_rows_and_energy_files(small_ini, tmp_path):
     assert os.path.exists(os.path.join(out, "energy_0.csv"))
 
 
+def test_manifest_reports_weight_policies(tmp_path):
+    # at sigma = eps = 0.5 and tau > 0 the shared eta grid is built for nu
+    # (decay 1) and is too coarse for mu (decay 2), so under "auto" mu gets
+    # mass weights; without nu, mu owns the grid and gets decay-consistent ones
+    ini = tmp_path / "policy.ini"
+    ini.write_text("[domain]\nmodes = 2\n\n[parameters]\nsigma = 0.5\ntau = 0, 0.25\n"
+                   "eps = 0.5\n\n[integrator]\ndt = 0.01\nhorizon = 0.1\n"
+                   "stride = 1\ngrid_size = 400\n\n[fit]\nwindow_lo = 0.02\nwindow_hi = 0.1\n")
+    out = str(tmp_path / "policy")
+    assert main(["decay", "--config", str(ini), "--out", out]) == 0
+    steps = {s["name"]: s["detail"] for s in read_manifest(out)["steps"]}
+    assert steps["decay[0]"].endswith(
+        "policy mu=decay_consistent nu=none beta=decay_consistent")
+    assert steps["decay[1]"].endswith(
+        "policy mu=mass nu=decay_consistent beta=decay_consistent")
+
+
 def test_limit_sweep_csv(small_ini, tmp_path):
     out = str(tmp_path / "lim")
     assert main(["limit-sweep", "--config", small_ini, "--out", out]) == 0

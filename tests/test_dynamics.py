@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from memoplate.errors import DomainError, SingularStepError, UnsupportedOracleError
 from memoplate.dynamics import (
-    MidpointStepper, assemble_generator, assemble_mode_operator,
+    MidpointStepper, TransportStepper, assemble_generator, assemble_mode_operator,
     closure_oracle_evolve, default_time_step, evolve, evolve_limit, flatten,
     generator_quadratic_form, limit_mode_matrix, mode_block_size,
     saturating_profile_integrals, unflatten, weight_diagonal,
 )
+from memoplate.limits import compare_trajectories
 from memoplate.modes import (
     Domain, Params, build_phase_space, dirichlet_eigenvalues,
     initial_data_preset, project_initial_data, zero_phase_vector,
@@ -46,9 +47,7 @@ def test_stepper_matches_dense_block_solve(interval_modes, params):
     dt = 1e-3
     stepper = MidpointStepper(space, dt)
     vec = random_state(space, 11)
-    u, v, th = vec.u.copy(), vec.v.copy(), vec.theta.copy()
-    eta = vec.eta.T.copy() if vec.eta is not None else None
-    xi = vec.xi.T.copy() if vec.xi is not None else None
+    u, v, th, eta, xi = vec.u, vec.v, vec.theta, vec.eta, vec.xi
     u1, v1, th1, eta1, xi1 = stepper.step(u, v, th, eta, xi)
     a = 0.5 * dt
     d = mode_block_size(space)
@@ -80,9 +79,8 @@ def test_midpoint_energy_balance_identity(small_space):
     stepper = MidpointStepper(small_space, dt)
     vec = random_state(small_space, 5)
     x = flatten(vec)
-    u1, v1, th1, eta1, xi1 = stepper.step(
-        vec.u.copy(), vec.v.copy(), vec.theta.copy(), vec.eta.T.copy(), vec.xi.T.copy())
-    vec1 = type(vec)(small_space, 0, u1, v1, th1, eta1.T.copy(), xi1.T.copy())
+    u1, v1, th1, eta1, xi1 = stepper.step(vec.u, vec.v, vec.theta, vec.eta, vec.xi)
+    vec1 = type(vec)(small_space, 0, u1, v1, th1, eta1, xi1)
     x1 = flatten(vec1)
     W = weight_diagonal(small_space, 0)
     L = assemble_generator(small_space)
@@ -164,9 +162,19 @@ def test_limit_block_spectrum_stable():
         assert np.all(ev.real < 0.0)
 
 
-def test_closure_oracle_agreement(interval_modes):
+# Every collapse pattern, thermal memory (tau > 0) included. Left out on
+# purpose: eps = 0.5 with tau > 0, where mu (decay 2) is faster than the
+# nu-owned eta grid resolves and falls back to mass weights (about 2e-3 at
+# 400 nodes); the manifest's policy note reports that case (tests/test_cli.py).
+ORACLE_CASES = [Params(1.0, 0.0, 1.0), Params(1.0, 0.5, 1.0), Params(0.5, 0.5, 0.0),
+                Params(0.0, 0.5, 1.0), Params(0.5, 0.0, 0.0), Params(0.0, 0.0, 0.5),
+                Params(0.0, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("params", ORACLE_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
+def test_closure_oracle_agreement(interval_modes, params):
     # default graded grid against the grid-free closure route
-    space = build_phase_space(interval_modes, Params(1.0, 0.0, 1.0), grid_size=400)
+    space = build_phase_space(interval_modes, params, grid_size=400)
     z0 = initial_data_preset("single-mode", space, 0)
     traj = evolve(space, z0, 1e-3, 5.0, store_stride=5)
     orc = closure_oracle_evolve(space, z0, 1e-3, 5.0, store_stride=5)
@@ -226,6 +234,23 @@ def test_closure_oracle_contracts(interval_modes):
             closure_oracle_evolve(space, z_rest, dt, horizon)
 
 
+def test_transport_solves_per_step(small_space, monkeypatch):
+    # one banded solve per active history block and step, as many again for
+    # the reconstructed limit histories, none for the collapsed system
+    calls = []
+    solve = TransportStepper.solve
+    monkeypatch.setattr(TransportStepper, "solve",
+                        lambda self, rhs: calls.append(1) or solve(self, rhs))
+    z0 = initial_data_preset("single-mode", small_space, 0)
+    for run, per_step in ((lambda: evolve(small_space, z0, 1e-2, 0.1), 2),
+                          (lambda: compare_trajectories(small_space, z0, 1e-2, 0.1), 4),
+                          (lambda: evolve_limit(small_space.modes, np.ones((4, 3)), 1e-2,
+                                                0.1), 0)):
+        calls.clear()
+        run()
+        assert len(calls) == 10 * per_step
+
+
 def test_default_time_step_rules():
     assert default_time_step(Params(0.5, 0.0, 0.5)) == pytest.approx(1e-3)
     assert default_time_step(Params(0.01, 0.0, 0.5)) == pytest.approx(0.01 / 20)
@@ -267,8 +292,7 @@ def test_single_step_contraction_property(seed):
     stepper = MidpointStepper(space, 5e-3)
     vec = random_state(space, seed)
     e0 = vec.norm_sq()
-    u1, v1, th1, eta1, xi1 = stepper.step(vec.u, vec.v, vec.theta,
-                                          vec.eta.T.copy(), vec.xi.T.copy())
+    u1, v1, th1, eta1, xi1 = stepper.step(vec.u, vec.v, vec.theta, vec.eta, vec.xi)
     vec1 = project_initial_data({"u": u1, "v": v1, "theta": th1,
-                                 "eta": eta1.T, "xi": xi1.T}, space, 0)
+                                 "eta": eta1, "xi": xi1}, space, 0)
     assert vec1.norm_sq() <= e0 * (1.0 + 1e-12)

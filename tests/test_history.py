@@ -91,7 +91,8 @@ def test_upwind_decay_weights_give_exact_rate(seed):
 
 def test_weights_for_second_kernel(exp_grid):
     fast = KernelSpec(EXPONENTIAL, 2.0, 3.0)
-    w = exp_grid.weights_for(fast, POLICY_MASS)
+    w, policy = exp_grid.weights_for(fast, POLICY_MASS)
+    assert policy == POLICY_MASS
     assert np.sum(w) == pytest.approx(float(fast.cdf(exp_grid.cutoff)), rel=1e-12)
     slow = KernelSpec(EXPONENTIAL, 1.0, 0.05)
     with pytest.raises(MismatchError):

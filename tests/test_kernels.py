@@ -149,6 +149,16 @@ def test_validation_report_passes_on_canonical():
     assert all(c.margin <= 0.0 for c in rep.checks)
 
 
+def test_validation_rows_are_the_pointwise_conditions():
+    # integrability and a finite second moment are enforced by KernelSpec
+    # itself, so a report row for them could never fail
+    grid = np.geomspace(1e-3, 20.0, 50)
+    for k in (canonical_base(), normalized_power_base(0.4)):
+        rep = validate_assumptions(k, k.decay, grid)
+        assert [c.condition for c in rep.checks] == [
+            "nonnegativity", "monotone_decreasing", "exp_domination"]
+
+
 def test_validation_fails_for_overclaimed_decay_bound():
     k = canonical_base()
     grid = np.geomspace(1e-3, 20.0, 200)

@@ -7,9 +7,10 @@ from memoplate.errors import DomainError, SingularStepError
 from memoplate.dynamics import default_time_step, evolve
 from memoplate.limits import (
     compare_trajectories, fit_limit_constants, history_envelopes,
-    lift_triplet, pi_bounds, project_triplet, upsilon_coefficients, upsilon_series,
+    pi_bounds, project_triplet, upsilon_coefficients, upsilon_series,
 )
-from memoplate.modes import Domain, Params, build_phase_space, dirichlet_eigenvalues, initial_data_preset
+from memoplate.modes import (Domain, Params, build_phase_space, dirichlet_eigenvalues,
+                             initial_data_preset, lift_triplet)
 
 
 @pytest.fixture(scope="module")
@@ -144,7 +145,7 @@ def test_compare_contracts(memory_space):
 def test_nonfinite_history_raises_typed_error(modes):
     space = build_phase_space(modes, Params(0.5, 0.25, 0.5), grid_size=60)
     z0 = initial_data_preset("spectral-decay 4", space, 0, with_history=True)
-    z0.eta[2, 5] = np.nan
+    z0.eta[5, 2] = np.nan
     with pytest.raises(SingularStepError):
         evolve(space, z0, 1e-3, 0.05)
     with pytest.raises(SingularStepError):

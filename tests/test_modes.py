@@ -88,8 +88,8 @@ def test_block_norm_additivity(small_space):
     rng = np.random.default_rng(3)
     n, me, mx = 4, small_space.eta_size, small_space.xi_size
     vec = PhaseVector(small_space, 0, rng.standard_normal(n), rng.standard_normal(n),
-                      rng.standard_normal(n), rng.standard_normal((n, me)),
-                      rng.standard_normal((n, mx)))
+                      rng.standard_normal(n), rng.standard_normal((me, n)),
+                      rng.standard_normal((mx, n)))
     blocks = vec.block_norms_sq()
     assert vec.norm_sq() == pytest.approx(sum(blocks.values()), rel=1e-12)
     assert vec.norm() == pytest.approx(np.sqrt(vec.norm_sq()))
@@ -106,15 +106,15 @@ def test_order_shift_scales_by_eigenvalue(mode):
         z.u[mode] = 1.3
         z.v[mode] = -0.4
         z.theta[mode] = 0.9
-        z.eta[mode] = 0.5
-        z.xi[mode] = -0.2
+        z.eta[:, mode] = 0.5
+        z.xi[:, mode] = -0.2
     g = float(modes.eigenvalues[mode])
     assert z2.norm_sq() == pytest.approx(g ** 2 * z0.norm_sq(), rel=1e-12)
 
 
 def test_project_initial_data_shapes(small_space):
     vec = project_initial_data({"u": np.ones(4), "v": np.zeros(4)}, small_space, 0)
-    assert vec.u.shape == (4,) and vec.eta.shape == (4, small_space.eta_size)
+    assert vec.u.shape == (4,) and vec.eta.shape == (small_space.eta_size, 4)
     assert np.all(vec.theta == 0.0) and np.all(vec.eta == 0.0)
     with pytest.raises(ShapeError):
         project_initial_data({"u": np.ones(5)}, small_space, 0)
@@ -138,7 +138,7 @@ def test_spectral_decay_preset_with_history(small_space):
     np.testing.assert_allclose(vec.u, coef)
     # history profile saturates towards the modal coefficient
     s = small_space.eta_grid.nodes
-    np.testing.assert_allclose(vec.eta[1], coef[1] * (1 - np.exp(-s)), rtol=1e-12)
+    np.testing.assert_allclose(vec.eta[:, 1], coef[1] * (1 - np.exp(-s)), rtol=1e-12)
     with pytest.raises(DomainError):
         initial_data_preset("no-such-preset", small_space, 0)
     with pytest.raises(DomainError):
