@@ -128,22 +128,19 @@ def _initial(cfg, space):
 def _cmd_kernel_check(cfg, manifest, out_dir) -> None:
     import numpy as np
     from . import config as cfgmod
-    from .kernels import build_kernel_family, CONCAVE_AFFINE_EXP, validate_assumptions
+    from .kernels import validate_assumptions
+    from .modes import Params, memory_kernels
 
     sigma, tau, eps = cfg.parameter_grid()[0]
-    named = [("mu_base", cfg.base_mu()), ("beta_base", cfg.base_beta())]
-    if eps > 0:
-        named.append(("mu_scaled", build_kernel_family(cfg.base_mu().family,
-                                                       cfg.base_mu(), eps)))
-    if sigma > 0:
-        named.append(("beta_scaled", build_kernel_family(cfg.base_beta().family,
-                                                         cfg.base_beta(), sigma)))
-    if tau > 0:
-        named.append(("thermal", build_kernel_family(CONCAVE_AFFINE_EXP,
-                                                     cfg.scalar_model(), tau)))
+    mu, nu, beta = memory_kernels(Params(sigma, tau, eps, cfg.scalar_model()),
+                                  cfg.base_mu(), cfg.base_beta())
+    named = [("mu_base", cfg.base_mu()), ("beta_base", cfg.base_beta()),
+             ("mu_scaled", mu), ("beta_scaled", beta), ("thermal", nu)]
     rows = []
     all_pass = True
     for name, kernel in named:
+        if kernel is None:
+            continue
         bound = cfg.check_bound if cfg.check_bound is not None else kernel.decay
         grid = np.geomspace(1e-3, kernel.tail_cutoff(cfg.tail), 200)
         report = validate_assumptions(kernel, bound, grid)
@@ -212,7 +209,7 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
         rows.append((sigma, tau, eps, cfg.order, fit.rate, fit.prefactor,
                      ineq.lambda_hat, ineq.d0_hat, ineq.residual, fit.r_squared))
         manifest.step(f"decay[{idx}]", "ok",
-                      f"tau={tau} rate={fit.rate:.6g} d0={ineq.d0_hat:.6g} "
+                      f"tau={tau} rate={fit.rate:.6g} d0={ineq.d0_hat:.6g} dt={dt} "
                       f"{_policy_note(space)}")
         epath = cfgmod.write_csv(out_dir / f"energy_{idx}.csv", ["t", "energy"],
                                  zip(traj.times, traj.total_energy()))
@@ -299,15 +296,12 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
                   f"M={cfg.residual_size}: {coarse.residual:.6g}, "
                   f"2M: {fine.residual:.6g}, ratio {halving:.3f}")
 
-    logg = np.log(scan.gammas)
-    for label, values in (("z_norm", scan.z_norm),
-                          ("gamma_lam", scan.gamma_lam if ap.with_shear else None)):
-        if values is None:
-            continue
-        coef, cov = np.polyfit(logg, np.log(values), 1, cov=True)
-        half = 1.96 * float(np.sqrt(cov[0, 0]))
-        print(f"pruss-scan: log-log slope of {label} = {coef[0]:.4f} +/- {half:.4f} (95%)")
-        manifest.step(f"slope.{label}", "ok", f"{coef[0]:.6f} +/- {half:.6f}")
+    slopes = [("z_norm", scan.slope_z, scan.half_z)]
+    if ap.with_shear:
+        slopes.append(("gamma_lam", scan.slope_gamma_lam, scan.half_gamma_lam))
+    for label, slope, half in slopes:
+        print(f"pruss-scan: log-log slope of {label} = {slope:.4f} +/- {half:.4f} (95%)")
+        manifest.step(f"slope.{label}", "ok", f"{slope:.6f} +/- {half:.6f}")
     print(f"pruss-scan: ratio decreasing = {scan.ratio_decreasing}, "
           f"max quartic residual {np.max(scan.quartic_residual):.3e}")
 

@@ -51,9 +51,5 @@ class FitError(MemoplateError):
     """Not enough data points for the requested regression."""
 
 
-class MismatchError(MemoplateError):
-    """Weights requested from a grid built for a different kernel."""
-
-
 class ConfigError(MemoplateError):
     """Invalid experiment configuration; message includes the key path."""

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .history import HistoryGrid, build_history_grid
-from .kernels import (CONCAVE_AFFINE_EXP, EXPONENTIAL, KernelSpec, ScalarModel,
-                      build_kernel_family, canonical_base)
+from .history import HistoryGrid, build_history_grid, history_cutoff, kernel_weights
+from .kernels import (CONCAVE_AFFINE_EXP, KernelSpec, ScalarModel, build_kernel_family,
+                      canonical_base)
 
 
 @dataclass(frozen=True)
@@ -137,42 +137,41 @@ class PhaseSpace:
         return 0 if self.xi_grid is None else self.xi_grid.size
 
 
+def memory_kernels(params: Params, base_mu: KernelSpec | None = None,
+                   base_beta: KernelSpec | None = None) -> tuple:
+    """(mu, nu, beta): base_mu rescaled by eps, the scalar model's thermal
+    kernel at tau and base_beta rescaled by sigma, each None when its
+    parameter is 0. An omitted base is exp(-s)."""
+    base_mu = base_mu if base_mu is not None else canonical_base()
+    base_beta = base_beta if base_beta is not None else canonical_base()
+    mu = build_kernel_family(base_mu.family, base_mu, params.eps) if params.eps > 0 else None
+    nu = (build_kernel_family(CONCAVE_AFFINE_EXP, params.model, params.tau)
+          if params.tau > 0 else None)
+    beta = (build_kernel_family(base_beta.family, base_beta, params.sigma)
+            if params.sigma > 0 else None)
+    return mu, nu, beta
+
+
 def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
                       base_mu: KernelSpec | None = None, base_beta: KernelSpec | None = None,
                       ratio: float = 1.05, tail: float = 1e-8,
                       weight_policy: str = "auto") -> PhaseSpace:
-    base_mu = base_mu if base_mu is not None else canonical_base()
-    base_beta = base_beta if base_beta is not None else canonical_base()
-    mu = nu = beta = None
-    eta_grid = xi_grid = None
-    w_mu = w_nu = w_beta = None
-    policies = {"mu": None, "nu": None, "beta": None}
-    if params.eps > 0:
-        mu = build_kernel_family(base_mu.family, base_mu, params.eps)
-    if params.tau > 0:
-        nu = build_kernel_family(CONCAVE_AFFINE_EXP, params.model, params.tau)
-    if params.has_eta:
-        # one grid serves both eta-weighting kernels; it is built for the one
-        # reaching farthest so the other's tail is still inside the cutoff
-        candidates = [k for k in (mu, nu) if k is not None]
-        owner = max(candidates, key=lambda k: k.tail_cutoff(tail))
-        s_max = max(k.tail_cutoff(tail) for k in candidates)
-        eta_grid = build_history_grid(owner, grid_size, ratio=ratio, s_max=s_max,
-                                      weight_policy=weight_policy)
-        # under "auto" the other kernel may resolve to a different policy
-        if mu is not None:
-            w_mu, policies["mu"] = ((eta_grid.weights, eta_grid.policy) if owner is mu
-                                    else eta_grid.weights_for(mu, weight_policy))
-        if nu is not None:
-            w_nu, policies["nu"] = ((eta_grid.weights, eta_grid.policy) if owner is nu
-                                    else eta_grid.weights_for(nu, weight_policy))
-    if params.has_xi:
-        beta = build_kernel_family(base_beta.family, base_beta, params.sigma)
-        xi_grid = build_history_grid(beta, grid_size, ratio=ratio, tail=tail,
-                                     weight_policy=weight_policy)
-        w_beta, policies["beta"] = xi_grid.weights, xi_grid.policy
-    return PhaseSpace(modes, params, mu, nu, beta, eta_grid, xi_grid, w_mu, w_nu, w_beta,
-                      policies)
+    """eta carries mu and nu, xi carries beta; each active history gets one
+    grid spanning every kernel it carries, and each kernel its weights on it."""
+    kernels = dict(zip(("mu", "nu", "beta"), memory_kernels(params, base_mu, base_beta)))
+    grids = {"eta": None, "xi": None}
+    weights, policies = dict.fromkeys(kernels), dict.fromkeys(kernels)
+    for var, names in (("eta", ("mu", "nu")), ("xi", ("beta",))):
+        carried = [n for n in names if kernels[n] is not None]
+        if not carried:
+            continue
+        grids[var] = build_history_grid(history_cutoff((kernels[n] for n in carried), tail),
+                                        grid_size, ratio=ratio)
+        for n in carried:
+            weights[n], policies[n] = kernel_weights(grids[var], kernels[n], weight_policy)
+    return PhaseSpace(modes, params, kernels["mu"], kernels["nu"], kernels["beta"],
+                      grids["eta"], grids["xi"], weights["mu"], weights["nu"],
+                      weights["beta"], policies)
 
 
 def block_energies(space: PhaseSpace, order: int, u, v, theta,

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateModeError, DomainError, FitError
-from .history import DEFAULT_TAIL
+from .history import cell_masses, geometric_boundaries, history_cutoff
 from .kernels import (POWER_EXPONENTIAL, ConditionCheck, KernelSpec,
                       ValidationReport, kernel_moment, laplace_transform)
 
@@ -251,7 +251,9 @@ class ScanResult:
     gamma_lam: np.ndarray
     quartic_residual: np.ndarray
     slope_z: float
-    slope_gamma_lam: float       # nan without the shear channel
+    half_z: float                # 95% half-width of slope_z
+    slope_gamma_lam: float       # nan without the shear channel, as its half-width
+    half_gamma_lam: float
     ratio_decreasing: bool
 
     def rows(self):
@@ -260,17 +262,20 @@ class ScanResult:
                    self.ratio[k], self.quartic_residual[k])
 
 
-def _log_slope(x: np.ndarray, y: np.ndarray) -> float:
+def _log_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope of log y against log x and its 95% half-width."""
     if np.any(y <= 0.0) or not np.all(np.isfinite(y)):
         raise FitError("log-slope fit needs positive finite values")
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+    coef, cov = np.polyfit(np.log(x), np.log(y), 1, cov=True)
+    return float(coef[0]), 1.96 * float(np.sqrt(cov[0, 0]))
 
 
 def resolvent_scan(ap: AbstractParams, gammas: np.ndarray) -> ScanResult:
     """Probe-pair norms along a scale sweep with fitted growth exponents."""
     g = np.asarray(gammas, dtype=float)
-    if g.size < 2:
-        raise FitError(f"scan needs at least two scales, got {g.size}")
+    if g.size < 3:
+        # two points fit a line exactly and leave no residual to bound it
+        raise FitError(f"scan needs at least three scales, got {g.size}")
     pairs = [build_probe_pair(ap, float(x)) for x in g]
     lam = np.array([p.lam for p in pairs])
     zn = np.array([p.z_norm for p in pairs])
@@ -278,9 +283,9 @@ def resolvent_scan(ap: AbstractParams, gammas: np.ndarray) -> ScanResult:
     gl = np.array([p.gamma_lam for p in pairs])
     qr = np.array([p.quartic_residual for p in pairs])
     ratio = zt / zn
-    slope_gl = _log_slope(g, gl) if ap.with_shear else float("nan")
-    return ScanResult(g, lam, zn, zt, ratio, gl, qr,
-                      _log_slope(g, zn), slope_gl,
+    slope_z, half_z = _log_slope(g, zn)
+    slope_gl, half_gl = _log_slope(g, gl) if ap.with_shear else (np.nan, np.nan)
+    return ScanResult(g, lam, zn, zt, ratio, gl, qr, slope_z, half_z, slope_gl, half_gl,
                       bool(np.all(np.diff(ratio) < 0.0)))
 
 
@@ -320,10 +325,10 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
     right-endpoint quadrature of the two memory integrals: with spacing h the
     defect is (h/2) sqrt(|gamma^alpha (r + gamma^(-alpha/2)) c(lam)|^2 +
     |gamma^2 (q + Lambda) b(lam)|^2) / ||z_tilde|| to leading order, first
-    order in h, so it halves under grid doubling. The span defaults to the
-    DEFAULT_TAIL cutoff of the slower kernel; the kernel mass left beyond it
-    is reported per channel. The cell weights are the kernel masses of the
-    cells.
+    order in h, so it halves under grid doubling. The span defaults to
+    history_cutoff of the two kernels, the rule the stepper's history grids
+    use; the kernel mass left beyond it is reported per channel. The cell
+    weights are the cells' kernel masses, as under the mass weight policy.
     """
     if grid_size < 8:
         raise DomainError(f"need at least 8 history nodes, got {grid_size}")
@@ -332,14 +337,14 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
     mu = ap.thermal_kernel()
     beta = ap.shear_kernel()
     if s_max is None:
-        s_max = max(k.tail_cutoff(DEFAULT_TAIL) for k in (mu, beta) if k is not None)
-    bounds = s_max * np.arange(grid_size + 1, dtype=float) / grid_size
+        s_max = history_cutoff(k for k in (mu, beta) if k is not None)
+    bounds = geometric_boundaries(s_max, grid_size, 1.0)
     nodes, spacing = bounds[1:], np.diff(bounds)
 
     def profile(amp: complex) -> np.ndarray:
         return amp * (1.0 - np.exp(-1j * lam * nodes)) / (1j * lam)
 
-    w_mu = np.maximum(np.diff(mu.cdf(bounds)), 0.0)
+    w_mu = cell_masses(mu, bounds)
     amp_th = pair.r + gamma ** (-0.5 * ap.alpha)
     phi = profile(amp_th)
 
@@ -355,7 +360,7 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
     tail_shear = 0.0
 
     if beta is not None:
-        w_b = np.maximum(np.diff(beta.cdf(bounds)), 0.0)
+        w_b = cell_masses(beta, bounds)
         amp_sh = pair.q + pair.shear_amp
         psi = profile(amp_sh)
         res_v += gamma ** 2 * np.sum(w_b * psi)

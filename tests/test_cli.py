@@ -89,9 +89,10 @@ def test_decay_rows_and_energy_files(small_ini, tmp_path):
 
 
 def test_manifest_reports_weight_policies(tmp_path):
-    # at sigma = eps = 0.5 and tau > 0 the shared eta grid is built for nu
+    # at sigma = eps = 0.5 and tau > 0 the shared eta grid spans nu's cutoff
     # (decay 1) and is too coarse for mu (decay 2), so under "auto" mu gets
-    # mass weights; without nu, mu owns the grid and gets decay-consistent ones
+    # mass weights; without nu the grid spans mu's own cutoff and mu gets
+    # decay-consistent ones
     ini = tmp_path / "policy.ini"
     ini.write_text("[domain]\nmodes = 2\n\n[parameters]\nsigma = 0.5\ntau = 0, 0.25\n"
                    "eps = 0.5\n\n[integrator]\ndt = 0.01\nhorizon = 0.1\n"
@@ -100,9 +101,9 @@ def test_manifest_reports_weight_policies(tmp_path):
     assert main(["decay", "--config", str(ini), "--out", out]) == 0
     steps = {s["name"]: s["detail"] for s in read_manifest(out)["steps"]}
     assert steps["decay[0]"].endswith(
-        "policy mu=decay_consistent nu=none beta=decay_consistent")
+        "dt=0.01 policy mu=decay_consistent nu=none beta=decay_consistent")
     assert steps["decay[1]"].endswith(
-        "policy mu=mass nu=decay_consistent beta=decay_consistent")
+        "dt=0.01 policy mu=mass nu=decay_consistent beta=decay_consistent")
 
 
 def test_limit_sweep_csv(small_ini, tmp_path):
@@ -131,6 +132,18 @@ def test_pruss_scan_preset(tmp_path):
     assert "18 of 20 scales with lam_h > 1" in span["detail"]
     max_lam_h = float(span["detail"].split("max_lam_h=")[1].split(",")[0])
     assert 600.0 < max_lam_h < 700.0
+
+
+def test_two_scale_scan_fails_typed(tmp_path):
+    # two scales fit a slope exactly and leave nothing to bound its error
+    ini = tmp_path / "two.ini"
+    ini.write_text("[probe]\ngamma_count = 2\n")
+    out = str(tmp_path / "two")
+    assert main(["pruss-scan", "--preset", "thm-a2", "--config", str(ini),
+                 "--out", out]) == 3
+    steps = {s["name"]: s for s in read_manifest(out)["steps"]}
+    assert steps["pruss-scan"]["status"] == "failed"
+    assert "three scales" in steps["pruss-scan"]["detail"]
 
 
 def test_failed_halving_exits_3(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from memoplate.errors import DomainError, MismatchError, NonIntegrableError
+from memoplate.errors import DomainError, NonIntegrableError
 from memoplate.kernels import (
     CONCAVE_AFFINE_EXP, EXPONENTIAL, POWER_EXPONENTIAL,
     KernelSpec, ScalarModel, build_kernel_family, canonical_base,

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memoplate.errors import DomainError, ShapeError
+from memoplate.history import WEIGHT_SUM_RTOL
+from memoplate.kernels import kernel_moment
 from memoplate.modes import (
     Domain, Params, PhaseVector,
     build_phase_space, dirichlet_eigenvalues, initial_data_preset, mode_shape,
@@ -82,6 +84,17 @@ def test_eta_grid_covers_both_kernels(interval_modes):
     sp = build_phase_space(interval_modes, Params(0.0, 0.5, 0.25), grid_size=60)
     assert sp.eta_grid.cutoff >= sp.nu.tail_cutoff(1e-8) * 0.999
     assert sp.w_mu is not None and sp.w_nu is not None
+
+
+def test_every_kernel_weight_sum_reproduces_its_mass(interval_modes):
+    # at eps = 1 mu and nu both decay at rate 1 and share the cutoff exactly,
+    # so a 1e-5 tail leaves each within the weight-sum tolerance; the second
+    # space is a thm-edec tau > 0 point
+    spaces = (build_phase_space(interval_modes, Params(0.5, 0.5, 1.0), tail=1e-5),
+              build_phase_space(interval_modes, Params(0.5, 0.25, 0.5)))
+    for sp in spaces:
+        for k, w in ((sp.mu, sp.w_mu), (sp.nu, sp.w_nu), (sp.beta, sp.w_beta)):
+            assert abs(np.sum(w) / kernel_moment(k, 0) - 1.0) <= WEIGHT_SUM_RTOL
 
 
 def test_block_norm_additivity(small_space):
