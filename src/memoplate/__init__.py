@@ -5,9 +5,6 @@ past-history grids), modes (spectra and phase vectors), dynamics (generator
 assembly and time stepping), decay (rate fits and functional inequalities),
 limits (collapsed-kernel comparisons), probe (resolvent growth probes),
 config/cli (experiment harness).
-
-Kept import-light on purpose: the CLI pins thread counts in the environment
-before the numerical stack loads.
 """
 
 __version__ = "0.1.0"

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .kernels import KernelSpec, ScalarModel
-from .modes import Domain, Params
+from .modes import (Domain, Params, PhaseSpace, PhaseVector, build_phase_space,
+                    dirichlet_eigenvalues, initial_data_preset)
 from .probe import AbstractParams
 
 _PI = "3.141592653589793"
@@ -37,8 +38,7 @@ DEFAULTS: dict[str, dict[str, str]] = {
                    "grid_size": "400", "ratio": "1.05", "tail": "1e-8",
                    "weight_policy": "auto"},
     "initial": {"preset": "spectral-decay 6", "with_history": "false"},
-    "fit": {"window_lo": "1", "window_hi": "15", "rho_flat": "0.01",
-            "rho_sharp": "0.02", "scale": "auto", "t0": "0.5"},
+    "fit": {"window_lo": "1", "window_hi": "15", "t0": "0.5"},
     "probe": {"alpha": "1", "coupling": "1", "omega1": "0.25", "omega2": "0",
               "with_shear": "false", "gamma_lo": "1", "gamma_hi": "4",
               "gamma_count": "20", "residual_gamma": "10",
@@ -135,7 +135,10 @@ class ExperimentConfig:
 
     # --- typed views -------------------------------------------------
     def domain(self) -> Domain:
-        return Domain(self._get("domain", "kind"), self._float_list("domain", "lengths"))
+        try:
+            return Domain(self._get("domain", "kind"), self._float_list("domain", "lengths"))
+        except DomainError as exc:
+            raise ConfigError(f"[domain] {exc}")
 
     @property
     def mode_count(self) -> int:
@@ -148,20 +151,23 @@ class ExperimentConfig:
         eps = self._float_list("parameters", "eps")
         mode = self._get("parameters", "grid")
         if mode == "product":
-            return [(s, t, e) for s in sig for t in tau for e in eps]
-        if mode == "diagonal":
+            rows = [(s, t, e) for s in sig for t in tau for e in eps]
+        elif mode == "diagonal":
             length = max(len(sig), len(tau), len(eps))
-            rows = []
             for grid in (sig, tau, eps):
                 if len(grid) not in (1, length):
                     raise ConfigError("[parameters] diagonal grids need equal "
                                       f"lengths or singletons, got {len(grid)} vs {length}")
-            for k in range(length):
-                rows.append((sig[k % len(sig)] if len(sig) > 1 else sig[0],
-                             tau[k % len(tau)] if len(tau) > 1 else tau[0],
-                             eps[k % len(eps)] if len(eps) > 1 else eps[0]))
-            return rows
-        raise ConfigError(f"[parameters] grid = {mode!r} must be product or diagonal")
+            rows = [(sig[k % len(sig)], tau[k % len(tau)], eps[k % len(eps)])
+                    for k in range(length)]
+        else:
+            raise ConfigError(f"[parameters] grid = {mode!r} must be product or diagonal")
+        for row in rows:
+            try:
+                Params(*row)
+            except DomainError as exc:
+                raise ConfigError(f"[parameters] {exc}")
+        return rows
 
     @property
     def order(self) -> int:
@@ -212,29 +218,17 @@ class ExperimentConfig:
         return (self._float("fit", "window_lo"), self._float("fit", "window_hi"))
 
     @property
-    def rho_flat(self) -> float:
-        return self._float("fit", "rho_flat")
-
-    @property
-    def rho_sharp(self) -> float:
-        return self._float("fit", "rho_sharp")
-
-    @property
-    def functional_scale(self) -> float | None:
-        text = self._get("fit", "scale").strip().lower()
-        if text == "auto":
-            return None
-        return self._float("fit", "scale")
-
-    @property
     def sweep_t0(self) -> float:
         return self._float("fit", "t0")
 
     def _base_kernel(self, prefix: str) -> KernelSpec:
-        return KernelSpec(self._get("kernels", f"{prefix}_family"),
-                          self._float("kernels", f"{prefix}_amplitude"),
-                          self._float("kernels", f"{prefix}_decay"),
-                          self._float("kernels", f"{prefix}_singularity"))
+        try:
+            return KernelSpec(self._get("kernels", f"{prefix}_family"),
+                              self._float("kernels", f"{prefix}_amplitude"),
+                              self._float("kernels", f"{prefix}_decay"),
+                              self._float("kernels", f"{prefix}_singularity"))
+        except DomainError as exc:
+            raise ConfigError(f"[kernels] {prefix}: {exc}")
 
     def base_mu(self) -> KernelSpec:
         return self._base_kernel("mu")
@@ -245,6 +239,19 @@ class ExperimentConfig:
     def scalar_model(self) -> ScalarModel:
         rate = self._float("kernels", "scalar_rate")
         return ScalarModel(lambda t: t, lambda t: t, rate)
+
+    def point(self, sigma: float, tau: float, eps: float
+              ) -> tuple[PhaseSpace, PhaseVector, float]:
+        """(space, z0, dt) of one grid point: the phase space, the initial
+        data and the time step every stepping command runs there."""
+        modes = dirichlet_eigenvalues(self.domain(), self.mode_count)
+        space = build_phase_space(modes, Params(sigma, tau, eps, self.scalar_model()),
+                                  grid_size=self.grid_size, base_mu=self.base_mu(),
+                                  base_beta=self.base_beta(), ratio=self.grid_ratio,
+                                  tail=self.tail, weight_policy=self.weight_policy)
+        z0 = initial_data_preset(self.initial_preset, space, self.order,
+                                 with_history=self.with_history)
+        return space, z0, self.dt_for(sigma, tau, eps)
 
     @property
     def check_bound(self) -> float | None:
@@ -308,6 +315,9 @@ def load_config(path: str | Path, base: ExperimentConfig | None = None) -> Exper
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
+    if parser.defaults():
+        # configparser copies [DEFAULT] keys into every section
+        raise ConfigError(f"[DEFAULT] section in {path}; put each key in its own section")
     overrides: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section not in DEFAULTS:

@@ -18,27 +18,18 @@ from .dynamics import Trajectory
 
 DEFAULT_WINDOW = (1.0, 15.0)
 
-
-@dataclass(frozen=True)
-class FunctionalConfig:
-    """Mixing coefficients for the cross functionals.
-
-    rho_flat and rho_sharp must stay small enough that the primary
-    functional is equivalent to the energy within a factor two; the default
-    scale multiplies the energy inside the secondary functional, and
-    scale=None asks the fitting routine to scan a small ladder.
-    """
-
-    rho_flat: float = 0.01
-    rho_sharp: float = 0.02
-    scale: float | None = 20.0
-
-    SCALE_LADDER = (5.0, 10.0, 20.0, 40.0, 80.0)
+# Mixing coefficients of the primary functional F1 = E + RHO_FLAT*theta_flat
+# + RHO_SHARP*theta_sharp; small enough that F1 stays within a factor two of
+# the energy.
+RHO_FLAT = 0.01
+RHO_SHARP = 0.02
+# Energy multiples N tried, in order, for the secondary functional N*E + K3.
+SCALE_LADDER = (5.0, 10.0, 20.0, 40.0, 80.0)
 
 
-def lyapunov_series(traj: Trajectory, config: FunctionalConfig = FunctionalConfig(),
-                    scale: float | None = None) -> dict[str, np.ndarray]:
-    """Functional time series on the trajectory's stored samples."""
+def lyapunov_series(traj: Trajectory, scale: float) -> dict[str, np.ndarray]:
+    """Functional time series on the trajectory's stored samples, with the
+    energy multiple ``scale`` in the secondary functional F2."""
     p = traj.space.params
     g = traj.space.modes.eigenvalues[:, None]
     E = traj.total_energy()
@@ -47,14 +38,10 @@ def lyapunov_series(traj: Trajectory, config: FunctionalConfig = FunctionalConfi
     K = -p.eps * np.sum(traj.theta * traj.imu, axis=0)
     K2 = K - p.eps * np.sum(g * traj.u * traj.imu, axis=0)
     K3 = 4.0 * theta_sharp + K2 + theta_flat
-    N = config.scale if scale is None else scale
-    if N is None:
-        N = FunctionalConfig.SCALE_LADDER[-1]
-    F1 = E + config.rho_flat * theta_flat + config.rho_sharp * theta_sharp
-    F2 = N * E + K3
+    F1 = E + RHO_FLAT * theta_flat + RHO_SHARP * theta_sharp
+    F2 = scale * E + K3
     return {"energy": E, "theta_flat": theta_flat, "theta_sharp": theta_sharp,
-            "K": K, "K2": K2, "K3": K3, "F1": F1, "F2": F2, "F": F1 + F2,
-            "scale": np.full_like(E, float(N))}
+            "K": K, "K2": K2, "K3": K3, "F1": F1, "F2": F2, "F": F1 + F2}
 
 
 def equivalence_margins(series: dict[str, np.ndarray]) -> tuple[float, float]:
@@ -117,22 +104,20 @@ class InequalityReport:
 
 
 def check_differential_inequalities(traj: Trajectory,
-                                    config: FunctionalConfig = FunctionalConfig(),
                                     window: tuple[float, float] = DEFAULT_WINDOW
                                     ) -> InequalityReport:
     """Fit the inequality constants along the run.
 
-    With scale=None in the config, the secondary functional's energy multiple
-    is scanned over a fixed ladder and the first value giving a positive
-    decay constant wins (falling back to the best seen).
+    The secondary functional's energy multiple climbs SCALE_LADDER and the
+    first value giving a positive decay constant wins (falling back to the
+    best seen).
     """
-    scales = (config.SCALE_LADDER if config.scale is None else (config.scale,))
     idx = _window_indices(traj.times, window)
     t = traj.times
 
     best: InequalityReport | None = None
-    for N in scales:
-        series = lyapunov_series(traj, config, scale=N)
+    for N in SCALE_LADDER:
+        series = lyapunov_series(traj, N)
         F1, F2 = series["F1"], series["F2"]
         dF1 = _centered_derivative(t, F1)[idx]
         dF2 = _centered_derivative(t, F2)[idx]

@@ -18,8 +18,7 @@ import conftest
 from test_kernels import LAPLACE_KERNELS, quadrature_laplace
 
 from memoplate.config import preset
-from memoplate.decay import (FunctionalConfig, check_differential_inequalities,
-                             fit_decay_rate)
+from memoplate.decay import check_differential_inequalities, fit_decay_rate
 from memoplate.dynamics import (closure_oracle_evolve, evolve, evolve_limit,
                                 limit_mode_matrix)
 from memoplate.kernels import (EXPONENTIAL, POWER_EXPONENTIAL,
@@ -40,17 +39,6 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _preset_point(cfg, sigma: float, tau: float, eps: float):
-    modes = dirichlet_eigenvalues(cfg.domain(), cfg.mode_count)
-    space = build_phase_space(modes, Params(sigma, tau, eps, cfg.scalar_model()),
-                              grid_size=cfg.grid_size, base_mu=cfg.base_mu(),
-                              base_beta=cfg.base_beta(), ratio=cfg.grid_ratio,
-                              tail=cfg.tail, weight_policy=cfg.weight_policy)
-    z0 = initial_data_preset(cfg.initial_preset, space, cfg.order,
-                             with_history=cfg.with_history)
-    return space, z0
-
-
 @pytest.fixture(scope="module")
 def edec_runs():
     cfg = preset("thm-edec")
@@ -58,9 +46,8 @@ def edec_runs():
     start = time.perf_counter()
     runs = []
     for sigma, tau, eps in rows:
-        space, z0 = _preset_point(cfg, sigma, tau, eps)
-        runs.append(evolve(space, z0, cfg.dt_for(sigma, tau, eps), cfg.horizon,
-                           store_stride=cfg.stride))
+        space, z0, dt = cfg.point(sigma, tau, eps)
+        runs.append(evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride))
     wall = time.perf_counter() - start
     return {"cfg": cfg, "rows": rows, "runs": runs, "wall": wall}
 
@@ -71,9 +58,8 @@ def _comparison_sweep(name: str):
     start = time.perf_counter()
     points = []
     for sigma, tau, eps in rows:
-        space, z0 = _preset_point(cfg, sigma, tau, eps)
-        points.append(compare_trajectories(space, z0, cfg.dt_for(sigma, tau, eps),
-                                           cfg.horizon, t0=cfg.sweep_t0))
+        space, z0, dt = cfg.point(sigma, tau, eps)
+        points.append(compare_trajectories(space, z0, dt, cfg.horizon, t0=cfg.sweep_t0))
     wall = time.perf_counter() - start
     return {"cfg": cfg, "rows": rows, "points": points, "wall": wall}
 
@@ -102,13 +88,11 @@ def test_criterion_1_discrete_energy_monotone(edec_runs):
 
 def test_criterion_2_decay_rate_structure(edec_runs):
     cfg = edec_runs["cfg"]
-    fcfg = FunctionalConfig(rho_flat=cfg.rho_flat, rho_sharp=cfg.rho_sharp,
-                            scale=cfg.functional_scale)
     start = time.perf_counter()
     rates, lam_hats, d0_hats = [], [], []
     for traj in edec_runs["runs"]:
         fit = fit_decay_rate(traj.times, traj.total_energy(), cfg.fit_window)
-        rep = check_differential_inequalities(traj, fcfg, window=cfg.fit_window)
+        rep = check_differential_inequalities(traj, window=cfg.fit_window)
         rates.append(fit.rate)
         lam_hats.append(rep.lambda_hat)
         d0_hats.append(rep.d0_hat)

@@ -1,10 +1,10 @@
-"""Command-line entry: exit codes, artifacts, determinism, thread plumbing."""
+"""Command-line entry: exit codes, artifacts, determinism."""
 import json
 import os
 
 import pytest
 
-from memoplate.cli import THREAD_ENV_VAR, main
+from memoplate.cli import main
 
 SMALL = """
 [domain]
@@ -63,6 +63,16 @@ def test_config_error_exits_2(tmp_path):
     ini.write_text("[bogus]\nx = 1\n")
     assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
     assert main(["simulate", "--preset", "no-such"]) == 2
+
+
+def test_out_of_range_parameter_exits_2(tmp_path, capsys):
+    ini = tmp_path / "range.ini"
+    ini.write_text("[parameters]\nsigma = 2\n")
+    out = str(tmp_path / "o")
+    assert main(["simulate", "--config", str(ini), "--out", out]) == 2
+    assert "config error: [parameters] sigma must lie in [0,1]" in capsys.readouterr().err
+    steps = {s["name"]: s for s in read_manifest(out)["steps"]}
+    assert steps["simulate"]["status"] == "failed"
 
 
 def test_simulate_writes_trajectory(small_ini, tmp_path):
@@ -189,36 +199,6 @@ def test_emit_plots_flag(tmp_path):
     out = str(tmp_path / "pl")
     assert main(["simulate", "--config", str(ini), "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "plot_energy.py"))
-
-
-def test_thread_override(tmp_path, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", THREAD_ENV_VAR):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv(THREAD_ENV_VAR, "2")
-    out = str(tmp_path / "kc")
-    assert main(["kernel-check", "--out", out]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    # explicit flag beats the environment
-    monkeypatch.setenv(THREAD_ENV_VAR, "4")
-    assert main(["kernel-check", "--out", out, "--threads", "3"]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-
-
-def test_thread_cap_after_numpy_warns(tmp_path, monkeypatch, capsys):
-    import numpy  # noqa: F401  (loaded before main, as in any test process)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS", THREAD_ENV_VAR):
-        monkeypatch.delenv(var, raising=False)
-    out = str(tmp_path / "kc")
-    assert main(["kernel-check", "--out", out]) == 0
-    assert "warning" not in capsys.readouterr().err
-    assert main(["kernel-check", "--out", out, "--threads", "1"]) == 0
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("warning: thread cap 1 ")
-    monkeypatch.setenv(THREAD_ENV_VAR, "1")
-    assert main(["kernel-check", "--out", out]) == 0
-    assert "warning: thread cap 1 " in capsys.readouterr().err
 
 
 def test_unknown_command_rejected():

@@ -1,5 +1,7 @@
 """Configuration parsing, presets, manifest plumbing, CSV formatting."""
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,12 +73,45 @@ def test_load_config_merges_and_validates(tmp_path):
         load_config(str(bad2))
 
 
+def test_default_section_rejected(tmp_path):
+    # configparser would copy [DEFAULT] keys into every section, or drop them
+    # when the file has no other section
+    alone = tmp_path / "alone.ini"
+    alone.write_text("[DEFAULT]\nmodes = 3\n")
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        load_config(str(alone))
+    mixed = tmp_path / "mixed.ini"
+    mixed.write_text("[DEFAULT]\ndt = 0.01\n\n[domain]\nmodes = 3\n")
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        load_config(str(mixed))
+
+
+def test_readme_ini_blocks_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    assert blocks
+    for k, block in enumerate(blocks):
+        path = tmp_path / f"readme{k}.ini"
+        path.write_text(block)
+        load_config(str(path))
+
+
 def test_typed_accessor_errors(tmp_path):
     path = tmp_path / "t.ini"
     path.write_text("[integrator]\nhorizon = soon\n")
     cfg = load_config(str(path))
     with pytest.raises(ConfigError, match=r"\[integrator\] horizon"):
         cfg.horizon
+    # values the model rejects are configuration errors naming their section
+    path.write_text("[domain]\nkind = disk\n\n[parameters]\ntau = 0, 1.5\n\n"
+                    "[kernels]\nmu_decay = -1\n")
+    cfg = load_config(str(path))
+    with pytest.raises(ConfigError, match=r"\[domain\] unsupported domain kind"):
+        cfg.domain()
+    with pytest.raises(ConfigError, match=r"\[parameters\] tau must lie in \[0,1\]"):
+        cfg.parameter_grid()
+    with pytest.raises(ConfigError, match=r"\[kernels\] mu: decay must be positive"):
+        cfg.base_mu()
 
 
 def test_parameter_grid_shapes(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from memoplate.errors import FitError
 from memoplate.decay import (
-    DEFAULT_WINDOW, FunctionalConfig,
+    DEFAULT_WINDOW, SCALE_LADDER,
     check_differential_inequalities, equivalence_margins, fit_decay_rate, lyapunov_series,
 )
 from memoplate.dynamics import default_time_step, evolve, evolve_limit, limit_mode_matrix
@@ -48,23 +48,22 @@ def cold_run():
 
 
 def test_lyapunov_series_keys_and_scale(thermal_run):
-    cfg = FunctionalConfig()
-    ser = lyapunov_series(thermal_run, cfg)
+    ser = lyapunov_series(thermal_run, 20.0)
     for key in ("energy", "theta_flat", "theta_sharp", "K", "K2", "K3", "F1", "F2"):
         assert ser[key].shape == thermal_run.times.shape
-    assert np.all(ser["scale"] == cfg.scale)
+    np.testing.assert_array_equal(ser["F2"], 20.0 * ser["energy"] + ser["K3"])
     np.testing.assert_allclose(ser["energy"], thermal_run.total_energy(), rtol=1e-12)
 
 
 def test_equivalence_band(thermal_run):
-    ser = lyapunov_series(thermal_run, FunctionalConfig())
+    ser = lyapunov_series(thermal_run, 20.0)
     lo, hi = equivalence_margins(ser)
     # E/2 <= F1 <= 2E throughout
     assert lo > 0.0 and hi > 0.0
 
 
 def test_inequalities_thermal(thermal_run):
-    rep = check_differential_inequalities(thermal_run, FunctionalConfig(), (1.0, 10.0))
+    rep = check_differential_inequalities(thermal_run, (1.0, 10.0))
     assert rep.d0_hat > 0.0
     assert rep.lambda_hat > 0.0
     assert not rep.degenerate
@@ -72,16 +71,16 @@ def test_inequalities_thermal(thermal_run):
 
 
 def test_inequalities_degenerate_at_zero_coupling(cold_run):
-    rep = check_differential_inequalities(cold_run, FunctionalConfig(), (1.0, 10.0))
+    rep = check_differential_inequalities(cold_run, (1.0, 10.0))
     assert rep.degenerate
     assert np.isnan(rep.lambda_hat)
     assert rep.d0_hat > 0.0
 
 
 def test_scale_ladder_autoselect(thermal_run):
-    cfg = FunctionalConfig(scale=None)
-    rep = check_differential_inequalities(thermal_run, cfg, (1.0, 10.0))
-    assert rep.scale in (5.0, 10.0, 20.0, 40.0, 80.0)
+    rep = check_differential_inequalities(thermal_run, (1.0, 10.0))
+    assert SCALE_LADDER == (5.0, 10.0, 20.0, 40.0, 80.0)
+    assert rep.scale in SCALE_LADDER
     assert rep.d0_hat > 0.0
 
 
