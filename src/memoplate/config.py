@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,6 +92,16 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
     return out
 
 
+@contextmanager
+def _section(name: str, label: str = ""):
+    """Re-raise a value the library rejects as a ConfigError naming the
+    config section it came from."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(f"[{name}] {label}{exc}") from None
+
+
 @dataclass
 class ExperimentConfig:
     raw: dict[str, dict[str, str]] = field(default_factory=lambda: _deep_merge(DEFAULTS, {}))
@@ -135,10 +146,8 @@ class ExperimentConfig:
 
     # --- typed views -------------------------------------------------
     def domain(self) -> Domain:
-        try:
+        with _section("domain"):
             return Domain(self._get("domain", "kind"), self._float_list("domain", "lengths"))
-        except DomainError as exc:
-            raise ConfigError(f"[domain] {exc}")
 
     @property
     def mode_count(self) -> int:
@@ -162,11 +171,9 @@ class ExperimentConfig:
                     for k in range(length)]
         else:
             raise ConfigError(f"[parameters] grid = {mode!r} must be product or diagonal")
-        for row in rows:
-            try:
+        with _section("parameters"):
+            for row in rows:
                 Params(*row)
-            except DomainError as exc:
-                raise ConfigError(f"[parameters] {exc}")
         return rows
 
     @property
@@ -176,7 +183,7 @@ class ExperimentConfig:
     def dt_for(self, sigma: float, tau: float, eps: float) -> float:
         """The configured dt, or with dt = auto the default_time_step rule."""
         if self._get("integrator", "dt").strip().lower() == "auto":
-            # imported here: dynamics loads scipy.sparse, which pruss-scan never needs
+            # imported here: dynamics loads scipy.linalg, which pruss-scan never needs
             from .dynamics import default_time_step
             return default_time_step(Params(sigma, tau, eps))
         return self._float("integrator", "dt")
@@ -222,13 +229,11 @@ class ExperimentConfig:
         return self._float("fit", "t0")
 
     def _base_kernel(self, prefix: str) -> KernelSpec:
-        try:
+        with _section("kernels", f"{prefix}: "):
             return KernelSpec(self._get("kernels", f"{prefix}_family"),
                               self._float("kernels", f"{prefix}_amplitude"),
                               self._float("kernels", f"{prefix}_decay"),
                               self._float("kernels", f"{prefix}_singularity"))
-        except DomainError as exc:
-            raise ConfigError(f"[kernels] {prefix}: {exc}")
 
     def base_mu(self) -> KernelSpec:
         return self._base_kernel("mu")
@@ -238,19 +243,24 @@ class ExperimentConfig:
 
     def scalar_model(self) -> ScalarModel:
         rate = self._float("kernels", "scalar_rate")
-        return ScalarModel(lambda t: t, lambda t: t, rate)
+        with _section("kernels"):
+            return ScalarModel(lambda t: t, lambda t: t, rate)
 
     def point(self, sigma: float, tau: float, eps: float
               ) -> tuple[PhaseSpace, PhaseVector, float]:
         """(space, z0, dt) of one grid point: the phase space, the initial
         data and the time step every stepping command runs there."""
-        modes = dirichlet_eigenvalues(self.domain(), self.mode_count)
-        space = build_phase_space(modes, Params(sigma, tau, eps, self.scalar_model()),
-                                  grid_size=self.grid_size, base_mu=self.base_mu(),
-                                  base_beta=self.base_beta(), ratio=self.grid_ratio,
-                                  tail=self.tail, weight_policy=self.weight_policy)
-        z0 = initial_data_preset(self.initial_preset, space, self.order,
-                                 with_history=self.with_history)
+        with _section("domain"):
+            modes = dirichlet_eigenvalues(self.domain(), self.mode_count)
+        params = Params(sigma, tau, eps, self.scalar_model())
+        with _section("integrator"):
+            space = build_phase_space(modes, params, grid_size=self.grid_size,
+                                      base_mu=self.base_mu(), base_beta=self.base_beta(),
+                                      ratio=self.grid_ratio, tail=self.tail,
+                                      weight_policy=self.weight_policy)
+        with _section("initial"):
+            z0 = initial_data_preset(self.initial_preset, space, self.order,
+                                     with_history=self.with_history)
         return space, z0, self.dt_for(sigma, tau, eps)
 
     @property
@@ -261,11 +271,12 @@ class ExperimentConfig:
         return self._float("kernels", "check_bound")
 
     def probe_params(self) -> AbstractParams:
-        return AbstractParams(self._float("probe", "alpha"),
-                              self._float("probe", "coupling"),
-                              self._float("probe", "omega1"),
-                              self._float("probe", "omega2"),
-                              self._bool("probe", "with_shear"))
+        with _section("probe"):
+            return AbstractParams(self._float("probe", "alpha"),
+                                  self._float("probe", "coupling"),
+                                  self._float("probe", "omega1"),
+                                  self._float("probe", "omega2"),
+                                  self._bool("probe", "with_shear"))
 
     def probe_gammas(self) -> np.ndarray:
         return np.logspace(self._float("probe", "gamma_lo"),

@@ -87,10 +87,6 @@ def fit_decay_rate(times: np.ndarray, energy: np.ndarray,
                     window, int(idx.size))
 
 
-def _centered_derivative(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return np.gradient(values, times)
-
-
 @dataclass(frozen=True)
 class InequalityReport:
     """Largest constants satisfying the two differential inequalities on the
@@ -119,8 +115,8 @@ def check_differential_inequalities(traj: Trajectory,
     for N in SCALE_LADDER:
         series = lyapunov_series(traj, N)
         F1, F2 = series["F1"], series["F2"]
-        dF1 = _centered_derivative(t, F1)[idx]
-        dF2 = _centered_derivative(t, F2)[idx]
+        dF1 = np.gradient(F1, t)[idx]
+        dF2 = np.gradient(F2, t)[idx]
         f1, f2 = F1[idx], F2[idx]
         phi = traj.space.params.phi()
         degenerate = phi == 0.0

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs
 
 from .errors import DomainError, SingularStepError, UnsupportedOracleError
@@ -33,14 +32,10 @@ from .modes import (ModeSet, Params, PhaseSpace, PhaseVector, block_energies,
                     build_phase_space, history_quadratures, lift_triplet)
 
 
-def mode_block_size(space: PhaseSpace) -> int:
-    return 3 + space.eta_size + space.xi_size
-
-
 def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
-    """Dense generator block for one mode; reference for tests and small runs."""
+    """Dense generator block for one mode, acting on the rows of mode_blocks;
+    reference for tests and small runs."""
     g = float(space.modes.eigenvalues[mode_index])
-    p = space.params
     me, mx = space.eta_size, space.xi_size
     d = 3 + me + mx
     L = np.zeros((d, d))
@@ -48,8 +43,8 @@ def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
     L[1, 0] = -g * g
     L[1, 2] = g
     L[2, 1] = -g
-    L[2, 2] = -p.phi()
-    if p.has_xi:
+    L[2, 2] = -space.params.phi()
+    if space.w_beta is not None:
         L[1, 3 + me:] = -g * g * space.w_beta
     else:
         L[1, 1] += -g * g
@@ -60,73 +55,41 @@ def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
         L[2, 2] += -g
     if space.w_nu is not None:
         L[2, 3:3 + me] += -space.w_nu
-    if p.has_eta:
-        diag, lower = space.eta_grid.transport_stencil()
-        idx = np.arange(3, 3 + me)
-        L[idx, idx] = diag
-        L[idx[1:], idx[:-1]] = lower
-        L[3:3 + me, 2] += 1.0
-    if p.has_xi:
-        diag, lower = space.xi_grid.transport_stencil()
-        idx = np.arange(3 + me, d)
-        L[idx, idx] = diag
-        L[idx[1:], idx[:-1]] = lower
-        L[3 + me:, 1] += 1.0
+    for grid, start, source in ((space.eta_grid, 3, 2), (space.xi_grid, 3 + me, 1)):
+        if grid is not None:
+            diag, lower = grid.transport_stencil()
+            idx = np.arange(start, start + grid.size)
+            L[idx, idx] = diag
+            L[idx[1:], idx[:-1]] = lower
+            L[idx, source] += 1.0
     return L
 
 
-def assemble_generator(space: PhaseSpace) -> sp.csc_matrix:
-    blocks = [sp.csc_matrix(assemble_mode_operator(space, i))
-              for i in range(space.modes.count)]
-    return sp.block_diag(blocks, format="csc")
+def mode_blocks(vec: PhaseVector) -> np.ndarray:
+    """(modes, d) per-mode state vectors: u, v, theta, then the eta and xi
+    nodes of the active blocks, the row order of assemble_mode_operator."""
+    cols = [vec.u[:, None], vec.v[:, None], vec.theta[:, None]]
+    return np.concatenate(cols + [h.T for h in (vec.eta, vec.xi) if h is not None], axis=1)
 
 
-def weight_diagonal(space: PhaseSpace, order: int) -> np.ndarray:
-    """Diagonal of the phase inner product in the flat layout of flatten()."""
-    n = space.modes.count
-    one = np.ones((n, 1))
+def mode_weights(space: PhaseSpace, order: int) -> np.ndarray:
+    """(modes, d) diagonal of the order-m phase inner product in the layout
+    of mode_blocks."""
+    one = np.ones((space.modes.count, 1))
     eu, ev, eth, emu, enu, exi = block_energies(
         space, order, one, one, one,
         *(0.0 if w is None else w[None, :] for w in (space.w_mu, space.w_nu, space.w_beta)))
-    parts = [eu, ev, eth]
-    if space.params.has_eta:
-        parts.append(np.broadcast_to(emu + enu, (n, space.eta_size)))
-    if space.params.has_xi:
-        parts.append(exi)
-    return np.concatenate(parts, axis=1).ravel()
-
-
-def flatten(vec: PhaseVector) -> np.ndarray:
-    space = vec.space
-    n = space.modes.count
-    d = mode_block_size(space)
-    out = np.empty(n * d)
-    arr = out.reshape(n, d)
-    arr[:, 0], arr[:, 1], arr[:, 2] = vec.u, vec.v, vec.theta
-    if space.params.has_eta:
-        arr[:, 3:3 + space.eta_size] = vec.eta.T
-    if space.params.has_xi:
-        arr[:, 3 + space.eta_size:] = vec.xi.T
-    return out
-
-
-def unflatten(space: PhaseSpace, flat: np.ndarray, order: int) -> PhaseVector:
-    n = space.modes.count
-    d = mode_block_size(space)
-    arr = flat.reshape(n, d)
-    me = space.eta_size
-    return PhaseVector(space, order, arr[:, 0].copy(), arr[:, 1].copy(), arr[:, 2].copy(),
-                       arr[:, 3:3 + me].T.copy() if space.params.has_eta else None,
-                       arr[:, 3 + me:].T.copy() if space.params.has_xi else None)
+    hist = [e for e, grid in ((emu + enu, space.eta_grid), (exi, space.xi_grid))
+            if grid is not None]
+    return np.concatenate([eu, ev, eth] + hist, axis=1)
 
 
 def generator_quadratic_form(space: PhaseSpace, vec: PhaseVector) -> tuple[float, float]:
     """(<Lz, z>_W, <z, z>_W) for the vector's norm order; the first entry is
     nonpositive up to roundoff for every admissible configuration."""
-    L = assemble_generator(space)
-    W = weight_diagonal(space, vec.order)
-    x = flatten(vec)
-    return float((L @ x) @ (W * x)), float(x @ (W * x))
+    x, W = mode_blocks(vec), mode_weights(space, vec.order)
+    Lx = np.stack([assemble_mode_operator(space, i) @ x[i] for i in range(space.modes.count)])
+    return float(np.sum(Lx * W * x)), float(np.sum(W * x * x))
 
 
 def default_time_step(params: Params) -> float:
@@ -206,19 +169,18 @@ class MidpointStepper:
         self.space = space
         self.dt = dt
         a = 0.5 * dt
-        p = space.params
         g = space.modes.eigenvalues
         self.g = g
-        self.eta_t = TransportStepper(space.eta_grid, dt) if p.has_eta else None
-        self.xi_t = TransportStepper(space.xi_grid, dt) if p.has_xi else None
+        self.eta_t, self.xi_t = (None if grid is None else TransportStepper(grid, dt)
+                                 for grid in (space.eta_grid, space.xi_grid))
 
         T = np.zeros((g.size, 3, 3))
         T[:, 0, 1] = 1.0
         T[:, 1, 0] = -g ** 2
         T[:, 1, 2] = g
         T[:, 2, 1] = -g
-        T[:, 2, 2] = -p.phi()
-        if not p.has_xi:
+        T[:, 2, 2] = -space.params.phi()
+        if space.w_beta is None:
             T[:, 1, 1] -= g ** 2        # Kelvin-Voigt friction in place of viscous memory
         if space.w_mu is None:
             T[:, 2, 2] -= g             # Fourier term in place of thermal memory
@@ -292,11 +254,6 @@ class Trajectory:
 
     def total_energy(self) -> np.ndarray:
         return self.modal_energy().sum(axis=0)
-
-    def history_block(self, name: str) -> np.ndarray:
-        """Aggregated history norm over modes: "eta_mu", "eta_nu" or "xi"."""
-        arr = {"eta_mu": self.he_mu, "eta_nu": self.he_nu, "xi": self.hx}[name]
-        return np.sqrt(arr.sum(axis=0))
 
 
 def _step_count(dt: float, horizon: float) -> int:

@@ -77,6 +77,26 @@ def build_history_grid(cutoff: float, size: int, *,
                        cutoff=float(cutoff))
 
 
+def resolving_grid(cutoff: float, size: int, ratio: float, decay: float) -> HistoryGrid:
+    """build_history_grid at the largest ratio no larger than ``ratio`` whose
+    cells all have decay*h < 1, the guard of decay-consistent weights, so a
+    grid carrying several exponential kernels resolves the fastest (of decay
+    ``decay``). Keeps ``ratio`` when it already resolves it, or when even a
+    uniform grid does not."""
+    grid = build_history_grid(cutoff, size, ratio=ratio)
+
+    def resolves(r):
+        return decay * np.max(np.diff(geometric_boundaries(cutoff, size, r))) < 1.0
+
+    if decay * np.max(grid.spacing) < 1.0 or not resolves(1.0):
+        return grid
+    lo, hi = 1.0, ratio
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if resolves(mid) else (lo, mid)
+    return build_history_grid(cutoff, size, ratio=lo)
+
+
 def cell_masses(kernel: KernelSpec, bounds: np.ndarray) -> np.ndarray:
     """Exact kernel mass of each cell between consecutive boundaries."""
     return np.maximum(np.diff(kernel.cdf(bounds)), 0.0)

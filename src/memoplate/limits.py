@@ -23,11 +23,6 @@ from .modes import (Params, PhaseSpace, PhaseVector, block_energies, build_phase
                     history_quadratures)
 
 
-def project_triplet(vec: PhaseVector) -> np.ndarray:
-    """Drop the histories; returns (modes, 3)."""
-    return np.stack([vec.u, vec.v, vec.theta], axis=1)
-
-
 def pi_bounds(params: Params) -> tuple[float, float]:
     """Parameter powers controlling the closeness surplus: the quarter-power
     sum and the half-power thermal pair."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .history import HistoryGrid, build_history_grid, history_cutoff, kernel_weights
+from .history import HistoryGrid, history_cutoff, kernel_weights, resolving_grid
 from .kernels import (CONCAVE_AFFINE_EXP, KernelSpec, ScalarModel, build_kernel_family,
                       canonical_base)
 
@@ -68,17 +68,6 @@ def dirichlet_eigenvalues(domain: Domain, count: int) -> ModeSet:
                    tuple((j, k) for _, j, k in chosen))
 
 
-def mode_shape(domain: Domain, index: tuple[int, ...], points: np.ndarray) -> np.ndarray:
-    """Physical eigenfunction samples, for plotting only."""
-    if domain.kind == "interval":
-        L = domain.lengths[0]
-        return np.sqrt(2.0 / L) * np.sin(index[0] * np.pi * np.asarray(points) / L)
-    Lx, Ly = domain.lengths
-    x, y = np.asarray(points)[..., 0], np.asarray(points)[..., 1]
-    return (2.0 / np.sqrt(Lx * Ly) * np.sin(index[0] * np.pi * x / Lx)
-            * np.sin(index[1] * np.pi * y / Ly))
-
-
 @dataclass(frozen=True)
 class Params:
     """Relaxation parameters, each in [0, 1]; 0 collapses that block."""
@@ -99,21 +88,15 @@ class Params:
     def psi(self) -> float:
         return float(self.model.psi(self.tau))
 
-    @property
-    def has_eta(self) -> bool:
-        return self.eps > 0 or self.tau > 0
-
-    @property
-    def has_xi(self) -> bool:
-        return self.sigma > 0
-
 
 @dataclass(frozen=True)
 class PhaseSpace:
     """Mode set, parameters, kernels and grids bundled for norm evaluation.
 
-    ``policies`` maps "mu", "nu" and "beta" to the weight policy each active
-    kernel's weights were built with, or None for an absent kernel.
+    A history block is active exactly when its grid is not None, and a
+    kernel's term exactly when its weights are not None. ``policies`` maps
+    "mu", "nu" and "beta" to the weight policy each active kernel's weights
+    were built with, or None for an absent kernel.
     """
 
     modes: ModeSet
@@ -157,7 +140,8 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
                       ratio: float = 1.05, tail: float = 1e-8,
                       weight_policy: str = "auto") -> PhaseSpace:
     """eta carries mu and nu, xi carries beta; each active history gets one
-    grid spanning every kernel it carries, and each kernel its weights on it."""
+    grid spanning every kernel it carries and resolving the fastest
+    exponential one (resolving_grid), and each kernel its weights on it."""
     kernels = dict(zip(("mu", "nu", "beta"), memory_kernels(params, base_mu, base_beta)))
     grids = {"eta": None, "xi": None}
     weights, policies = dict.fromkeys(kernels), dict.fromkeys(kernels)
@@ -165,8 +149,10 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
         carried = [n for n in names if kernels[n] is not None]
         if not carried:
             continue
-        grids[var] = build_history_grid(history_cutoff((kernels[n] for n in carried), tail),
-                                        grid_size, ratio=ratio)
+        fastest = max((kernels[n].decay for n in carried if kernels[n].is_exponential_shape),
+                      default=0.0)
+        grids[var] = resolving_grid(history_cutoff((kernels[n] for n in carried), tail),
+                                    grid_size, ratio, fastest)
         for n in carried:
             weights[n], policies[n] = kernel_weights(grids[var], kernels[n], weight_policy)
     return PhaseSpace(modes, params, kernels["mu"], kernels["nu"], kernels["beta"],
@@ -224,26 +210,25 @@ class PhaseVector:
     eta: np.ndarray | None = None
     xi: np.ndarray | None = None
 
-    def block_norms_sq(self, order: int | None = None) -> dict[str, float]:
+    def block_norms_sq(self) -> dict[str, float]:
         """Squared norm split by block: triplet, mu- and nu-weighted history,
         and the xi history."""
         q = history_quadratures(self.space, self.eta, self.xi)
-        blocks = block_energies(self.space, self.order if order is None else order,
-                                self.u, self.v, self.theta, *q)
+        blocks = block_energies(self.space, self.order, self.u, self.v, self.theta, *q)
         names = ("u", "v", "theta", "eta_mu", "eta_nu", "xi")
         return {name: float(np.sum(e)) for name, e in zip(names, blocks)}
 
-    def norm_sq(self, order: int | None = None) -> float:
-        return sum(self.block_norms_sq(order).values())
+    def norm_sq(self) -> float:
+        return sum(self.block_norms_sq().values())
 
-    def norm(self, order: int | None = None) -> float:
-        return float(np.sqrt(self.norm_sq(order)))
+    def norm(self) -> float:
+        return float(np.sqrt(self.norm_sq()))
 
 
 def zero_phase_vector(space: PhaseSpace, order: int = 0) -> PhaseVector:
     n = space.modes.count
-    eta = np.zeros((space.eta_size, n)) if space.params.has_eta else None
-    xi = np.zeros((space.xi_size, n)) if space.params.has_xi else None
+    eta = None if space.eta_grid is None else np.zeros((space.eta_size, n))
+    xi = None if space.xi_grid is None else np.zeros((space.xi_size, n))
     return PhaseVector(space, order, np.zeros(n), np.zeros(n), np.zeros(n), eta, xi)
 
 
@@ -274,15 +259,15 @@ def project_initial_data(coefficients, space: PhaseSpace, order: int = 0) -> Pha
             if arr.shape != (n,):
                 raise ShapeError(f"{name} coefficients have shape {arr.shape}, expected ({n},)")
             setattr(vec, name, arr.copy())
-    for name, size, active in (("eta", space.eta_size, space.params.has_eta),
-                               ("xi", space.xi_size, space.params.has_xi)):
+    for name, grid in (("eta", space.eta_grid), ("xi", space.xi_grid)):
         if coefficients.get(name) is None:
             continue
         arr = np.asarray(coefficients[name], dtype=float)
-        if not active:
+        if grid is None:
             raise ShapeError(f"{name} history supplied but that block is collapsed")
-        if arr.shape != (size, n):
-            raise ShapeError(f"{name} history has shape {arr.shape}, expected ({size}, {n})")
+        if arr.shape != (grid.size, n):
+            raise ShapeError(f"{name} history has shape {arr.shape}, "
+                             f"expected ({grid.size}, {n})")
         setattr(vec, name, arr.copy())
     return vec
 
@@ -310,10 +295,7 @@ def initial_data_preset(name: str, space: PhaseSpace, order: int = 0,
         raise DomainError(f"unknown initial data preset {name!r}")
     data = {"u": coef, "v": 0.5 * coef, "theta": -0.5 * coef}
     if with_history:
-        if space.params.has_eta:
-            prof = 1.0 - np.exp(-space.eta_grid.nodes)
-            data["eta"] = prof[:, None] * coef[None, :]
-        if space.params.has_xi:
-            prof = 1.0 - np.exp(-space.xi_grid.nodes)
-            data["xi"] = prof[:, None] * coef[None, :]
+        for var, grid in (("eta", space.eta_grid), ("xi", space.xi_grid)):
+            if grid is not None:
+                data[var] = (1.0 - np.exp(-grid.nodes))[:, None] * coef[None, :]
     return project_initial_data(data, space, order)

@@ -75,6 +75,26 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys):
     assert steps["simulate"]["status"] == "failed"
 
 
+@pytest.mark.parametrize("command, section, text", [
+    ("simulate", "domain", "modes = 0"),
+    ("simulate", "integrator", "weight_policy = bogus"),
+    ("simulate", "integrator", "grid_size = 4"),
+    ("simulate", "integrator", "ratio = 0.5"),
+    ("simulate", "initial", "preset = bogus"),
+    ("simulate", "kernels", "scalar_rate = 0"),
+    ("pruss-scan", "probe", "alpha = 3"),
+])
+def test_rejected_value_exits_2(tmp_path, capsys, command, section, text):
+    # a value the library rejects is a configuration error naming its section
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{text}\n")
+    out = str(tmp_path / "o")
+    assert main([command, "--config", str(ini), "--out", out]) == 2
+    assert f"config error: [{section}] " in capsys.readouterr().err
+    steps = {s["name"]: s for s in read_manifest(out)["steps"]}
+    assert steps[command]["status"] == "failed"
+
+
 def test_simulate_writes_trajectory(small_ini, tmp_path):
     out = str(tmp_path / "sim")
     assert main(["simulate", "--config", small_ini, "--out", out]) == 0
@@ -100,9 +120,8 @@ def test_decay_rows_and_energy_files(small_ini, tmp_path):
 
 def test_manifest_reports_weight_policies(tmp_path):
     # at sigma = eps = 0.5 and tau > 0 the shared eta grid spans nu's cutoff
-    # (decay 1) and is too coarse for mu (decay 2), so under "auto" mu gets
-    # mass weights; without nu the grid spans mu's own cutoff and mu gets
-    # decay-consistent ones
+    # (decay 1), and its ratio drops until the faster mu (decay 2) is resolved
+    # too, so under "auto" both kernels get decay-consistent weights
     ini = tmp_path / "policy.ini"
     ini.write_text("[domain]\nmodes = 2\n\n[parameters]\nsigma = 0.5\ntau = 0, 0.25\n"
                    "eps = 0.5\n\n[integrator]\ndt = 0.01\nhorizon = 0.1\n"
@@ -113,7 +132,7 @@ def test_manifest_reports_weight_policies(tmp_path):
     assert steps["decay[0]"].endswith(
         "dt=0.01 policy mu=decay_consistent nu=none beta=decay_consistent")
     assert steps["decay[1]"].endswith(
-        "dt=0.01 policy mu=mass nu=decay_consistent beta=decay_consistent")
+        "dt=0.01 policy mu=decay_consistent nu=decay_consistent beta=decay_consistent")
 
 
 def test_limit_sweep_csv(small_ini, tmp_path):

@@ -12,14 +12,13 @@ from hypothesis import given, settings, strategies as st
 
 from memoplate.errors import DomainError, SingularStepError, UnsupportedOracleError
 from memoplate.dynamics import (
-    MidpointStepper, TransportStepper, assemble_generator, assemble_mode_operator,
-    closure_oracle_evolve, default_time_step, evolve, evolve_limit, flatten,
-    generator_quadratic_form, limit_mode_matrix, mode_block_size,
-    saturating_profile_integrals, unflatten, weight_diagonal,
+    MidpointStepper, TransportStepper, assemble_mode_operator, closure_oracle_evolve,
+    default_time_step, evolve, evolve_limit, generator_quadratic_form, limit_mode_matrix,
+    mode_blocks, mode_weights, saturating_profile_integrals,
 )
 from memoplate.limits import compare_trajectories
 from memoplate.modes import (
-    Domain, Params, build_phase_space, dirichlet_eigenvalues,
+    Domain, Params, PhaseVector, build_phase_space, dirichlet_eigenvalues,
     initial_data_preset, project_initial_data, zero_phase_vector,
 )
 
@@ -47,20 +46,16 @@ def test_stepper_matches_dense_block_solve(interval_modes, params):
     dt = 1e-3
     stepper = MidpointStepper(space, dt)
     vec = random_state(space, 11)
-    u, v, th, eta, xi = vec.u, vec.v, vec.theta, vec.eta, vec.xi
-    u1, v1, th1, eta1, xi1 = stepper.step(u, v, th, eta, xi)
+    x = mode_blocks(vec)
+    got = mode_blocks(PhaseVector(space, 0, *stepper.step(vec.u, vec.v, vec.theta,
+                                                          vec.eta, vec.xi)))
     a = 0.5 * dt
-    d = mode_block_size(space)
+    eye = np.eye(x.shape[1])
     for i in range(interval_modes.count):
         L = assemble_mode_operator(space, i)
-        x = np.concatenate([[u[i], v[i], th[i]],
-                            eta[:, i] if eta is not None else [],
-                            xi[:, i] if xi is not None else []])
-        ref = np.linalg.solve(np.eye(d) - a * L, (np.eye(d) + a * L) @ x)
-        got = np.concatenate([[u1[i], v1[i], th1[i]],
-                              eta1[:, i] if eta1 is not None else [],
-                              xi1[:, i] if xi1 is not None else []])
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+        ref = np.linalg.solve(eye - a * L, (eye + a * L) @ x[i])
+        np.testing.assert_allclose(got[i], ref, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
@@ -78,24 +73,12 @@ def test_midpoint_energy_balance_identity(small_space):
     dt = 2e-3
     stepper = MidpointStepper(small_space, dt)
     vec = random_state(small_space, 5)
-    x = flatten(vec)
-    u1, v1, th1, eta1, xi1 = stepper.step(vec.u, vec.v, vec.theta, vec.eta, vec.xi)
-    vec1 = type(vec)(small_space, 0, u1, v1, th1, eta1, xi1)
-    x1 = flatten(vec1)
-    W = weight_diagonal(small_space, 0)
-    L = assemble_generator(small_space)
-    mid = 0.5 * (x + x1)
-    lhs = float(x1 @ (W * x1)) - float(x @ (W * x))
-    rhs = 2.0 * dt * float((L @ mid) @ (W * mid))
+    state = (vec.u, vec.v, vec.theta, vec.eta, vec.xi)
+    state1 = stepper.step(*state)
+    mid = PhaseVector(small_space, 0, *(0.5 * (x + x1) for x, x1 in zip(state, state1)))
+    lhs = PhaseVector(small_space, 0, *state1).norm_sq() - vec.norm_sq()
+    rhs = 2.0 * dt * generator_quadratic_form(small_space, mid)[0]
     assert lhs == pytest.approx(rhs, rel=1e-9)
-
-
-def test_flatten_roundtrip(small_space):
-    vec = random_state(small_space, 9)
-    back = unflatten(small_space, flatten(vec), 0)
-    np.testing.assert_array_equal(back.u, vec.u)
-    np.testing.assert_array_equal(back.eta, vec.eta)
-    np.testing.assert_array_equal(back.xi, vec.xi)
 
 
 def test_energy_non_increasing_every_step(small_space):
@@ -108,20 +91,20 @@ def test_energy_non_increasing_every_step(small_space):
 
 @pytest.mark.parametrize("order", [0, 2])
 def test_phase_norm_agrees_across_layouts(small_space, order):
-    # the norm read from PhaseVector, from the flat weight diagonal, from the
-    # stepper's per-step energy and from the recorded trajectory blocks
+    # the norm read from PhaseVector, from the per-mode weight diagonal, from
+    # the stepper's per-step energy and from the recorded trajectory blocks
     z0 = random_state(small_space, 31, order)
-    x = flatten(z0)
-    assert x @ (weight_diagonal(small_space, order) * x) == pytest.approx(
-        z0.norm_sq(), rel=1e-12)
+    W = mode_weights(small_space, order)
+    x = mode_blocks(z0)
+    assert np.sum(W * x * x) == pytest.approx(z0.norm_sq(), rel=1e-12)
     traj = evolve(small_space, z0, 1e-2, 0.05)
     final = traj.final_state.norm_sq()
     assert final < z0.norm_sq()
     assert traj.step_energy[0] == pytest.approx(z0.norm_sq(), rel=1e-12)
     assert traj.step_energy[-1] == pytest.approx(final, rel=1e-12)
     assert traj.total_energy()[-1] == pytest.approx(final, rel=1e-12)
-    x1 = flatten(traj.final_state)
-    assert x1 @ (weight_diagonal(small_space, order) * x1) == pytest.approx(final, rel=1e-12)
+    x1 = mode_blocks(traj.final_state)
+    assert np.sum(W * x1 * x1) == pytest.approx(final, rel=1e-12)
 
 
 def test_evolution_linearity(small_space):
@@ -162,13 +145,11 @@ def test_limit_block_spectrum_stable():
         assert np.all(ev.real < 0.0)
 
 
-# Every collapse pattern, thermal memory (tau > 0) included. Left out on
-# purpose: eps = 0.5 with tau > 0, where mu (decay 2) is faster than the
-# nu-owned eta grid resolves and falls back to mass weights (about 2e-3 at
-# 400 nodes); the manifest's policy note reports that case (tests/test_cli.py).
+# Every collapse pattern, thermal memory (tau > 0) included
 ORACLE_CASES = [Params(1.0, 0.0, 1.0), Params(1.0, 0.5, 1.0), Params(0.5, 0.5, 0.0),
                 Params(0.0, 0.5, 1.0), Params(0.5, 0.0, 0.0), Params(0.0, 0.0, 0.5),
-                Params(0.0, 0.0, 0.0)]
+                Params(0.0, 0.0, 0.0), Params(0.5, 0.25, 0.5), Params(0.5, 0.5, 0.5),
+                Params(0.0, 0.5, 0.5)]
 
 
 @pytest.mark.parametrize("params", ORACLE_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
@@ -271,17 +252,6 @@ def test_evolve_contracts(small_space):
     bad.u[0] = np.nan
     with pytest.raises(SingularStepError):
         evolve(small_space, bad, 1e-3, 0.01)
-
-
-def test_trajectory_history_block_names(small_space):
-    z0 = initial_data_preset("single-mode", small_space, 0, with_history=True)
-    traj = evolve(small_space, z0, 1e-2, 0.1)
-    for name in ("eta_mu", "eta_nu", "xi"):
-        arr = traj.history_block(name)
-        assert arr.shape == traj.times.shape
-        assert np.all(arr >= 0.0)
-    with pytest.raises(KeyError):
-        traj.history_block("bogus")
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))

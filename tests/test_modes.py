@@ -1,14 +1,17 @@
 """Dirichlet spectra, parameter gating, phase vectors and norm orders."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from memoplate.dynamics import MidpointStepper
 from memoplate.errors import DomainError, ShapeError
 from memoplate.history import WEIGHT_SUM_RTOL
 from memoplate.kernels import kernel_moment
 from memoplate.modes import (
     Domain, Params, PhaseVector,
-    build_phase_space, dirichlet_eigenvalues, initial_data_preset, mode_shape,
+    build_phase_space, dirichlet_eigenvalues, initial_data_preset,
     project_initial_data, zero_phase_vector,
 )
 
@@ -47,25 +50,31 @@ def test_domain_contracts():
         dirichlet_eigenvalues(Domain("interval", (1.0,)), 0)
 
 
-def test_mode_shape_interval():
-    dom = Domain("interval", (np.pi,))
-    modes = dirichlet_eigenvalues(dom, 2)
-    x = np.linspace(0, np.pi, 7)
-    np.testing.assert_allclose(mode_shape(dom, modes.indices[1], x),
-                               np.sqrt(2 / np.pi) * np.sin(2 * x), atol=1e-12)
-
-
 def test_params_gating():
     with pytest.raises(DomainError):
         Params(1.5, 0.0, 0.0)
     with pytest.raises(DomainError):
         Params(0.0, -0.1, 0.0)
-    p = Params(0.0, 0.5, 0.0)
-    assert p.has_eta and not p.has_xi
-    assert p.phi() == pytest.approx(0.5)
-    q = Params(0.3, 0.0, 0.0)
-    assert q.has_xi and not q.has_eta
-    assert not Params(0.0, 0.0, 0.0).has_eta
+    assert Params(0.0, 0.5, 0.0).phi() == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("sigma, tau, eps", list(itertools.product((0.0, 0.5), repeat=3)))
+def test_history_blocks_follow_the_grids(interval_modes, sigma, tau, eps):
+    # eta exists exactly when mu or nu does, xi exactly when beta does, and
+    # every state builder and the stepper read that from the grids alone
+    space = build_phase_space(interval_modes, Params(sigma, tau, eps), grid_size=40)
+    assert (space.eta_grid is not None) == (eps > 0 or tau > 0)
+    assert (space.xi_grid is not None) == (sigma > 0)
+    stepper = MidpointStepper(space, 1e-3)
+    zero = zero_phase_vector(space, 0)
+    preset = initial_data_preset("spectral-decay 4", space, 0, with_history=True)
+    for grid, blocks in ((space.eta_grid, (zero.eta, preset.eta, stepper.eta_t)),
+                         (space.xi_grid, (zero.xi, preset.xi, stepper.xi_t))):
+        if grid is None:
+            assert all(b is None for b in blocks)
+        else:
+            assert blocks[0].shape == blocks[1].shape == (grid.size, interval_modes.count)
+            assert blocks[2].unit_response.shape == (grid.size,)
 
 
 def test_phase_space_kernel_gating(interval_modes):
