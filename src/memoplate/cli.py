@@ -124,7 +124,8 @@ def _cmd_simulate(cfg, manifest, out_dir) -> None:
 
     sigma, tau, eps = cfg.parameter_grid()[0]
     space, z0, dt = cfg.point(sigma, tau, eps)
-    traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
+    with cfgmod.section("integrator"):
+        traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
     manifest.step("evolve", "ok",
                   f"sigma={sigma} tau={tau} eps={eps} dt={dt} steps={traj.step_energy.size - 1} "
                   f"{_policy_note(space)}")
@@ -159,7 +160,8 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
     rows = []
     for idx, (sigma, tau, eps) in enumerate(cfg.parameter_grid()):
         space, z0, dt = cfg.point(sigma, tau, eps)
-        traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
+        with cfgmod.section("integrator"):
+            traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
         fit = fit_decay_rate(traj.times, traj.total_energy(), window)
         ineq = check_differential_inequalities(traj, window)
         rows.append((sigma, tau, eps, cfg.order, fit.rate, fit.prefactor,
@@ -187,7 +189,8 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
     grid = cfg.parameter_grid()
     for idx, (sigma, tau, eps) in enumerate(grid):
         space, z0, dt = cfg.point(sigma, tau, eps)
-        comp = compare_trajectories(space, z0, dt, cfg.horizon, t0=cfg.sweep_t0)
+        with cfgmod.section("integrator"):
+            comp = compare_trajectories(space, z0, dt, cfg.horizon, t0=cfg.sweep_t0)
         points.append(comp)
         manifest.step(f"compare[{idx}]", "ok",
                       f"sigma={sigma} tau={tau} eps={eps} dt={dt} "
@@ -226,7 +229,8 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
                       f"margin={margin:.6g}")
     scan = resolvent_scan(ap, cfg.probe_gammas())
 
-    residuals = [residual_check(ap, float(g), cfg.residual_size) for g in scan.gammas]
+    with cfgmod.section("probe"):
+        residuals = [residual_check(ap, float(g), cfg.residual_size) for g in scan.gammas]
     rows = [(g, l, zn, zt, rt, qr, res.residual) for (g, l, zn, zt, rt, qr), res
             in zip(scan.rows(), residuals)]
     path = cfgmod.write_csv(out_dir / "scan.csv",
@@ -234,8 +238,9 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
                              "quartic_residual", "discrete_residual"], rows)
     manifest.output(path)
 
-    fine = residual_check(ap, cfg.residual_gamma, 2 * cfg.residual_size)
-    coarse = residual_check(ap, cfg.residual_gamma, cfg.residual_size)
+    with cfgmod.section("probe"):
+        fine = residual_check(ap, cfg.residual_gamma, 2 * cfg.residual_size)
+        coarse = residual_check(ap, cfg.residual_gamma, cfg.residual_size)
     # phase advance per uniform cell; above 1 the cells do not resolve the
     # probe's oscillation
     lam_h = [res.lam * res.cutoff / res.grid_size for res in residuals]

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NonIntegrableError
 from .kernels import KernelSpec, ScalarModel
 from .modes import (Domain, Params, PhaseSpace, PhaseVector, build_phase_space,
                     dirichlet_eigenvalues, initial_data_preset)
@@ -29,8 +29,7 @@ _PI = "3.141592653589793"
 
 DEFAULTS: dict[str, dict[str, str]] = {
     "domain": {"kind": "interval", "lengths": _PI, "modes": "8"},
-    "kernels": {"mu_family": "exponential", "mu_amplitude": "1", "mu_decay": "1",
-                "mu_singularity": "0", "beta_family": "exponential",
+    "kernels": {"mu_amplitude": "1", "mu_decay": "1", "mu_singularity": "0",
                 "beta_amplitude": "1", "beta_decay": "1", "beta_singularity": "0",
                 "scalar_rate": "1", "check_bound": "auto"},
     "parameters": {"sigma": "0.5", "tau": "0", "eps": "0.5", "order": "0",
@@ -93,12 +92,12 @@ def _deep_merge(base: dict, overrides: dict) -> dict:
 
 
 @contextmanager
-def _section(name: str, label: str = ""):
+def section(name: str, label: str = ""):
     """Re-raise a value the library rejects as a ConfigError naming the
     config section it came from."""
     try:
         yield
-    except DomainError as exc:
+    except (DomainError, NonIntegrableError) as exc:
         raise ConfigError(f"[{name}] {label}{exc}") from None
 
 
@@ -146,7 +145,7 @@ class ExperimentConfig:
 
     # --- typed views -------------------------------------------------
     def domain(self) -> Domain:
-        with _section("domain"):
+        with section("domain"):
             return Domain(self._get("domain", "kind"), self._float_list("domain", "lengths"))
 
     @property
@@ -171,7 +170,7 @@ class ExperimentConfig:
                     for k in range(length)]
         else:
             raise ConfigError(f"[parameters] grid = {mode!r} must be product or diagonal")
-        with _section("parameters"):
+        with section("parameters"):
             for row in rows:
                 Params(*row)
         return rows
@@ -229,9 +228,8 @@ class ExperimentConfig:
         return self._float("fit", "t0")
 
     def _base_kernel(self, prefix: str) -> KernelSpec:
-        with _section("kernels", f"{prefix}: "):
-            return KernelSpec(self._get("kernels", f"{prefix}_family"),
-                              self._float("kernels", f"{prefix}_amplitude"),
+        with section("kernels", f"{prefix}: "):
+            return KernelSpec(self._float("kernels", f"{prefix}_amplitude"),
                               self._float("kernels", f"{prefix}_decay"),
                               self._float("kernels", f"{prefix}_singularity"))
 
@@ -243,22 +241,22 @@ class ExperimentConfig:
 
     def scalar_model(self) -> ScalarModel:
         rate = self._float("kernels", "scalar_rate")
-        with _section("kernels"):
-            return ScalarModel(lambda t: t, lambda t: t, rate)
+        with section("kernels"):
+            return ScalarModel(rate)
 
     def point(self, sigma: float, tau: float, eps: float
               ) -> tuple[PhaseSpace, PhaseVector, float]:
         """(space, z0, dt) of one grid point: the phase space, the initial
         data and the time step every stepping command runs there."""
-        with _section("domain"):
+        with section("domain"):
             modes = dirichlet_eigenvalues(self.domain(), self.mode_count)
         params = Params(sigma, tau, eps, self.scalar_model())
-        with _section("integrator"):
+        with section("integrator"):
             space = build_phase_space(modes, params, grid_size=self.grid_size,
                                       base_mu=self.base_mu(), base_beta=self.base_beta(),
                                       ratio=self.grid_ratio, tail=self.tail,
                                       weight_policy=self.weight_policy)
-        with _section("initial"):
+        with section("initial"):
             z0 = initial_data_preset(self.initial_preset, space, self.order,
                                      with_history=self.with_history)
         return space, z0, self.dt_for(sigma, tau, eps)
@@ -271,7 +269,7 @@ class ExperimentConfig:
         return self._float("kernels", "check_bound")
 
     def probe_params(self) -> AbstractParams:
-        with _section("probe"):
+        with section("probe"):
             return AbstractParams(self._float("probe", "alpha"),
                                   self._float("probe", "coupling"),
                                   self._float("probe", "omega1"),

@@ -263,6 +263,8 @@ def _step_count(dt: float, horizon: float) -> int:
 
 
 def _stored_steps(nsteps: int, stride: int) -> list[int]:
+    if stride < 1:
+        raise DomainError(f"store_stride must be >= 1, got {stride}")
     stored = list(range(0, nsteps + 1, stride))
     if stored[-1] != nsteps:
         stored.append(nsteps)
@@ -284,8 +286,6 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     state arrays). The state starts from ``initial``'s own arrays, which
     MidpointStepper.step never writes into.
     """
-    if stride < 1:
-        raise DomainError(f"store_stride must be >= 1, got {stride}")
     space, dt = stepper.space, stepper.dt
     nsteps = _step_count(dt, horizon)
     stored = np.array(_stored_steps(nsteps, stride))
@@ -386,7 +386,8 @@ def saturating_profile_integrals(space: PhaseSpace, coefficients: np.ndarray) ->
             out[name] = np.zeros_like(coef)
             continue
         if not k.is_exponential_shape:
-            raise UnsupportedOracleError(f"no closed profile integral for family {k.family}")
+            raise UnsupportedOracleError(
+                f"no closed profile integral for a kernel of singularity {k.singularity}")
         out[name] = coef * k.amplitude * (1.0 / k.decay - 1.0 / (k.decay + 1.0))
     return out
 
@@ -406,7 +407,8 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
     for k in (space.mu, space.nu, space.beta):
         if k is not None and not k.is_exponential_shape:
             raise UnsupportedOracleError(
-                f"closure oracle needs exponential-shape kernels, got {k.family}")
+                f"closure oracle needs exponential-shape kernels, got singularity "
+                f"{k.singularity}")
     if initial_integrals is None:
         for h in (initial.eta, initial.xi):
             if h is not None and np.any(h != 0.0):

@@ -40,7 +40,8 @@ class SingularStepError(MemoplateError):
 
 
 class UnsupportedOracleError(MemoplateError):
-    """Closed-form cross-check requested for a kernel family without one."""
+    """Closed-form cross-check requested for a kernel without one: a weakly
+    singular kernel has no exact memory-integral closure."""
 
 
 class DegenerateModeError(MemoplateError):

@@ -1,9 +1,9 @@
-"""Memory kernel families and their closed-form transforms.
+"""Memory kernels and their closed-form transforms.
 
-Three families cover every kernel the simulator touches: plain exponentials
-kappa*exp(-delta*s), weakly singular kappa*s^(-omega)*exp(-delta*s), and the
-thermal kernel obtained by differentiating an affine-plus-exponential
-relaxation model twice (again exponential in shape). Moments, primitives and
+Every kernel the simulator touches has the one shape
+kappa * s^(-omega) * exp(-delta*s) with 0 <= omega < 1: the heat-flux and
+shear kernels, rescaled from a base kernel, and the thermal kernel of the
+relaxation model, which is exponential (omega = 0). Moments, primitives and
 Fourier-type transforms all have closed forms, so this module performs no
 quadrature; the test suite cross-checks every formula against adaptive
 quadrature built independently of this code.
@@ -11,66 +11,47 @@ quadrature built independently of this code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import gamma as gamma_fn, gammainc, gammaincc, gammainccinv
 
 from .errors import DomainError, NonIntegrableError
 
-EXPONENTIAL = "exponential"
-POWER_EXPONENTIAL = "power_exponential"
-CONCAVE_AFFINE_EXP = "concave_affine_exp"
-
-_FAMILIES = (EXPONENTIAL, POWER_EXPONENTIAL, CONCAVE_AFFINE_EXP)
-
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """One member of a kernel family: kappa * s^(-singularity) * exp(-decay*s).
+    """The kernel amplitude * s^(-singularity) * exp(-decay*s).
 
-    The concave_affine_exp family is exponential in shape (singularity 0) and
-    shares every formula with the exponential branch. An absent history block
-    has no KernelSpec at all: it is None.
+    It is exponential in shape exactly when singularity == 0. An absent
+    history block has no KernelSpec at all: it is None.
     """
 
-    family: str
     amplitude: float
     decay: float
     singularity: float = 0.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown kernel family {self.family!r}")
-        if self.amplitude < 0 or (self.amplitude == 0 and self.family != CONCAVE_AFFINE_EXP):
+        if self.amplitude <= 0:
             raise DomainError(f"amplitude must be positive, got {self.amplitude}")
         if self.decay <= 0:
             raise DomainError(f"decay must be positive, got {self.decay}")
-        if self.family == POWER_EXPONENTIAL:
-            if not 0.0 <= self.singularity < 1.0:
-                raise NonIntegrableError(
-                    f"singularity exponent {self.singularity} outside [0,1): kernel not integrable")
-        elif self.singularity != 0.0:
-            raise DomainError("only power_exponential kernels carry a singularity exponent")
+        if not 0.0 <= self.singularity < 1.0:
+            raise NonIntegrableError(
+                f"singularity exponent {self.singularity} outside [0,1): kernel not integrable")
 
     @property
     def is_exponential_shape(self) -> bool:
-        return self.family in (EXPONENTIAL, CONCAVE_AFFINE_EXP)
+        return self.singularity == 0.0
 
     def __call__(self, s):
         """Pointwise values; vectorized over s > 0."""
         s = np.asarray(s, dtype=float)
-        base = self.amplitude * np.exp(-self.decay * s)
-        if self.family == POWER_EXPONENTIAL and self.singularity > 0:
-            return base * s ** (-self.singularity)
-        return base
+        return self.amplitude * np.exp(-self.decay * s) * s ** (-self.singularity)
 
     def derivative(self, s):
         """Analytic d/ds of the kernel, vectorized."""
         s = np.asarray(s, dtype=float)
-        if self.family == POWER_EXPONENTIAL and self.singularity > 0:
-            return -self(s) * (self.singularity / s + self.decay)
-        return -self.decay * self(s)
+        return -self(s) * (self.singularity / s + self.decay)
 
     def cdf(self, s):
         """Primitive int_0^s kernel(r) dr, vectorized; exact."""
@@ -83,84 +64,38 @@ class KernelSpec:
 
     def tail_fraction(self, s: float) -> float:
         """Mass beyond s as a fraction of the total mass."""
-        if self.amplitude == 0:
-            return 0.0
-        om = 0.0 if self.is_exponential_shape else self.singularity
-        return float(gammaincc(1.0 - om, self.decay * s))
+        return float(gammaincc(1.0 - self.singularity, self.decay * s))
 
-    def tail_cutoff(self, tail: float = 1e-8) -> float:
+    def tail_cutoff(self, tail: float) -> float:
         """Smallest s with tail_fraction(s) <= tail; closed form via the
         inverse regularized upper incomplete gamma."""
-        if self.amplitude == 0:
-            return 1.0
-        om = 0.0 if self.is_exponential_shape else self.singularity
-        return float(gammainccinv(1.0 - om, tail)) / self.decay
+        return float(gammainccinv(1.0 - self.singularity, tail)) / self.decay
 
 
 @dataclass(frozen=True)
 class ScalarModel:
-    """Scalar functions steering the thermal kernel family.
+    """The relaxation model behind the thermal kernel: at relaxation
+    parameter tau that kernel is tau * rate^2 * exp(-rate*s)."""
 
-    phi and psi are continuous, nonnegative and vanish at 0; rate is the
-    relaxation rate of the exponential part of the model (the thermal kernel
-    is psi(tau) * rate^2 * exp(-rate*s)).
-    """
-
-    phi: Callable[[float], float]
-    psi: Callable[[float], float]
     rate: float = 1.0
 
     def __post_init__(self):
         if self.rate <= 0:
             raise DomainError(f"model rate must be positive, got {self.rate}")
-        for name, fn in (("phi", self.phi), ("psi", self.psi)):
-            if abs(fn(0.0)) > 1e-14:
-                raise DomainError(f"{name}(0) must vanish, got {fn(0.0)}")
-
-    @staticmethod
-    def default() -> "ScalarModel":
-        return ScalarModel(phi=lambda t: t, psi=lambda t: t, rate=1.0)
 
 
-def build_kernel_family(family: str, base, relaxation: float) -> KernelSpec:
-    """Rescaled family member for one relaxation parameter in (0, 1].
-
-    Exponential and power_exponential members rescale the base kernel k into
-    k_e(s) = e^-2 k(s/e); concave_affine_exp ignores the base kernel shape and
-    takes a ScalarModel, returning psi(tau)*rate^2*exp(-rate*s).
-    """
+def build_kernel_family(base: KernelSpec, relaxation: float) -> KernelSpec:
+    """The base kernel k rescaled to k_e(s) = e^-2 k(s/e) for one relaxation
+    parameter e in (0, 1]."""
     if not 0.0 < relaxation <= 1.0:
         raise DomainError(f"relaxation parameter must lie in (0,1], got {relaxation}")
-    if family == CONCAVE_AFFINE_EXP:
-        if not isinstance(base, ScalarModel):
-            raise DomainError(f"{CONCAVE_AFFINE_EXP} kernels take a ScalarModel, "
-                              f"got {type(base).__name__}")
-        amp = base.psi(relaxation) * base.rate ** 2
-        if amp < 0:
-            raise DomainError("psi must be nonnegative")
-        return KernelSpec(CONCAVE_AFFINE_EXP, amp, base.rate)
-    kappa, delta, omega = _base_params(base)
-    if family == EXPONENTIAL:
-        if omega != 0.0:
-            raise DomainError("exponential base kernels have no singularity exponent")
-        return KernelSpec(EXPONENTIAL, kappa / relaxation ** 2, delta / relaxation)
-    if family == POWER_EXPONENTIAL:
-        if omega >= 1.0:
-            raise NonIntegrableError(f"singularity exponent {omega} >= 1: not integrable")
-        return KernelSpec(POWER_EXPONENTIAL, kappa * relaxation ** (omega - 2.0),
-                          delta / relaxation, omega)
-    raise DomainError(f"unknown kernel family {family!r}")
-
-
-def _base_params(base) -> tuple[float, float, float]:
-    if isinstance(base, KernelSpec):
-        return base.amplitude, base.decay, base.singularity
-    raise DomainError(f"cannot read base kernel parameters from {type(base).__name__}")
+    return KernelSpec(base.amplitude * relaxation ** (base.singularity - 2.0),
+                      base.decay / relaxation, base.singularity)
 
 
 def canonical_base() -> KernelSpec:
     """exp(-s): unit mass, unit first moment, decay constant 1."""
-    return KernelSpec(EXPONENTIAL, 1.0, 1.0)
+    return KernelSpec(1.0, 1.0)
 
 
 def normalized_power_base(singularity: float) -> KernelSpec:
@@ -173,17 +108,14 @@ def normalized_power_base(singularity: float) -> KernelSpec:
         raise NonIntegrableError(f"singularity exponent {singularity} outside [0,1)")
     delta = 1.0 - singularity
     kappa = delta ** (1.0 - singularity) / gamma_fn(1.0 - singularity)
-    return KernelSpec(POWER_EXPONENTIAL, kappa, delta, singularity)
+    return KernelSpec(kappa, delta, singularity)
 
 
 def kernel_moment(kernel: KernelSpec, order: int) -> float:
     """int s^order kernel(s) ds on (0, inf), closed form."""
     if order not in (0, 1, 2):
         raise DomainError(f"moment order must be 0, 1 or 2, got {order}")
-    om = 0.0 if kernel.is_exponential_shape else kernel.singularity
-    if om >= 1.0:
-        raise NonIntegrableError("divergent moment integral")
-    a = order + 1.0 - om
+    a = order + 1.0 - kernel.singularity
     return kernel.amplitude * gamma_fn(a) / kernel.decay ** a
 
 
@@ -220,8 +152,8 @@ def validate_assumptions(kernel: KernelSpec, decay_bound: float, sample_grid) ->
 
     Margins are signed worst violations: a condition passes iff its margin
     is <= 0. The decay_bound condition tests kernel' + decay_bound*kernel <= 0
-    pointwise, which for our families is sharp exactly at
-    decay_bound = kernel.decay (+ singularity/s for the singular family).
+    pointwise, which is sharp exactly at
+    decay_bound = kernel.decay + kernel.singularity/s.
     Integrability and a finite second moment need no row: KernelSpec
     rejects a singularity of 1 or more when it is built.
     """

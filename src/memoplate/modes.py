@@ -8,14 +8,14 @@ in the package funnels its norms through this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .history import HistoryGrid, history_cutoff, kernel_weights, resolving_grid
-from .kernels import (CONCAVE_AFFINE_EXP, KernelSpec, ScalarModel, build_kernel_family,
-                      canonical_base)
+from .history import (DEFAULT_RATIO, DEFAULT_TAIL, HistoryGrid, history_cutoff,
+                      kernel_weights, resolving_grid)
+from .kernels import KernelSpec, ScalarModel, build_kernel_family, canonical_base
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,13 @@ def dirichlet_eigenvalues(domain: Domain, count: int) -> ModeSet:
 
 @dataclass(frozen=True)
 class Params:
-    """Relaxation parameters, each in [0, 1]; 0 collapses that block."""
+    """Relaxation parameters, each in [0, 1]; 0 collapses that block.
+    model sets the rate of the thermal kernel (memory_kernels)."""
 
     sigma: float = 0.0
     tau: float = 0.0
     eps: float = 0.0
-    model: ScalarModel = field(default_factory=ScalarModel.default)
+    model: ScalarModel = ScalarModel()
 
     def __post_init__(self):
         for name, value in (("sigma", self.sigma), ("tau", self.tau), ("eps", self.eps)):
@@ -83,10 +84,12 @@ class Params:
                 raise DomainError(f"{name} must lie in [0,1], got {value}")
 
     def phi(self) -> float:
-        return float(self.model.phi(self.tau))
+        """Thermal damping coefficient: tau."""
+        return float(self.tau)
 
     def psi(self) -> float:
-        return float(self.model.psi(self.tau))
+        """Thermal memory weight, the amplitude of nu over rate^2: tau."""
+        return float(self.tau)
 
 
 @dataclass(frozen=True)
@@ -122,22 +125,21 @@ class PhaseSpace:
 
 def memory_kernels(params: Params, base_mu: KernelSpec | None = None,
                    base_beta: KernelSpec | None = None) -> tuple:
-    """(mu, nu, beta): base_mu rescaled by eps, the scalar model's thermal
-    kernel at tau and base_beta rescaled by sigma, each None when its
-    parameter is 0. An omitted base is exp(-s)."""
+    """(mu, nu, beta): base_mu rescaled by eps, the thermal kernel
+    tau * rate^2 * exp(-rate*s) of the scalar model and base_beta rescaled by
+    sigma, each None when its parameter is 0. An omitted base is exp(-s)."""
     base_mu = base_mu if base_mu is not None else canonical_base()
     base_beta = base_beta if base_beta is not None else canonical_base()
-    mu = build_kernel_family(base_mu.family, base_mu, params.eps) if params.eps > 0 else None
-    nu = (build_kernel_family(CONCAVE_AFFINE_EXP, params.model, params.tau)
-          if params.tau > 0 else None)
-    beta = (build_kernel_family(base_beta.family, base_beta, params.sigma)
-            if params.sigma > 0 else None)
+    rate = params.model.rate
+    mu = build_kernel_family(base_mu, params.eps) if params.eps > 0 else None
+    nu = KernelSpec(params.tau * rate ** 2, rate) if params.tau > 0 else None
+    beta = build_kernel_family(base_beta, params.sigma) if params.sigma > 0 else None
     return mu, nu, beta
 
 
 def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
                       base_mu: KernelSpec | None = None, base_beta: KernelSpec | None = None,
-                      ratio: float = 1.05, tail: float = 1e-8,
+                      ratio: float = DEFAULT_RATIO, tail: float = DEFAULT_TAIL,
                       weight_policy: str = "auto") -> PhaseSpace:
     """eta carries mu and nu, xi carries beta; each active history gets one
     grid spanning every kernel it carries and resolving the fastest

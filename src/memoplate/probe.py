@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DegenerateModeError, DomainError, FitError
 from .history import cell_masses, geometric_boundaries, history_cutoff
-from .kernels import (POWER_EXPONENTIAL, ConditionCheck, KernelSpec,
-                      ValidationReport, kernel_moment, laplace_transform)
+from .kernels import (ConditionCheck, KernelSpec, ValidationReport, kernel_moment,
+                      laplace_transform)
 
 # A first-order defect halves under grid doubling; the band allows 30%.
 HALVING_BAND = (1.4, 2.6)
@@ -61,12 +61,12 @@ class AbstractParams:
                 raise DomainError(f"{name} must lie in [0,1), got {w}")
 
     def thermal_kernel(self) -> KernelSpec:
-        return KernelSpec(POWER_EXPONENTIAL, 1.0, 1.0, self.omega1)
+        return KernelSpec(1.0, 1.0, self.omega1)
 
     def shear_kernel(self) -> KernelSpec | None:
         if not self.with_shear:
             return None
-        return KernelSpec(POWER_EXPONENTIAL, 1.0, 1.0, self.omega2)
+        return KernelSpec(1.0, 1.0, self.omega2)
 
     @property
     def k0(self) -> float:

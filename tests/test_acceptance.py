@@ -21,8 +21,7 @@ from memoplate.config import preset
 from memoplate.decay import check_differential_inequalities, fit_decay_rate
 from memoplate.dynamics import (closure_oracle_evolve, evolve, evolve_limit,
                                 limit_mode_matrix)
-from memoplate.kernels import (EXPONENTIAL, POWER_EXPONENTIAL,
-                               build_kernel_family, canonical_base,
+from memoplate.kernels import (build_kernel_family, canonical_base,
                                kernel_moment, laplace_transform,
                                normalized_power_base)
 from memoplate.limits import (compare_trajectories, fit_limit_constants,
@@ -275,12 +274,11 @@ def test_criterion_9_kernel_layer():
             ref = quadrature_laplace(kernel, lam)
             worst_laplace = max(worst_laplace, abs(closed - ref) / abs(ref))
     worst_norm = 0.0
-    for family, base in ((EXPONENTIAL, canonical_base()),
-                         (POWER_EXPONENTIAL, normalized_power_base(0.3))):
+    for base in (canonical_base(), normalized_power_base(0.3)):
         m = [kernel_moment(base, n) for n in (0, 1, 2)]
         worst_norm = max(worst_norm, abs(m[0] - 1.0), abs(m[1] - 1.0))
         for eps in (1.0, 0.5, 0.25, 0.125):
-            k = build_kernel_family(family, base, eps)
+            k = build_kernel_family(base, eps)
             worst_norm = max(worst_norm,
                              abs(eps * kernel_moment(k, 0) / m[0] - 1.0),
                              abs(kernel_moment(k, 1) / m[1] - 1.0),

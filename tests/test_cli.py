@@ -82,7 +82,12 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys):
     ("simulate", "integrator", "ratio = 0.5"),
     ("simulate", "initial", "preset = bogus"),
     ("simulate", "kernels", "scalar_rate = 0"),
+    ("simulate", "kernels", "mu_singularity = 1"),
+    ("simulate", "integrator", "dt = -1"),
+    ("simulate", "integrator", "stride = 0"),
+    ("simulate", "integrator", "horizon = 0"),
     ("pruss-scan", "probe", "alpha = 3"),
+    ("pruss-scan", "probe", "residual_size = 4"),
 ])
 def test_rejected_value_exits_2(tmp_path, capsys, command, section, text):
     # a value the library rejects is a configuration error naming its section
@@ -93,6 +98,16 @@ def test_rejected_value_exits_2(tmp_path, capsys, command, section, text):
     assert f"config error: [{section}] " in capsys.readouterr().err
     steps = {s["name"]: s for s in read_manifest(out)["steps"]}
     assert steps[command]["status"] == "failed"
+
+
+def test_singular_kernel_needs_only_its_singularity(tmp_path):
+    # a kernel's shape is its singularity: no other key has to agree with it
+    ini = tmp_path / "sing.ini"
+    ini.write_text("[kernels]\nmu_singularity = 0.3\n")
+    out = str(tmp_path / "sing")
+    assert main(["simulate", "--config", str(ini), "--out", out]) == 0
+    steps = {s["name"]: s for s in read_manifest(out)["steps"]}
+    assert " policy mu=mass nu=none beta=decay_consistent" in steps["evolve"]["detail"]
 
 
 def test_simulate_writes_trajectory(small_ini, tmp_path):

@@ -215,6 +215,14 @@ def test_closure_oracle_contracts(interval_modes):
             closure_oracle_evolve(space, z_rest, dt, horizon)
 
 
+def test_closure_oracle_rejects_zero_stride(interval_modes):
+    # the oracle and the stepper keep their samples by one rule
+    space = build_phase_space(interval_modes, Params(1.0, 0.0, 1.0), grid_size=40)
+    z0 = initial_data_preset("single-mode", space, 0)
+    with pytest.raises(DomainError):
+        closure_oracle_evolve(space, z0, 1e-3, 1.0, store_stride=0)
+
+
 def test_transport_solves_per_step(small_space, monkeypatch):
     # one banded solve per active history block and step, as many again for
     # the reconstructed limit histories, none for the collapsed system

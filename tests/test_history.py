@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from memoplate.errors import DomainError, ResolutionError
 from memoplate.history import (POLICY_DECAY_CONSISTENT, POLICY_MASS, build_history_grid,
                                history_cutoff, kernel_weights)
-from memoplate.kernels import EXPONENTIAL, KernelSpec, build_kernel_family, canonical_base, kernel_moment
+from memoplate.kernels import KernelSpec, build_kernel_family, canonical_base, kernel_moment
 
 
 def grid_for(kernel, size, **kw):
@@ -51,7 +51,7 @@ def test_decay_weights_normalized_and_positive():
 def test_auto_policy_picks_decay_for_exponential():
     k = canonical_base()
     assert kernel_weights(grid_for(k, 80), k, "auto")[1] == POLICY_DECAY_CONSISTENT
-    kp = KernelSpec("power_exponential", 1.0, 1.0, 0.4)
+    kp = KernelSpec(1.0, 1.0, 0.4)
     assert kernel_weights(grid_for(kp, 80), kp, "auto")[1] == POLICY_MASS
 
 
@@ -88,7 +88,7 @@ def test_upwind_dissipative_under_mass_weights(seed):
 def test_upwind_decay_weights_give_exact_rate(seed):
     # weight recursion turns the transport form into exactly -delta/2 |f|^2
     rng = np.random.default_rng(seed)
-    k = KernelSpec(EXPONENTIAL, 1.0, 0.8)
+    k = KernelSpec(1.0, 0.8)
     g = grid_for(k, 60)
     w, _ = kernel_weights(g, k, POLICY_DECAY_CONSISTENT)
     f = rng.standard_normal(g.size)
@@ -99,12 +99,12 @@ def test_upwind_decay_weights_give_exact_rate(seed):
 
 def test_truncated_kernel_mass_raises(exp_grid):
     # every kernel on a grid gets its weights and mass check from one call
-    fast = KernelSpec(EXPONENTIAL, 2.0, 3.0)
+    fast = KernelSpec(2.0, 3.0)
     w, policy = kernel_weights(exp_grid, fast, POLICY_MASS)
     assert policy == POLICY_MASS
     assert np.sum(w) == pytest.approx(float(fast.cdf(exp_grid.cutoff)), rel=1e-12)
     # a cutoff short of a kernel's tail raises, whichever kernel set the cutoff
-    slow = KernelSpec(EXPONENTIAL, 1.0, 0.05)
+    slow = KernelSpec(1.0, 0.05)
     with pytest.raises(ResolutionError):
         kernel_weights(exp_grid, slow)
     with pytest.raises(ResolutionError):
@@ -142,17 +142,17 @@ def test_grid_construction_contracts():
     with pytest.raises(DomainError):
         grid_for(k, 40, ratio=0.9)
     with pytest.raises(DomainError):
-        KernelSpec(EXPONENTIAL, 0.0, 1.0)
+        KernelSpec(0.0, 1.0)
     with pytest.raises(DomainError):
         kernel_weights(grid_for(k, 40), k, "nearest")
     # decay-consistent recursion needs delta * h_max < 1
-    fast = KernelSpec(EXPONENTIAL, 1.0, 40.0)
+    fast = KernelSpec(1.0, 40.0)
     with pytest.raises(ResolutionError):
         kernel_weights(grid_for(fast, 8, ratio=1.5), fast, POLICY_DECAY_CONSISTENT)
 
 
 def test_rescaled_kernel_grid_tracks_cutoff():
-    k = build_kernel_family(EXPONENTIAL, canonical_base(), 0.25)
+    k = build_kernel_family(canonical_base(), 0.25)
     g = grid_for(k, 80)
     w, _ = kernel_weights(g, k)
     # weights carry the rescaled mass ~ 1/eps

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from memoplate.errors import DomainError, NonIntegrableError
+from memoplate.history import POLICY_DECAY_CONSISTENT, build_history_grid, kernel_weights
 from memoplate.kernels import (
-    CONCAVE_AFFINE_EXP, EXPONENTIAL, POWER_EXPONENTIAL,
     KernelSpec, ScalarModel, build_kernel_family, canonical_base,
     kernel_moment, laplace_transform, normalized_power_base, validate_assumptions,
 )
+from memoplate.modes import Params, memory_kernels
 
 SQRT_PI = 1.7724538509055159
 
@@ -36,10 +37,10 @@ def quadrature_laplace(kernel: KernelSpec, lam: float) -> complex:
 
 LAPLACE_KERNELS = [
     canonical_base(),
-    build_kernel_family(EXPONENTIAL, canonical_base(), 0.25),
-    KernelSpec(POWER_EXPONENTIAL, 1.0, 1.0, 0.25),
-    KernelSpec(POWER_EXPONENTIAL, 1.0, 1.0, 0.5),
-    build_kernel_family(POWER_EXPONENTIAL, normalized_power_base(0.3), 0.5),
+    build_kernel_family(canonical_base(), 0.25),
+    KernelSpec(1.0, 1.0, 0.25),
+    KernelSpec(1.0, 1.0, 0.5),
+    build_kernel_family(normalized_power_base(0.3), 0.5),
 ]
 
 
@@ -53,7 +54,7 @@ def test_laplace_transform_matches_quadrature(kernel, lam):
 
 
 def test_exponential_laplace_closed_form():
-    k = KernelSpec(EXPONENTIAL, 3.0, 2.0)
+    k = KernelSpec(3.0, 2.0)
     lam = 7.0
     assert laplace_transform(k, lam) == pytest.approx(3.0 / (2.0 + 1j * lam))
 
@@ -61,7 +62,7 @@ def test_exponential_laplace_closed_form():
 def test_moments_exponential_rescaled():
     # rescaled member keeps mass 1/e, first moment 1, second moment 2e
     for eps in (1.0, 0.5, 0.125):
-        k = build_kernel_family(EXPONENTIAL, canonical_base(), eps)
+        k = build_kernel_family(canonical_base(), eps)
         assert kernel_moment(k, 0) == pytest.approx(1.0 / eps, rel=1e-12)
         assert kernel_moment(k, 1) == pytest.approx(1.0, rel=1e-12)
         assert kernel_moment(k, 2) == pytest.approx(2.0 * eps, rel=1e-12)
@@ -69,7 +70,7 @@ def test_moments_exponential_rescaled():
 
 def test_moments_power_gamma_oracle():
     # kappa=1, delta=1, omega=1/2: moment n = Gamma(n + 1/2)
-    k = KernelSpec(POWER_EXPONENTIAL, 1.0, 1.0, 0.5)
+    k = KernelSpec(1.0, 1.0, 0.5)
     assert kernel_moment(k, 0) == pytest.approx(SQRT_PI, rel=1e-12)
     assert kernel_moment(k, 1) == pytest.approx(0.5 * SQRT_PI, rel=1e-12)
     assert kernel_moment(k, 2) == pytest.approx(0.75 * SQRT_PI, rel=1e-12)
@@ -94,7 +95,7 @@ def test_normalized_power_base_unit_moments():
 @settings(max_examples=60, deadline=None)
 def test_rescale_pointwise_identity(eps, s):
     base = canonical_base()
-    k = build_kernel_family(EXPONENTIAL, base, eps)
+    k = build_kernel_family(base, eps)
     assert k(s) == pytest.approx(base(s / eps) / eps ** 2, rel=1e-12)
 
 
@@ -102,7 +103,7 @@ def test_rescale_pointwise_identity(eps, s):
 @settings(max_examples=40, deadline=None)
 def test_rescale_normalizations_property(eps):
     for base in (canonical_base(), normalized_power_base(0.4)):
-        k = build_kernel_family(base.family, base, eps)
+        k = build_kernel_family(base, eps)
         assert kernel_moment(k, 0) * eps == pytest.approx(1.0, rel=1e-10)
         assert kernel_moment(k, 1) == pytest.approx(1.0, rel=1e-10)
 
@@ -119,26 +120,22 @@ def test_cdf_and_tail():
 
 
 def test_thermal_family_from_scalar_model():
-    k = build_kernel_family(CONCAVE_AFFINE_EXP, ScalarModel.default(), 0.5)
-    # amplitude psi(tau)*rate^2, mass psi(tau)*rate
-    assert k.amplitude == pytest.approx(0.5)
-    assert k.decay == pytest.approx(1.0)
-    assert kernel_moment(k, 0) == pytest.approx(0.5)
+    # amplitude tau*rate^2, decay rate, mass tau*rate
+    for rate in (1.0, 2.0):
+        _, nu, _ = memory_kernels(Params(0.0, 0.5, 0.0, ScalarModel(rate)))
+        assert nu == KernelSpec(0.5 * rate ** 2, rate)
+        assert kernel_moment(nu, 0) == pytest.approx(0.5 * rate, rel=1e-15)
+    assert Params().model == ScalarModel(1.0)
 
 
-def test_thermal_family_needs_a_scalar_model():
-    # a kernel in place of the model is an error, not the default model
-    with pytest.raises(DomainError):
-        build_kernel_family(CONCAVE_AFFINE_EXP, canonical_base(), 0.5)
-    with pytest.raises(DomainError):
-        build_kernel_family(EXPONENTIAL, {"amplitude": 1.0, "decay": 1.0}, 0.5)
-
-
-def test_scalar_model_default_identity():
-    m = ScalarModel.default()
-    assert m.phi(0.3) == pytest.approx(0.3)
-    assert m.psi(0.7) == pytest.approx(0.7)
-    assert m.rate == 1.0
+def test_shape_is_the_singularity():
+    # exp(-s) is one kernel however it is reached, and a grid that resolves
+    # it gives it decay-consistent weights
+    k = normalized_power_base(0.0)
+    assert k == canonical_base() and k.is_exponential_shape
+    assert not KernelSpec(1.0, 1.0, 0.3).is_exponential_shape
+    grid = build_history_grid(k.tail_cutoff(1e-8), 400)
+    assert kernel_weights(grid, k)[1] == POLICY_DECAY_CONSISTENT
 
 
 def test_validation_report_passes_on_canonical():
@@ -168,17 +165,15 @@ def test_validation_fails_for_overclaimed_decay_bound():
 
 def test_kernel_constructor_contracts():
     with pytest.raises(DomainError):
-        KernelSpec(EXPONENTIAL, -1.0, 1.0)
+        KernelSpec(-1.0, 1.0)
     with pytest.raises(DomainError):
-        KernelSpec(EXPONENTIAL, 1.0, 0.0)
+        KernelSpec(1.0, 0.0)
     with pytest.raises(NonIntegrableError):
-        KernelSpec(POWER_EXPONENTIAL, 1.0, 1.0, 1.0)
+        KernelSpec(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        KernelSpec(EXPONENTIAL, 1.0, 1.0, 0.3)
+        build_kernel_family(canonical_base(), 0.0)
     with pytest.raises(DomainError):
-        build_kernel_family(EXPONENTIAL, canonical_base(), 0.0)
-    with pytest.raises(DomainError):
-        build_kernel_family("triangular", canonical_base(), 0.5)
+        ScalarModel(0.0)
     with pytest.raises(NonIntegrableError):
         normalized_power_base(1.2)
     with pytest.raises(DomainError):

@@ -55,7 +55,8 @@ def test_params_gating():
         Params(1.5, 0.0, 0.0)
     with pytest.raises(DomainError):
         Params(0.0, -0.1, 0.0)
-    assert Params(0.0, 0.5, 0.0).phi() == pytest.approx(0.5)
+    p = Params(0.0, 0.5, 0.0)
+    assert p.phi() == p.psi() == 0.5
 
 
 @pytest.mark.parametrize("sigma, tau, eps", list(itertools.product((0.0, 0.5), repeat=3)))
