@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-COMMANDS = ("simulate", "decay", "limit-sweep", "pruss-scan", "kernel-check")
-
 # the envelope constants are sup fits over the first half of the run, so a
 # margin may touch zero by roundoff but not fall below it
 ENVELOPE_FLOOR = -1e-12
@@ -49,17 +47,9 @@ def main(argv=None) -> int:
         return 2
 
     manifest = cfgmod.Manifest(args.command, cfg, args.config)
-    handler = {
-        "simulate": _cmd_simulate,
-        "decay": _cmd_decay,
-        "limit-sweep": _cmd_limit_sweep,
-        "pruss-scan": _cmd_pruss_scan,
-        "kernel-check": _cmd_kernel_check,
-    }[args.command]
-
     code = 0
     try:
-        handler(cfg, manifest, out_dir)
+        COMMANDS[args.command](cfg, manifest, out_dir)
         if cfg.emit_plots_flag:
             for script in cfgmod.emit_plots(manifest.data, out_dir):
                 manifest.output(script)
@@ -104,7 +94,8 @@ def _cmd_kernel_check(cfg, manifest, out_dir) -> None:
         if kernel is None:
             continue
         bound = cfg.check_bound if cfg.check_bound is not None else kernel.decay
-        grid = np.geomspace(1e-3, kernel.tail_cutoff(cfg.tail), 200)
+        with cfgmod.section("integrator"):
+            grid = np.geomspace(1e-3, kernel.tail_cutoff(cfg.tail), 200)
         report = validate_assumptions(kernel, bound, grid)
         all_pass &= report.all_pass
         for condition, margin, passed in report.rows():
@@ -162,8 +153,9 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
         space, z0, dt = cfg.point(sigma, tau, eps)
         with cfgmod.section("integrator"):
             traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
-        fit = fit_decay_rate(traj.times, traj.total_energy(), window)
-        ineq = check_differential_inequalities(traj, window)
+        with cfgmod.section("fit"):
+            fit = fit_decay_rate(traj.times, traj.total_energy(), window)
+            ineq = check_differential_inequalities(traj, window)
         rows.append((sigma, tau, eps, cfg.order, fit.rate, fit.prefactor,
                      ineq.lambda_hat, ineq.d0_hat, ineq.residual, fit.r_squared))
         manifest.step(f"decay[{idx}]", "ok",
@@ -192,9 +184,11 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
         with cfgmod.section("integrator"):
             comp = compare_trajectories(space, z0, dt, cfg.horizon, t0=cfg.sweep_t0)
         points.append(comp)
+        with cfgmod.section("fit"):
+            sup_d = comp.sup_distance
         manifest.step(f"compare[{idx}]", "ok",
                       f"sigma={sigma} tau={tau} eps={eps} dt={dt} "
-                      f"supD={comp.sup_distance:.6g} {_policy_note(space)}")
+                      f"supD={sup_d:.6g} {_policy_note(space)}")
         if cfg.with_history:
             env = history_envelopes(comp)
             held = min(env.eta_margin, env.xi_margin) >= ENVELOPE_FLOOR
@@ -227,9 +221,8 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
     for condition, margin, passed in report.rows():
         manifest.step(f"admissibility.{condition}", "ok" if passed else "failed",
                       f"margin={margin:.6g}")
-    scan = resolvent_scan(ap, cfg.probe_gammas())
-
     with cfgmod.section("probe"):
+        scan = resolvent_scan(ap, cfg.probe_gammas())
         residuals = [residual_check(ap, float(g), cfg.residual_size) for g in scan.gammas]
     rows = [(g, l, zn, zt, rt, qr, res.residual) for (g, l, zn, zt, rt, qr), res
             in zip(scan.rows(), residuals)]
@@ -263,6 +256,15 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
         manifest.step(f"slope.{label}", "ok", f"{slope:.6f} +/- {half:.6f}")
     print(f"pruss-scan: ratio decreasing = {scan.ratio_decreasing}, "
           f"max quartic residual {np.max(scan.quartic_residual):.3e}")
+
+
+COMMANDS = {
+    "simulate": _cmd_simulate,
+    "decay": _cmd_decay,
+    "limit-sweep": _cmd_limit_sweep,
+    "pruss-scan": _cmd_pruss_scan,
+    "kernel-check": _cmd_kernel_check,
+}
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +103,7 @@ def section(name: str, label: str = ""):
 
 @dataclass
 class ExperimentConfig:
-    raw: dict[str, dict[str, str]] = field(default_factory=lambda: _deep_merge(DEFAULTS, {}))
+    raw: dict[str, dict[str, str]]
 
     def _get(self, section: str, key: str) -> str:
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError
+from .errors import DomainError, FitError
 from .dynamics import Trajectory
 
 DEFAULT_WINDOW = (1.0, 15.0)
@@ -41,7 +41,7 @@ def lyapunov_series(traj: Trajectory, scale: float) -> dict[str, np.ndarray]:
     F1 = E + RHO_FLAT * theta_flat + RHO_SHARP * theta_sharp
     F2 = scale * E + K3
     return {"energy": E, "theta_flat": theta_flat, "theta_sharp": theta_sharp,
-            "K": K, "K2": K2, "K3": K3, "F1": F1, "F2": F2, "F": F1 + F2}
+            "K": K, "K2": K2, "K3": K3, "F1": F1, "F2": F2}
 
 
 def equivalence_margins(series: dict[str, np.ndarray]) -> tuple[float, float]:
@@ -52,10 +52,12 @@ def equivalence_margins(series: dict[str, np.ndarray]) -> tuple[float, float]:
 
 
 def _window_indices(times: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """Sample indices inside the window; DomainError below three, since the
+    window is a configured range."""
     lo, hi = window
     idx = np.nonzero((times >= lo) & (times <= hi))[0]
     if idx.size < 3:
-        raise FitError(f"window {window} covers only {idx.size} samples")
+        raise DomainError(f"window {window} covers only {idx.size} samples, need 3")
     return idx
 
 
@@ -64,7 +66,6 @@ class DecayFit:
     rate: float
     prefactor: float       # fitted amplitude relative to the initial energy
     r_squared: float
-    window: tuple[float, float]
     samples: int
 
 
@@ -83,8 +84,7 @@ def fit_decay_rate(times: np.ndarray, energy: np.ndarray,
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     e0 = float(energy[0]) if energy[0] > 0 else 1.0
-    return DecayFit(-float(slope), float(np.exp(intercept)) / e0, r2,
-                    window, int(idx.size))
+    return DecayFit(-float(slope), float(np.exp(intercept)) / e0, r2, int(idx.size))
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,11 @@ class InequalityReport:
     """Largest constants satisfying the two differential inequalities on the
     sampled window, with the residual left at those constants."""
 
-    lambda_hat: float      # primary: dF1/dt <= -(phi/2) * lambda * F1
+    lambda_hat: float      # primary: dF1/dt <= -(tau/2) * lambda * F1
     d0_hat: float          # secondary: dF2/dt <= -d0 * F2
     scale: float
     residual: float
-    degenerate: bool       # phi = 0 turns the primary check into dF1/dt <= 0
+    degenerate: bool       # tau = 0 turns the primary check into dF1/dt <= 0
 
 
 def check_differential_inequalities(traj: Trajectory,
@@ -118,8 +118,8 @@ def check_differential_inequalities(traj: Trajectory,
         dF1 = np.gradient(F1, t)[idx]
         dF2 = np.gradient(F2, t)[idx]
         f1, f2 = F1[idx], F2[idx]
-        phi = traj.space.params.phi()
-        degenerate = phi == 0.0
+        tau = traj.space.params.tau
+        degenerate = tau == 0.0
         # lambda and d0 are minima over the window's samples, so both
         # inequalities hold at every sample by construction; only the
         # degenerate check dF1 <= 0 can leave a residual (recomputing the
@@ -130,7 +130,7 @@ def check_differential_inequalities(traj: Trajectory,
         elif np.any(f1 <= 0.0):
             raise FitError("primary functional loses positivity inside the window")
         else:
-            lam = float(np.min(-2.0 * dF1 / (phi * f1)))
+            lam = float(np.min(-2.0 * dF1 / (tau * f1)))
             residual = 0.0
         if np.any(f2 <= 0.0):
             raise FitError("secondary functional loses positivity inside the window; "

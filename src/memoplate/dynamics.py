@@ -43,7 +43,7 @@ def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
     L[1, 0] = -g * g
     L[1, 2] = g
     L[2, 1] = -g
-    L[2, 2] = -space.params.phi()
+    L[2, 2] = -space.params.tau
     if space.w_beta is not None:
         L[1, 3 + me:] = -g * g * space.w_beta
     else:
@@ -179,7 +179,7 @@ class MidpointStepper:
         T[:, 1, 0] = -g ** 2
         T[:, 1, 2] = g
         T[:, 2, 1] = -g
-        T[:, 2, 2] = -space.params.phi()
+        T[:, 2, 2] = -space.params.tau
         if space.w_beta is None:
             T[:, 1, 1] -= g ** 2        # Kelvin-Voigt friction in place of viscous memory
         if space.w_mu is None:
@@ -235,7 +235,6 @@ class Trajectory:
 
     space: PhaseSpace
     order: int
-    dt: float
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
@@ -336,19 +335,19 @@ def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
     # copied: the last step's own arrays sit above its freed temporaries,
     # and holding them keeps that heap memory from being released (2 MB more
     # peak RSS at 128 modes and 1600 + 1600 nodes)
-    return Trajectory(space, m, dt, dt * stored, *cols, step_energy,
+    return Trajectory(space, m, dt * stored, *cols, step_energy,
                       PhaseVector(space, m, *(None if x is None else x.copy()
                                               for x in state)))
 
 
 def evolve_limit(modes: ModeSet, triplet0: np.ndarray, dt: float, horizon: float,
-                 *, order: int = 0, store_stride: int = 1) -> Trajectory:
+                 *, store_stride: int = 1) -> Trajectory:
     """Evolution of the fully collapsed comparison system.
 
     triplet0 has shape (modes, 3) holding (u, v, theta) per mode.
     """
     space = build_phase_space(modes, Params(0.0, 0.0, 0.0))
-    return evolve(space, lift_triplet(space, triplet0, order), dt, horizon,
+    return evolve(space, lift_triplet(space, triplet0), dt, horizon,
                   store_stride=store_stride)
 
 
@@ -361,15 +360,13 @@ def limit_mode_matrix(gamma: float) -> np.ndarray:
 
 @dataclass
 class OracleTrajectory:
-    """Closure-based reference solution; arrays shaped (modes, samples)."""
+    """Closure-based reference triplet at the stored samples; arrays shaped
+    (modes, samples)."""
 
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
     theta: np.ndarray
-    i_mu: np.ndarray
-    i_nu: np.ndarray
-    i_beta: np.ndarray
 
 
 def saturating_profile_integrals(space: PhaseSpace, coefficients: np.ndarray) -> dict:
@@ -420,9 +417,8 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
     nsteps = _step_count(dt, horizon)
     stored = _stored_steps(nsteps, store_stride)
     k_of_step = {s: k for k, s in enumerate(stored)}
-    K = len(stored)
     n = space.modes.count
-    out = {name: np.zeros((n, K)) for name in ("u", "v", "th", "imu", "inu", "ibe")}
+    out = np.zeros((3, n, len(stored)))
 
     for i in range(n):
         g = float(space.modes.eigenvalues[i])
@@ -431,7 +427,7 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
         A[1, 0] = -g * g
         A[1, 2] = g
         A[2, 1] = -g
-        A[2, 2] = -p.phi()
+        A[2, 2] = -p.tau
         if space.beta is not None:
             A[1, 5] = -g * g
             A[5, 5] = -space.beta.decay
@@ -455,10 +451,8 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
         for step in range(nsteps + 1):
             k = k_of_step.get(step)
             if k is not None:
-                (out["u"][i, k], out["v"][i, k], out["th"][i, k],
-                 out["imu"][i, k], out["inu"][i, k], out["ibe"][i, k]) = z
+                out[:, i, k] = z[:3]
             if step < nsteps:
                 z = P @ z
     times = dt * np.array(stored, dtype=float)
-    return OracleTrajectory(times, out["u"], out["v"], out["th"],
-                            out["imu"], out["inu"], out["ibe"])
+    return OracleTrajectory(times, *out)

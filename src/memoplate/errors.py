@@ -23,16 +23,11 @@ class ShapeError(MemoplateError):
 
 
 class ResolutionError(MemoplateError):
-    """Grid too coarse for the requested tolerance.
-
-    Carries the tolerance actually achieved so callers can decide whether to
-    retry with a larger node budget.
-    """
+    """Grid too coarse for the requested tolerance; the message gives the
+    figure achieved and the one requested."""
 
     def __init__(self, message: str, achieved: float, requested: float):
         super().__init__(f"{message} (achieved {achieved:.3e}, requested {requested:.3e})")
-        self.achieved = achieved
-        self.requested = requested
 
 
 class SingularStepError(MemoplateError):

@@ -67,8 +67,10 @@ class KernelSpec:
         return float(gammaincc(1.0 - self.singularity, self.decay * s))
 
     def tail_cutoff(self, tail: float) -> float:
-        """Smallest s with tail_fraction(s) <= tail; closed form via the
-        inverse regularized upper incomplete gamma."""
+        """Smallest s with tail_fraction(s) <= tail, for tail in (0, 1);
+        closed form via the inverse regularized upper incomplete gamma."""
+        if not 0.0 < tail < 1.0:
+            raise DomainError(f"tail must lie in (0,1), got {tail}")
         return float(gammainccinv(1.0 - self.singularity, tail)) / self.decay
 
 

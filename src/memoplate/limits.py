@@ -25,10 +25,9 @@ from .modes import (Params, PhaseSpace, PhaseVector, block_energies, build_phase
 
 def pi_bounds(params: Params) -> tuple[float, float]:
     """Parameter powers controlling the closeness surplus: the quarter-power
-    sum and the half-power thermal pair."""
-    flat = params.eps ** 0.25 + params.sigma ** 0.25 + params.psi() ** 0.25
-    sharp = params.psi() ** 0.5 + params.phi() ** 0.5
-    return flat, sharp
+    sum and the half-power thermal pair, whose two coefficients are both tau."""
+    flat = params.eps ** 0.25 + params.sigma ** 0.25 + params.tau ** 0.25
+    return flat, 2 * params.tau ** 0.5
 
 
 def upsilon_coefficients(initial: PhaseVector) -> dict[str, float]:
@@ -63,7 +62,6 @@ class LimitComparison:
 
     space: PhaseSpace
     order: int
-    dt: float
     t0: float
     times: np.ndarray
     distance: np.ndarray          # zero-padded-lift distance D(t)
@@ -78,15 +76,23 @@ class LimitComparison:
     pi_flat: float
     pi_sharp: float
 
+    def _tail_start(self, t0: float | None) -> float:
+        t0 = self.t0 if t0 is None else t0
+        if not self.times[0] <= t0 <= self.times[-1]:
+            raise DomainError(f"t0 = {t0} lies outside the run's times "
+                              f"[{self.times[0]:.6g}, {self.times[-1]:.6g}]")
+        return t0
+
     @property
     def sup_distance(self) -> float:
-        mask = self.times >= self.t0
-        return float(np.max(self.distance[mask])) if mask.any() else 0.0
+        """Largest distance from t0 on; DomainError if t0 is outside the run."""
+        return float(np.max(self.distance[self.times >= self._tail_start(None)]))
 
     def sup_upsilon_tail(self, t0: float | None = None) -> float:
         """Largest decaying-bound value from t0 on; the series is monotone
-        decreasing so this is just its value at t0."""
-        return float(np.interp(self.t0 if t0 is None else t0, self.times, self.upsilon))
+        decreasing so this is just its value at t0. DomainError if t0 is
+        outside the run."""
+        return float(np.interp(self._tail_start(t0), self.times, self.upsilon))
 
     @property
     def k_hat(self) -> float:
@@ -99,8 +105,6 @@ class LimitComparison:
 
     def q_hat(self, k_global: float) -> float:
         """Thermal surplus left after removing a shared quarter-power part."""
-        if self.space.params.tau == 0.0:
-            return 0.0
         if self.pi_sharp == 0.0:
             return 0.0
         excess = np.maximum(self.distance - self.upsilon - k_global * self.pi_flat, 0.0)
@@ -157,7 +161,7 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     coeff = upsilon_coefficients(initial)
     ups = upsilon_series(space, coeff, times)
     flat, sharp = pi_bounds(space.params)
-    return LimitComparison(space, m, dt, t0, times, D, DP, ups, step_energy[stored], EL,
+    return LimitComparison(space, m, t0, times, D, DP, ups, step_energy[stored], EL,
                            HMU, HNU, HXI, coeff, flat, sharp)
 
 
@@ -181,8 +185,6 @@ def fit_limit_constants(points: list[LimitComparison]) -> dict:
 class EnvelopeFit:
     k_eta: float
     k_xi: float
-    eta_envelope: np.ndarray
-    xi_envelope: np.ndarray
     eta_margin: float     # min envelope - measured over the full horizon
     xi_margin: float
 
@@ -192,7 +194,7 @@ def history_envelopes(comp: LimitComparison) -> EnvelopeFit:
     whole run.
 
     The measured slow-memory norm must stay under its initial decaying part
-    plus a fitted multiple of sqrt(eps) + sqrt(psi); the viscous history gets
+    plus a fitted multiple of sqrt(eps) + sqrt(tau); the viscous history gets
     the same treatment over sqrt(sigma). Fitting uses only the first half of
     the run, so the late-time check is a genuine prediction.
     """
@@ -208,8 +210,7 @@ def history_envelopes(comp: LimitComparison) -> EnvelopeFit:
 
     meas_eta = np.sqrt(comp.eta_mu_norm ** 2 + comp.eta_nu_norm ** 2)
     k_eta, env_eta = envelope(meas_eta, dec["eta_mu"] + dec["eta_nu"],
-                              np.sqrt(space.params.eps) + np.sqrt(space.params.psi()))
+                              np.sqrt(space.params.eps) + np.sqrt(space.params.tau))
     k_xi, env_xi = envelope(comp.xi_norm, dec["xi"], np.sqrt(space.params.sigma))
-    return EnvelopeFit(k_eta, k_xi, env_eta, env_xi,
-                       float(np.min(env_eta - meas_eta)),
+    return EnvelopeFit(k_eta, k_xi, float(np.min(env_eta - meas_eta)),
                        float(np.min(env_xi - comp.xi_norm)))

@@ -37,8 +37,7 @@ class Domain:
 @dataclass(frozen=True)
 class ModeSet:
     domain: Domain
-    eigenvalues: np.ndarray            # sorted ascending, ties by index order
-    indices: tuple[tuple[int, ...], ...]
+    eigenvalues: np.ndarray            # sorted ascending
 
     @property
     def count(self) -> int:
@@ -46,32 +45,28 @@ class ModeSet:
 
 
 def dirichlet_eigenvalues(domain: Domain, count: int) -> ModeSet:
-    """First ``count`` Dirichlet eigenvalues of -Laplace on the domain.
-
-    Rectangle ties are resolved lexicographically on the integer index pair,
-    so repeated eigenvalues appear in a deterministic order.
-    """
+    """First ``count`` Dirichlet eigenvalues of -Laplace on the domain,
+    repeated by multiplicity."""
     if count < 1:
         raise DomainError(f"need at least one mode, got {count}")
     if domain.kind == "interval":
         L = domain.lengths[0]
         n = np.arange(1, count + 1)
-        return ModeSet(domain, (n * np.pi / L) ** 2, tuple((int(k),) for k in n))
+        return ModeSet(domain, (n * np.pi / L) ** 2)
     Lx, Ly = domain.lengths
     # any pair with an index beyond count is dominated by count same-row pairs,
     # so enumerating j,k <= count is exhaustive for the first count eigenvalues
-    pairs = [(float((j * np.pi / Lx) ** 2 + (k * np.pi / Ly) ** 2), j, k)
-             for j in range(1, count + 1) for k in range(1, count + 1)]
-    pairs.sort()
-    chosen = pairs[:count]
-    return ModeSet(domain, np.array([g for g, _, _ in chosen]),
-                   tuple((j, k) for _, j, k in chosen))
+    values = sorted(float((j * np.pi / Lx) ** 2 + (k * np.pi / Ly) ** 2)
+                    for j in range(1, count + 1) for k in range(1, count + 1))
+    return ModeSet(domain, np.array(values[:count]))
 
 
 @dataclass(frozen=True)
 class Params:
-    """Relaxation parameters, each in [0, 1]; 0 collapses that block.
-    model sets the rate of the thermal kernel (memory_kernels)."""
+    """Relaxation parameters, each in [0, 1]; 0 collapses that block. tau is
+    also the thermal damping coefficient and the thermal memory weight (the
+    paper's phi and psi). model sets the rate of the thermal kernel
+    (memory_kernels)."""
 
     sigma: float = 0.0
     tau: float = 0.0
@@ -82,14 +77,6 @@ class Params:
         for name, value in (("sigma", self.sigma), ("tau", self.tau), ("eps", self.eps)):
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"{name} must lie in [0,1], got {value}")
-
-    def phi(self) -> float:
-        """Thermal damping coefficient: tau."""
-        return float(self.tau)
-
-    def psi(self) -> float:
-        """Thermal memory weight, the amplitude of nu over rate^2: tau."""
-        return float(self.tau)
 
 
 @dataclass(frozen=True)
@@ -222,9 +209,6 @@ class PhaseVector:
 
     def norm_sq(self) -> float:
         return sum(self.block_norms_sq().values())
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.norm_sq()))
 
 
 def zero_phase_vector(space: PhaseSpace, order: int = 0) -> PhaseVector:

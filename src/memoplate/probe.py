@@ -180,10 +180,6 @@ class ProbePair:
     quartic_residual: float
 
     @property
-    def ratio(self) -> float:
-        return self.z_tilde_norm / self.z_norm
-
-    @property
     def gamma_lam(self) -> float:
         return self.gamma * abs(self.shear_amp)
 
@@ -248,7 +244,6 @@ class ScanResult:
     z_norm: np.ndarray
     z_tilde_norm: np.ndarray
     ratio: np.ndarray
-    gamma_lam: np.ndarray
     quartic_residual: np.ndarray
     slope_z: float
     half_z: float                # 95% half-width of slope_z
@@ -275,7 +270,7 @@ def resolvent_scan(ap: AbstractParams, gammas: np.ndarray) -> ScanResult:
     g = np.asarray(gammas, dtype=float)
     if g.size < 3:
         # two points fit a line exactly and leave no residual to bound it
-        raise FitError(f"scan needs at least three scales, got {g.size}")
+        raise DomainError(f"scan needs at least three scales, got {g.size}")
     pairs = [build_probe_pair(ap, float(x)) for x in g]
     lam = np.array([p.lam for p in pairs])
     zn = np.array([p.z_norm for p in pairs])
@@ -285,13 +280,12 @@ def resolvent_scan(ap: AbstractParams, gammas: np.ndarray) -> ScanResult:
     ratio = zt / zn
     slope_z, half_z = _log_slope(g, zn)
     slope_gl, half_gl = _log_slope(g, gl) if ap.with_shear else (np.nan, np.nan)
-    return ScanResult(g, lam, zn, zt, ratio, gl, qr, slope_z, half_z, slope_gl, half_gl,
+    return ScanResult(g, lam, zn, zt, ratio, qr, slope_z, half_z, slope_gl, half_gl,
                       bool(np.all(np.diff(ratio) < 0.0)))
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    gamma: float
     lam: float
     grid_size: int
     cutoff: float
@@ -370,6 +364,6 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
         tail_shear = beta.tail_fraction(s_max)
     num_sq += abs(res_v) ** 2
 
-    return ResidualReport(gamma, lam, grid_size, float(s_max),
+    return ResidualReport(lam, grid_size, float(s_max),
                           float(np.sqrt(num_sq / den_sq)),
                           mu.tail_fraction(s_max), tail_shear)

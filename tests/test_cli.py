@@ -1,4 +1,5 @@
 """Command-line entry: exit codes, artifacts, determinism."""
+import ast
 import json
 import os
 
@@ -30,6 +31,10 @@ def small_ini(tmp_path):
     p = tmp_path / "small.ini"
     p.write_text(SMALL)
     return str(p)
+
+
+# appended to a rejected value whose command must step first: a short run
+FAST = "\n\n[integrator]\nhorizon = 0.5\ngrid_size = 60\n\n[domain]\nmodes = 2"
 
 
 def read_manifest(out_dir):
@@ -88,6 +93,14 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys):
     ("simulate", "integrator", "horizon = 0"),
     ("pruss-scan", "probe", "alpha = 3"),
     ("pruss-scan", "probe", "residual_size = 4"),
+    ("simulate", "integrator", "tail = 0"),
+    ("simulate", "integrator", "tail = 2"),
+    ("kernel-check", "integrator", "tail = 0"),
+    pytest.param("limit-sweep", "fit", "t0 = -1" + FAST, id="limit-sweep-fit-t0 = -1"),
+    pytest.param("limit-sweep", "fit", "t0 = 5" + FAST, id="limit-sweep-fit-t0 = 5"),
+    pytest.param("decay", "fit", "window_lo = 1.5\nwindow_hi = 0.5" + FAST,
+                 id="decay-fit-reversed window"),
+    ("pruss-scan", "probe", "gamma_count = 2"),
 ])
 def test_rejected_value_exits_2(tmp_path, capsys, command, section, text):
     # a value the library rejects is a configuration error naming its section
@@ -184,7 +197,7 @@ def test_two_scale_scan_fails_typed(tmp_path):
     ini.write_text("[probe]\ngamma_count = 2\n")
     out = str(tmp_path / "two")
     assert main(["pruss-scan", "--preset", "thm-a2", "--config", str(ini),
-                 "--out", out]) == 3
+                 "--out", out]) == 2
     steps = {s["name"]: s for s in read_manifest(out)["steps"]}
     assert steps["pruss-scan"]["status"] == "failed"
     assert "three scales" in steps["pruss-scan"]["detail"]
@@ -233,6 +246,49 @@ def test_emit_plots_flag(tmp_path):
     out = str(tmp_path / "pl")
     assert main(["simulate", "--config", str(ini), "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "plot_energy.py"))
+
+
+PLOTTED = """
+[domain]
+modes = 2
+
+[integrator]
+dt = 0.01
+horizon = 1
+stride = 1
+grid_size = 40
+
+[fit]
+window_lo = 0.2
+window_hi = 1
+
+[output]
+emit_plots = true
+"""
+
+
+@pytest.mark.parametrize("command", ["simulate", "decay", "limit-sweep", "pruss-scan"])
+def test_plot_scripts_read_their_csv(tmp_path, command):
+    # matplotlib need not be installed: each script must compile, and every
+    # column it reads must be in the header of the CSV it opens
+    ini = tmp_path / "plots.ini"
+    ini.write_text(PLOTTED)
+    out = tmp_path / "pl"
+    assert main([command, "--config", str(ini), "--out", str(out)]) == 0
+    scripts = sorted(out.glob("plot_*.py"))
+    assert scripts
+    for script in scripts:
+        source = script.read_text()
+        compile(source, str(script), "exec")
+        tree = ast.parse(source)
+        strings = [n.value for n in ast.walk(tree)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        csv_name, = [s for s in strings if s.endswith(".csv")]
+        columns = {n.slice.value for n in ast.walk(tree) if isinstance(n, ast.Subscript)
+                   and isinstance(n.slice, ast.Constant) and isinstance(n.slice.value, str)}
+        with open(out / csv_name) as fh:
+            header = fh.readline().strip().split(",")
+        assert columns and columns <= set(header), (script.name, columns, header)
 
 
 def test_unknown_command_rejected():

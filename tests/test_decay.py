@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from memoplate.errors import FitError
+from memoplate.errors import DomainError, FitError
 from memoplate.decay import (
     DEFAULT_WINDOW, SCALE_LADDER,
     check_differential_inequalities, equivalence_margins, fit_decay_rate, lyapunov_series,
@@ -25,7 +25,7 @@ def test_fit_contracts():
     t = np.linspace(0, 10, 50)
     with pytest.raises(FitError):
         fit_decay_rate(t, np.zeros_like(t), (1.0, 9.0))
-    with pytest.raises(FitError):
+    with pytest.raises(DomainError):
         fit_decay_rate(t, np.exp(-t), (9.5, 9.6))  # fewer than 3 samples
 
 

@@ -131,7 +131,6 @@ def test_history_envelopes_hold(memory_space):
     assert env.eta_margin >= -1e-12
     assert env.xi_margin >= -1e-12
     assert env.k_eta >= 0.0 and env.k_xi >= 0.0
-    assert env.eta_envelope.shape == comp.times.shape
 
 
 def test_compare_contracts(memory_space):

