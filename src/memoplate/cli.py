@@ -75,6 +75,23 @@ def _policy_note(space) -> str:
                                 for name, policy in space.policies.items())
 
 
+def _check_fit_first(cfg, stride, check) -> None:
+    """Run ``check(times)`` under [fit] on every grid point's sample times
+    before any point is stepped, so a rejected value costs no evolution;
+    ``stride(nsteps)`` is the run's sample stride."""
+    import numpy as np
+    from . import config as cfgmod
+    from .dynamics import _step_count, _stored_steps
+
+    for point in cfg.parameter_grid():
+        with cfgmod.section("integrator"):
+            dt = cfg.dt_for(*point)
+            nsteps = _step_count(dt, cfg.horizon)
+            times = dt * np.array(_stored_steps(nsteps, stride(nsteps)))
+        with cfgmod.section("fit"):
+            check(times)
+
+
 # --- commands --------------------------------------------------------
 
 def _cmd_kernel_check(cfg, manifest, out_dir) -> None:
@@ -144,10 +161,11 @@ def _cmd_simulate(cfg, manifest, out_dir) -> None:
 
 def _cmd_decay(cfg, manifest, out_dir) -> None:
     from . import config as cfgmod
-    from .decay import check_differential_inequalities, fit_decay_rate
+    from .decay import _window_indices, check_differential_inequalities, fit_decay_rate
     from .dynamics import evolve
 
     window = cfg.fit_window
+    _check_fit_first(cfg, lambda nsteps: cfg.stride, lambda t: _window_indices(t, window))
     rows = []
     for idx, (sigma, tau, eps) in enumerate(cfg.parameter_grid()):
         space, z0, dt = cfg.point(sigma, tau, eps)
@@ -175,8 +193,10 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
 
 def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
     from . import config as cfgmod
-    from .limits import compare_trajectories, fit_limit_constants, history_envelopes
+    from .limits import (_comparison_stride, _tail_start, compare_trajectories,
+                         fit_limit_constants, history_envelopes)
 
+    _check_fit_first(cfg, _comparison_stride, lambda t: _tail_start(t, cfg.sweep_t0))
     points = []
     grid = cfg.parameter_grid()
     for idx, (sigma, tau, eps) in enumerate(grid):

@@ -44,17 +44,14 @@ def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
     L[1, 2] = g
     L[2, 1] = -g
     L[2, 2] = -space.params.tau
-    if space.w_beta is not None:
-        L[1, 3 + me:] = -g * g * space.w_beta
-    else:
+    L[1, 3 + me:] = -g * g * space.w_beta
+    L[2, 3:3 + me] += -g * space.w_mu
+    L[2, 3:3 + me] += -space.w_nu
+    if space.beta is None:
         L[1, 1] += -g * g
-    if space.w_mu is not None:
-        L[2, 3:3 + me] += -g * space.w_mu
-    else:
+    if space.mu is None:
         # collapsed heat memory acts as the instantaneous Fourier term
         L[2, 2] += -g
-    if space.w_nu is not None:
-        L[2, 3:3 + me] += -space.w_nu
     for grid, start, source in ((space.eta_grid, 3, 2), (space.xi_grid, 3 + me, 1)):
         if grid is not None:
             diag, lower = grid.transport_stencil()
@@ -67,9 +64,9 @@ def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
 
 def mode_blocks(vec: PhaseVector) -> np.ndarray:
     """(modes, d) per-mode state vectors: u, v, theta, then the eta and xi
-    nodes of the active blocks, the row order of assemble_mode_operator."""
-    cols = [vec.u[:, None], vec.v[:, None], vec.theta[:, None]]
-    return np.concatenate(cols + [h.T for h in (vec.eta, vec.xi) if h is not None], axis=1)
+    nodes, the row order of assemble_mode_operator."""
+    return np.concatenate([vec.u[:, None], vec.v[:, None], vec.theta[:, None],
+                           vec.eta.T, vec.xi.T], axis=1)
 
 
 def mode_weights(space: PhaseSpace, order: int) -> np.ndarray:
@@ -78,10 +75,8 @@ def mode_weights(space: PhaseSpace, order: int) -> np.ndarray:
     one = np.ones((space.modes.count, 1))
     eu, ev, eth, emu, enu, exi = block_energies(
         space, order, one, one, one,
-        *(0.0 if w is None else w[None, :] for w in (space.w_mu, space.w_nu, space.w_beta)))
-    hist = [e for e, grid in ((emu + enu, space.eta_grid), (exi, space.xi_grid))
-            if grid is not None]
-    return np.concatenate([eu, ev, eth] + hist, axis=1)
+        *(w[None, :] for w in (space.w_mu, space.w_nu, space.w_beta)))
+    return np.concatenate([eu, ev, eth, emu + enu, exi], axis=1)
 
 
 def generator_quadratic_form(space: PhaseSpace, vec: PhaseVector) -> tuple[float, float]:
@@ -106,13 +101,14 @@ class TransportStepper:
     """Implicit midpoint for a driven transport block on one history grid.
 
     Advances all modes at once: profiles are stored (nodes, modes) and the
-    lower-bidiagonal solve runs column-wise through LAPACK.
+    lower-bidiagonal solve runs column-wise through LAPACK. An absent block
+    (grid None) has 0 nodes, and its steps never reach LAPACK.
     """
 
     def __init__(self, grid, dt: float):
         a = 0.5 * dt
-        h = grid.spacing
-        size = grid.size
+        h = np.zeros(0) if grid is None else grid.spacing
+        size = h.size
         self.a, self.h = a, h
         ab = np.zeros((2, size))
         ab[0] = 1.0 + a / h
@@ -124,9 +120,10 @@ class TransportStepper:
         self._band = np.zeros((3, size))
         self._band[1:] = ab
         # response of the implicit half to a unit constant drive, through
-        # _gbsv rather than solve(), which runs once per history block and step
-        self.unit_response = self._gbsv(1, 0, self._band.copy(), np.ones(size),
-                                        overwrite_ab=True)[2]
+        # _gbsv rather than solve(), which runs once per active history block
+        # and step; gbsv rejects n = 0, which an absent block's partial skips
+        self.unit_response = np.zeros(0) if not size else self._gbsv(
+            1, 0, self._band.copy(), np.ones(size), overwrite_ab=True)[2]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         _, _, x, info = self._gbsv(1, 0, self._band.copy(), rhs, overwrite_ab=True)
@@ -137,7 +134,10 @@ class TransportStepper:
     def partial(self, profile: np.ndarray, drive: np.ndarray) -> np.ndarray:
         """First part of a midpoint step of profile' = T profile + drive:
         the explicit half (I + a T) profile, zero inflow, plus the old drive
-        (modes,), solved with a zero new drive."""
+        (modes,), solved with a zero new drive. An empty profile is its own
+        solution."""
+        if not self.h.size:
+            return profile.copy()
         shifted = np.zeros_like(profile)
         shifted[1:] = profile[:-1]
         return self.solve(profile + self.a * (shifted - profile) / self.h[:, None]
@@ -156,11 +156,12 @@ class MidpointStepper:
     """Exact implicit-midpoint solver for the full mode-diagonal system.
 
     State arrays: u, v, theta of shape (modes,), eta of shape
-    (eta_nodes, modes) and xi of shape (xi_nodes, modes), or None when the
-    corresponding block is collapsed. Per mode, the triplet x = (u, v, theta)
-    obeys x' = T x - M(eta, xi) with the memory load M of memory_load; the
+    (eta_nodes, modes) and xi of shape (xi_nodes, modes), with 0 nodes for a
+    collapsed block. Per mode, the triplet x = (u, v, theta) obeys
+    x' = T x - M(eta, xi) with the memory load M of memory_load; the
     histories enter only through M, so eliminating them leaves one 3x3
-    solve per mode.
+    solve per mode. With both blocks collapsed M is zero and a step is the
+    midpoint map x1 = P x.
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
@@ -171,8 +172,8 @@ class MidpointStepper:
         a = 0.5 * dt
         g = space.modes.eigenvalues
         self.g = g
-        self.eta_t, self.xi_t = (None if grid is None else TransportStepper(grid, dt)
-                                 for grid in (space.eta_grid, space.xi_grid))
+        self.eta_t = TransportStepper(space.eta_grid, dt)
+        self.xi_t = TransportStepper(space.xi_grid, dt)
 
         T = np.zeros((g.size, 3, 3))
         T[:, 0, 1] = 1.0
@@ -180,15 +181,14 @@ class MidpointStepper:
         T[:, 1, 2] = g
         T[:, 2, 1] = -g
         T[:, 2, 2] = -space.params.tau
-        if space.w_beta is None:
+        if space.beta is None:
             T[:, 1, 1] -= g ** 2        # Kelvin-Voigt friction in place of viscous memory
-        if space.w_mu is None:
+        if space.mu is None:
             T[:, 2, 2] -= g             # Fourier term in place of thermal memory
         # the new histories are the partial solves plus a * unit_response
         # times the new theta (eta) or v (xi), which adds a^2 * s to the
         # diagonal of the eliminated triplet matrix
-        s = self.memory_load(*(None if t is None else t.unit_response
-                               for t in (self.eta_t, self.xi_t)))
+        s = self.memory_load(self.eta_t.unit_response, self.xi_t.unit_response)
         eye = np.eye(3)
         Ainv = np.linalg.inv(eye - a * T + a * a * s[:, :, None] * eye)
         self.P = Ainv @ (eye + a * T)
@@ -196,30 +196,23 @@ class MidpointStepper:
 
     def memory_load(self, eta, xi) -> np.ndarray:
         """(modes, 3) load (0, g^2 w_beta.xi, g w_mu.eta + w_nu.eta) of history
-        profiles stored (nodes, modes) or (nodes,); None for a collapsed block."""
+        profiles stored (nodes, modes) or (nodes,)."""
         space, g = self.space, self.g
         load = np.zeros((g.size, 3))
-        if xi is not None:
-            load[:, 1] = g ** 2 * (space.w_beta @ xi)
-        if eta is not None:
-            if space.w_mu is not None:
-                load[:, 2] = g * (space.w_mu @ eta)
-            if space.w_nu is not None:
-                load[:, 2] += space.w_nu @ eta
+        load[:, 1] = g ** 2 * (space.w_beta @ xi)
+        load[:, 2] = g * (space.w_mu @ eta) + space.w_nu @ eta
         return load
 
     def step(self, u, v, th, eta, xi):
-        y_eta = None if eta is None else self.eta_t.partial(eta, th)
-        y_xi = None if xi is None else self.xi_t.partial(xi, v)
+        y_eta = self.eta_t.partial(eta, th)
+        y_xi = self.xi_t.partial(xi, v)
         # M is linear: loading the old histories and the partial solves apart
         # needs no summed copy of either
         load = self.memory_load(eta, xi) + self.memory_load(y_eta, y_xi)
         x = np.stack([u, v, th], axis=1)
         x1 = np.einsum("nij,nj->ni", self.P, x) - np.einsum("nij,nj->ni", self.Q, load)
         u1, v1, th1 = x1[:, 0], x1[:, 1], x1[:, 2]
-        eta1 = None if eta is None else self.eta_t.complete(y_eta, th1)
-        xi1 = None if xi is None else self.xi_t.complete(y_xi, v1)
-        return u1, v1, th1, eta1, xi1
+        return u1, v1, th1, self.eta_t.complete(y_eta, th1), self.xi_t.complete(y_xi, v1)
 
 
 @dataclass
@@ -322,13 +315,10 @@ def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
     Raises SingularStepError if the state stops being finite.
     """
     stepper = MidpointStepper(space, dt)
-    zero = np.zeros(space.modes.count)
 
     def sample(state, blocks):
         u, v, th, eta, xi = state
-        imu = space.w_mu @ eta if space.w_mu is not None else zero
-        ibe = space.w_beta @ xi if xi is not None else zero
-        return (u, v, th) + tuple(blocks[3:]) + (imu, ibe)
+        return (u, v, th) + tuple(blocks[3:]) + (space.w_mu @ eta, space.w_beta @ xi)
 
     stored, step_energy, cols, state = _drive(stepper, initial, horizon, store_stride, sample)
     m = initial.order
@@ -336,8 +326,7 @@ def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
     # and holding them keeps that heap memory from being released (2 MB more
     # peak RSS at 128 modes and 1600 + 1600 nodes)
     return Trajectory(space, m, dt * stored, *cols, step_energy,
-                      PhaseVector(space, m, *(None if x is None else x.copy()
-                                              for x in state)))
+                      PhaseVector(space, m, *(x.copy() for x in state)))
 
 
 def evolve_limit(modes: ModeSet, triplet0: np.ndarray, dt: float, horizon: float,
@@ -407,10 +396,9 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
                 f"closure oracle needs exponential-shape kernels, got singularity "
                 f"{k.singularity}")
     if initial_integrals is None:
-        for h in (initial.eta, initial.xi):
-            if h is not None and np.any(h != 0.0):
-                raise UnsupportedOracleError(
-                    "nonzero initial histories need explicit initial_integrals")
+        if np.any(initial.eta != 0.0) or np.any(initial.xi != 0.0):
+            raise UnsupportedOracleError(
+                "nonzero initial histories need explicit initial_integrals")
         zeros = np.zeros(space.modes.count)
         initial_integrals = {"mu": zeros, "nu": zeros, "beta": zeros}
 

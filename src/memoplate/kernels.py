@@ -23,7 +23,7 @@ class KernelSpec:
     """The kernel amplitude * s^(-singularity) * exp(-decay*s).
 
     It is exponential in shape exactly when singularity == 0. An absent
-    history block has no KernelSpec at all: it is None.
+    kernel has no KernelSpec at all: it is None.
     """
 
     amplitude: float

@@ -30,6 +30,19 @@ def pi_bounds(params: Params) -> tuple[float, float]:
     return flat, 2 * params.tau ** 0.5
 
 
+def _comparison_stride(nsteps: int) -> int:
+    """Sample stride of compare_trajectories: at most about 2000 samples."""
+    return max(1, nsteps // 2000)
+
+
+def _tail_start(times: np.ndarray, t0: float) -> float:
+    """t0, or DomainError if it lies outside the sample times."""
+    if not times[0] <= t0 <= times[-1]:
+        raise DomainError(f"t0 = {t0} lies outside the run's times "
+                          f"[{times[0]:.6g}, {times[-1]:.6g}]")
+    return t0
+
+
 def upsilon_coefficients(initial: PhaseVector) -> dict[str, float]:
     """Initial history norms feeding the decaying part of the bound."""
     b = initial.block_norms_sq()
@@ -76,23 +89,17 @@ class LimitComparison:
     pi_flat: float
     pi_sharp: float
 
-    def _tail_start(self, t0: float | None) -> float:
-        t0 = self.t0 if t0 is None else t0
-        if not self.times[0] <= t0 <= self.times[-1]:
-            raise DomainError(f"t0 = {t0} lies outside the run's times "
-                              f"[{self.times[0]:.6g}, {self.times[-1]:.6g}]")
-        return t0
-
     @property
     def sup_distance(self) -> float:
         """Largest distance from t0 on; DomainError if t0 is outside the run."""
-        return float(np.max(self.distance[self.times >= self._tail_start(None)]))
+        return float(np.max(self.distance[self.times >= _tail_start(self.times, self.t0)]))
 
     def sup_upsilon_tail(self, t0: float | None = None) -> float:
         """Largest decaying-bound value from t0 on; the series is monotone
         decreasing so this is just its value at t0. DomainError if t0 is
         outside the run."""
-        return float(np.interp(self._tail_start(t0), self.times, self.upsilon))
+        t0 = _tail_start(self.times, self.t0 if t0 is None else t0)
+        return float(np.interp(t0, self.times, self.upsilon))
 
     @property
     def k_hat(self) -> float:
@@ -120,34 +127,32 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     At most about 2000 samples are stored. Raises SingularStepError if the
     full state stops being finite.
     """
-    stride = max(1, _step_count(dt, horizon) // 2000)
+    stride = _comparison_stride(_step_count(dt, horizon))
     m = initial.order
-    n, me, mx = space.modes.count, space.eta_size, space.xi_size
 
     stepper = MidpointStepper(space, dt)
-    stepper_lim = MidpointStepper(build_phase_space(space.modes, Params(0.0, 0.0, 0.0)), dt)
+    # the collapsed system has no memory load, so its step is the midpoint map
+    P_lim = MidpointStepper(build_phase_space(space.modes, Params(0.0, 0.0, 0.0)), dt).P
     tr_eta, tr_xi = stepper.eta_t, stepper.xi_t
 
     lu, lv, lth = initial.u, initial.v, initial.theta
-    eta_hat = np.zeros((me, n)) if me else None
-    xi_hat = np.zeros((mx, n)) if mx else None
+    eta_hat, xi_hat = np.zeros_like(initial.eta), np.zeros_like(initial.xi)
 
     def advance():
         nonlocal lu, lv, lth, eta_hat, xi_hat
         lth_old, lv_old = lth, lv
-        lu, lv, lth, _, _ = stepper_lim.step(lu, lv, lth, None, None)
-        if me:
-            eta_hat = tr_eta.complete(tr_eta.partial(eta_hat, lth_old), lth)
-        if mx:
-            xi_hat = tr_xi.complete(tr_xi.partial(xi_hat, lv_old), lv)
+        x1 = np.einsum("nij,nj->ni", P_lim, np.stack([lu, lv, lth], axis=1))
+        lu, lv, lth = x1[:, 0], x1[:, 1], x1[:, 2]
+        eta_hat = tr_eta.complete(tr_eta.partial(eta_hat, lth_old), lth)
+        xi_hat = tr_xi.complete(tr_xi.partial(xi_hat, lv_old), lv)
 
     def sample(state, blocks):
         u, v, th, eta, xi = state
         hmu, hnu, hxi = (float(np.sum(b)) for b in blocks[3:])
         # distance to the limit state with the reconstructed histories; its
         # triplet part is also the triplet part of the zero-padded distance
-        diff = block_energies(space, m, u - lu, v - lv, th - lth, *history_quadratures(
-            space, eta - eta_hat if me else None, xi - xi_hat if mx else None))
+        diff = block_energies(space, m, u - lu, v - lv, th - lth,
+                              *history_quadratures(space, eta - eta_hat, xi - xi_hat))
         trip = float(np.sum(diff[0] + diff[1] + diff[2]))
         limit = block_energies(space, m, lu, lv, lth)
         return (np.sqrt(trip + hmu + hnu + hxi),

@@ -2,9 +2,9 @@
 
 The evolution is diagonal over the Laplacian eigenbasis, so a state is a
 small record per eigenvalue: the deflection/velocity/temperature triplet plus
-optional sampled history profiles. The phase norm of order m weights those
-blocks with powers of the eigenvalue and kernel quadratures; everything else
-in the package funnels its norms through this module.
+sampled history profiles, empty for an absent block. The phase norm of order
+m weights those blocks with powers of the eigenvalue and kernel quadratures;
+everything else in the package funnels its norms through this module.
 """
 from __future__ import annotations
 
@@ -83,10 +83,10 @@ class Params:
 class PhaseSpace:
     """Mode set, parameters, kernels and grids bundled for norm evaluation.
 
-    A history block is active exactly when its grid is not None, and a
-    kernel's term exactly when its weights are not None. ``policies`` maps
-    "mu", "nu" and "beta" to the weight policy each active kernel's weights
-    were built with, or None for an absent kernel.
+    A history block is active exactly when its grid is not None. Every
+    kernel has weights of its block's length, all zero when the kernel is
+    None. ``policies`` maps "mu", "nu" and "beta" to the weight policy each
+    active kernel's weights were built with, or None for an absent kernel.
     """
 
     modes: ModeSet
@@ -96,18 +96,18 @@ class PhaseSpace:
     beta: KernelSpec | None
     eta_grid: HistoryGrid | None
     xi_grid: HistoryGrid | None
-    w_mu: np.ndarray | None
-    w_nu: np.ndarray | None
-    w_beta: np.ndarray | None
+    w_mu: np.ndarray
+    w_nu: np.ndarray
+    w_beta: np.ndarray
     policies: dict[str, str | None]
 
     @property
     def eta_size(self) -> int:
-        return 0 if self.eta_grid is None else self.eta_grid.size
+        return self.w_mu.size
 
     @property
     def xi_size(self) -> int:
-        return 0 if self.xi_grid is None else self.xi_grid.size
+        return self.w_beta.size
 
 
 def memory_kernels(params: Params, base_mu: KernelSpec | None = None,
@@ -130,10 +130,11 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
                       weight_policy: str = "auto") -> PhaseSpace:
     """eta carries mu and nu, xi carries beta; each active history gets one
     grid spanning every kernel it carries and resolving the fastest
-    exponential one (resolving_grid), and each kernel its weights on it."""
+    exponential one (resolving_grid), and each kernel its weights on it; an
+    absent kernel weighs its block's nodes by zero."""
     kernels = dict(zip(("mu", "nu", "beta"), memory_kernels(params, base_mu, base_beta)))
     grids = {"eta": None, "xi": None}
-    weights, policies = dict.fromkeys(kernels), dict.fromkeys(kernels)
+    weights, policies = dict.fromkeys(kernels, np.zeros(0)), dict.fromkeys(kernels)
     for var, names in (("eta", ("mu", "nu")), ("xi", ("beta",))):
         carried = [n for n in names if kernels[n] is not None]
         if not carried:
@@ -142,8 +143,9 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
                       default=0.0)
         grids[var] = resolving_grid(history_cutoff((kernels[n] for n in carried), tail),
                                     grid_size, ratio, fastest)
-        for n in carried:
-            weights[n], policies[n] = kernel_weights(grids[var], kernels[n], weight_policy)
+        for n in names:
+            weights[n], policies[n] = (kernel_weights(grids[var], kernels[n], weight_policy)
+                                       if n in carried else (np.zeros(grids[var].size), None))
     return PhaseSpace(modes, params, kernels["mu"], kernels["nu"], kernels["beta"],
                       grids["eta"], grids["xi"], weights["mu"], weights["nu"],
                       weights["beta"], policies)
@@ -156,7 +158,7 @@ def block_energies(space: PhaseSpace, order: int, u, v, theta,
 
     u, v and theta are modal amplitudes with the mode on the first axis;
     q_mu, q_nu and q_beta are the quadratures sum_j w_j f_j^2 of the history
-    profiles under mu, nu and beta (0 for an absent block). Further axes
+    profiles under mu, nu and beta (0 for an absent kernel). Further axes
     broadcast against the modes. This is the one place that knows the
     eigenvalue powers of the norm.
     """
@@ -169,26 +171,18 @@ def block_energies(space: PhaseSpace, order: int, u, v, theta,
 
 def history_quadratures(space: PhaseSpace, eta, xi) -> tuple:
     """(q_mu, q_nu, q_beta) for block_energies from profiles stored
-    (nodes, modes); 0 for an absent block."""
-    q_mu = q_nu = q_beta = 0.0
-    if eta is not None:
-        sq = eta ** 2
-        if space.w_mu is not None:
-            q_mu = space.w_mu @ sq
-        if space.w_nu is not None:
-            q_nu = space.w_nu @ sq
-    if xi is not None:
-        q_beta = space.w_beta @ xi ** 2
-    return q_mu, q_nu, q_beta
+    (nodes, modes); an absent kernel's zero weights give 0."""
+    sq = eta ** 2
+    return space.w_mu @ sq, space.w_nu @ sq, space.w_beta @ xi ** 2
 
 
 @dataclass
 class PhaseVector:
     """Aggregated modal states with a norm order.
 
-    u, v and theta have shape (modes,). eta has shape (eta_nodes, modes)
-    when the slow-memory block is active, and is None otherwise; likewise xi
-    with (xi_nodes, modes). This is the layout MidpointStepper advances.
+    u, v and theta have shape (modes,), eta (eta_nodes, modes) and xi
+    (xi_nodes, modes), where an absent block has 0 nodes. This is the layout
+    MidpointStepper advances.
     """
 
     space: PhaseSpace
@@ -196,8 +190,8 @@ class PhaseVector:
     u: np.ndarray
     v: np.ndarray
     theta: np.ndarray
-    eta: np.ndarray | None = None
-    xi: np.ndarray | None = None
+    eta: np.ndarray
+    xi: np.ndarray
 
     def block_norms_sq(self) -> dict[str, float]:
         """Squared norm split by block: triplet, mu- and nu-weighted history,
@@ -213,9 +207,8 @@ class PhaseVector:
 
 def zero_phase_vector(space: PhaseSpace, order: int = 0) -> PhaseVector:
     n = space.modes.count
-    eta = None if space.eta_grid is None else np.zeros((space.eta_size, n))
-    xi = None if space.xi_grid is None else np.zeros((space.xi_size, n))
-    return PhaseVector(space, order, np.zeros(n), np.zeros(n), np.zeros(n), eta, xi)
+    return PhaseVector(space, order, np.zeros(n), np.zeros(n), np.zeros(n),
+                       np.zeros((space.eta_size, n)), np.zeros((space.xi_size, n)))
 
 
 def lift_triplet(space: PhaseSpace, triplet: np.ndarray, order: int = 0) -> PhaseVector:
@@ -234,27 +227,17 @@ def project_initial_data(coefficients, space: PhaseSpace, order: int = 0) -> Pha
     """Assemble a PhaseVector from modal coefficient arrays.
 
     ``coefficients`` maps "u"/"v"/"theta" to length-N arrays and optionally
-    "eta"/"xi" to (nodes, N) history samples, one column per mode; omitted
-    entries mean zero.
+    "eta"/"xi" to (nodes, N) history samples, one column per mode, with 0
+    nodes for an absent block; omitted entries mean zero.
     """
     vec = zero_phase_vector(space, order)
-    n = space.modes.count
-    for name in ("u", "v", "theta"):
+    for name in ("u", "v", "theta", "eta", "xi"):
         if name in coefficients:
             arr = np.asarray(coefficients[name], dtype=float)
-            if arr.shape != (n,):
-                raise ShapeError(f"{name} coefficients have shape {arr.shape}, expected ({n},)")
+            if arr.shape != getattr(vec, name).shape:
+                raise ShapeError(f"{name} coefficients have shape {arr.shape}, "
+                                 f"expected {getattr(vec, name).shape}")
             setattr(vec, name, arr.copy())
-    for name, grid in (("eta", space.eta_grid), ("xi", space.xi_grid)):
-        if coefficients.get(name) is None:
-            continue
-        arr = np.asarray(coefficients[name], dtype=float)
-        if grid is None:
-            raise ShapeError(f"{name} history supplied but that block is collapsed")
-        if arr.shape != (grid.size, n):
-            raise ShapeError(f"{name} history has shape {arr.shape}, "
-                             f"expected ({grid.size}, {n})")
-        setattr(vec, name, arr.copy())
     return vec
 
 

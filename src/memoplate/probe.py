@@ -271,6 +271,8 @@ def resolvent_scan(ap: AbstractParams, gammas: np.ndarray) -> ScanResult:
     if g.size < 3:
         # two points fit a line exactly and leave no residual to bound it
         raise DomainError(f"scan needs at least three scales, got {g.size}")
+    if np.any(np.diff(g) <= 0.0):
+        raise DomainError(f"scan scales must strictly increase, got {g[0]:.6g} to {g[-1]:.6g}")
     pairs = [build_probe_pair(ap, float(x)) for x in g]
     lam = np.array([p.lam for p in pairs])
     zn = np.array([p.z_norm for p in pairs])

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from memoplate.cli import main
+from memoplate.dynamics import MidpointStepper
 
 SMALL = """
 [domain]
@@ -101,6 +102,10 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys):
     pytest.param("decay", "fit", "window_lo = 1.5\nwindow_hi = 0.5" + FAST,
                  id="decay-fit-reversed window"),
     ("pruss-scan", "probe", "gamma_count = 2"),
+    pytest.param("pruss-scan", "probe", "gamma_lo = 2\ngamma_hi = 2",
+                 id="pruss-scan-equal scales"),
+    pytest.param("pruss-scan", "probe", "gamma_lo = 4\ngamma_hi = 1",
+                 id="pruss-scan-decreasing scales"),
 ])
 def test_rejected_value_exits_2(tmp_path, capsys, command, section, text):
     # a value the library rejects is a configuration error naming its section
@@ -111,6 +116,24 @@ def test_rejected_value_exits_2(tmp_path, capsys, command, section, text):
     assert f"config error: [{section}] " in capsys.readouterr().err
     steps = {s["name"]: s for s in read_manifest(out)["steps"]}
     assert steps[command]["status"] == "failed"
+
+
+@pytest.mark.parametrize("command, preset, text", [
+    ("decay", "thm-edec", "window_lo = 15\nwindow_hi = 1"),
+    ("limit-sweep", "thm-gp1", "t0 = -1"),
+])
+def test_fit_is_checked_before_stepping(tmp_path, monkeypatch, command, preset, text):
+    # every grid point's [fit] values are checked on its sample times before
+    # the first point is stepped
+    calls = []
+    step = MidpointStepper.step
+    monkeypatch.setattr(MidpointStepper, "step",
+                        lambda self, *state: calls.append(1) or step(self, *state))
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[fit]\n{text}\n")
+    out = str(tmp_path / "o")
+    assert main([command, "--preset", preset, "--config", str(ini), "--out", out]) == 2
+    assert calls == []
 
 
 def test_singular_kernel_needs_only_its_singularity(tmp_path):

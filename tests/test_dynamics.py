@@ -33,10 +33,8 @@ def random_state(space, seed, order=0):
     vec.u = rng.standard_normal(n)
     vec.v = rng.standard_normal(n)
     vec.theta = rng.standard_normal(n)
-    if vec.eta is not None:
-        vec.eta = rng.standard_normal(vec.eta.shape)
-    if vec.xi is not None:
-        vec.xi = rng.standard_normal(vec.xi.shape)
+    vec.eta = rng.standard_normal(vec.eta.shape)
+    vec.xi = rng.standard_normal(vec.xi.shape)
     return vec
 
 
@@ -225,19 +223,25 @@ def test_closure_oracle_rejects_zero_stride(interval_modes):
 
 def test_transport_solves_per_step(small_space, monkeypatch):
     # one banded solve per active history block and step, as many again for
-    # the reconstructed limit histories, none for the collapsed system
+    # the reconstructed limit histories, none for the collapsed system: an
+    # empty block never reaches LAPACK
     calls = []
     solve = TransportStepper.solve
     monkeypatch.setattr(TransportStepper, "solve",
                         lambda self, rhs: calls.append(1) or solve(self, rhs))
-    z0 = initial_data_preset("single-mode", small_space, 0)
-    for run, per_step in ((lambda: evolve(small_space, z0, 1e-2, 0.1), 2),
-                          (lambda: compare_trajectories(small_space, z0, 1e-2, 0.1), 4),
-                          (lambda: evolve_limit(small_space.modes, np.ones((4, 3)), 1e-2,
-                                                0.1), 0)):
-        calls.clear()
-        run()
-        assert len(calls) == 10 * per_step
+    one_block = [build_phase_space(small_space.modes, p, grid_size=40)
+                 for p in (Params(0.5, 0.0, 0.0), Params(0.0, 0.5, 0.0))]
+    for space, active in [(small_space, 2)] + [(sp, 1) for sp in one_block]:
+        z0 = initial_data_preset("single-mode", space, 0)
+        for run, per_step in ((lambda: evolve(space, z0, 1e-2, 0.1), active),
+                              (lambda: compare_trajectories(space, z0, 1e-2, 0.1),
+                               2 * active)):
+            calls.clear()
+            run()
+            assert len(calls) == 10 * per_step
+    calls.clear()
+    evolve_limit(small_space.modes, np.ones((4, 3)), 1e-2, 0.1)
+    assert calls == []
 
 
 def test_default_time_step_rules():

@@ -61,7 +61,8 @@ def test_params_gating():
 @pytest.mark.parametrize("sigma, tau, eps", list(itertools.product((0.0, 0.5), repeat=3)))
 def test_history_blocks_follow_the_grids(interval_modes, sigma, tau, eps):
     # eta exists exactly when mu or nu does, xi exactly when beta does, and
-    # every state builder and the stepper read that from the grids alone
+    # every state builder and the stepper read that from the grids alone: an
+    # absent block has 0 nodes
     space = build_phase_space(interval_modes, Params(sigma, tau, eps), grid_size=40)
     assert (space.eta_grid is not None) == (eps > 0 or tau > 0)
     assert (space.xi_grid is not None) == (sigma > 0)
@@ -70,21 +71,23 @@ def test_history_blocks_follow_the_grids(interval_modes, sigma, tau, eps):
     preset = initial_data_preset("spectral-decay 4", space, 0, with_history=True)
     for grid, blocks in ((space.eta_grid, (zero.eta, preset.eta, stepper.eta_t)),
                          (space.xi_grid, (zero.xi, preset.xi, stepper.xi_t))):
-        if grid is None:
-            assert all(b is None for b in blocks)
-        else:
-            assert blocks[0].shape == blocks[1].shape == (grid.size, interval_modes.count)
-            assert blocks[2].unit_response.shape == (grid.size,)
+        size = 0 if grid is None else grid.size
+        assert blocks[0].shape == blocks[1].shape == (size, interval_modes.count)
+        assert blocks[2].unit_response.shape == (size,)
 
 
 def test_phase_space_kernel_gating(interval_modes):
+    # an absent kernel weighs its block's nodes by zero
     sp = build_phase_space(interval_modes, Params(0.5, 0.0, 0.5), grid_size=40)
-    assert sp.w_mu is not None and sp.w_nu is None and sp.w_beta is not None
+    assert sp.w_mu.any() and sp.w_beta.any()
+    assert sp.w_nu.shape == (sp.eta_size,) and not sp.w_nu.any()
     sp2 = build_phase_space(interval_modes, Params(0.0, 0.5, 0.0), grid_size=40)
-    assert sp2.w_mu is None and sp2.w_nu is not None
+    assert sp2.w_mu.shape == (sp2.eta_size,) and not sp2.w_mu.any() and sp2.w_nu.any()
     assert sp2.xi_grid is None and sp2.eta_grid is not None
+    assert sp2.w_beta.shape == (0,)
     sp3 = build_phase_space(interval_modes, Params(0.0, 0.0, 0.0))
     assert sp3.eta_grid is None and sp3.xi_grid is None
+    assert all(w.shape == (0,) for w in (sp3.w_mu, sp3.w_nu, sp3.w_beta))
 
 
 def test_eta_grid_covers_both_kernels(interval_modes):
