@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -114,9 +115,12 @@ class ExperimentConfig:
     def _float(self, section: str, key: str) -> float:
         text = self._get(section, key)
         try:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"[{section}] {key} = {text!r} is not a number")
+            raise ConfigError(f"[{section}] {key} = {text!r} is not a finite number")
+        return value
 
     def _int(self, section: str, key: str) -> int:
         text = self._get(section, key)
@@ -137,8 +141,10 @@ class ExperimentConfig:
         text = self._get(section, key)
         try:
             values = tuple(float(part) for part in text.split(",") if part.strip())
+            if not all(map(math.isfinite, values)):
+                raise ValueError
         except ValueError:
-            raise ConfigError(f"[{section}] {key} = {text!r} is not a number list")
+            raise ConfigError(f"[{section}] {key} = {text!r} is not a finite number list")
         if not values:
             raise ConfigError(f"[{section}] {key} is empty")
         return values
@@ -319,10 +325,9 @@ def preset(name: str) -> ExperimentConfig:
 def load_config(path: str | Path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse an INI file on top of a base config (defaults if omitted)."""
     parser = configparser.ConfigParser(interpolation=None)
-    text = Path(path).read_text()
     try:
-        parser.read_string(text, source=str(path))
-    except configparser.Error as exc:
+        parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}")
     if parser.defaults():
         # configparser copies [DEFAULT] keys into every section

@@ -5,12 +5,13 @@ deflection/velocity/temperature triplet to the sampled history profiles
 through the quadrature weights. A collapsed kernel is replaced by its
 instantaneous counterpart: viscous memory by Kelvin-Voigt friction, thermal
 memory by the Fourier term. The stepper writes both substitutes once, into
-the per-mode triplet generator MidpointStepper builds; the three independent
-references (assemble_mode_operator, the collapsed limit_mode_matrix and the
-closure_oracle_evolve route) write them out for themselves. The assembled
-operator is dissipative in the weighted phase inner product for every norm
-order, and the implicit midpoint rule inherits that property exactly, up to
-roundoff.
+the per-mode triplet generator MidpointStepper builds. The two independent
+references write them for themselves: the dense grid operator
+assemble_mode_operator, and the grid-free closure generator closure_matrix
+over the kernels present, whose kernel-free case is the memory-free block.
+The assembled operator is dissipative in the weighted phase inner product
+for every norm order, and the implicit midpoint rule inherits that property
+exactly, up to roundoff.
 
 The midpoint solve never touches a generic sparse factorization: the history
 blocks are lower bidiagonal and couple to the triplet by rank-one terms, so
@@ -249,8 +250,9 @@ class Trajectory:
 
 
 def _step_count(dt: float, horizon: float) -> int:
-    if dt <= 0 or horizon <= 0:
-        raise DomainError(f"need positive dt and horizon, got {dt}, {horizon}")
+    if not (dt > 0 and horizon > 0 and math.isfinite(horizon / dt)):
+        raise DomainError(f"need positive dt and horizon with a finite step count, "
+                          f"got {dt}, {horizon}")
     return max(1, int(round(horizon / dt)))
 
 
@@ -340,13 +342,6 @@ def evolve_limit(modes: ModeSet, triplet0: np.ndarray, dt: float, horizon: float
                   store_stride=store_stride)
 
 
-def limit_mode_matrix(gamma: float) -> np.ndarray:
-    """3x3 generator block of the collapsed system at one eigenvalue."""
-    return np.array([[0.0, 1.0, 0.0],
-                     [-gamma ** 2, -gamma ** 2, gamma],
-                     [0.0, -gamma, -gamma]])
-
-
 @dataclass
 class OracleTrajectory:
     """Closure-based reference triplet at the stored samples; arrays shaped
@@ -358,24 +353,52 @@ class OracleTrajectory:
     theta: np.ndarray
 
 
+def _closure_kernels(space: PhaseSpace) -> dict:
+    """The present kernels by name, in closure state order (mu, nu, beta)."""
+    present = {name: k for name, k in (("mu", space.mu), ("nu", space.nu),
+                                       ("beta", space.beta)) if k is not None}
+    for k in present.values():
+        if not k.is_exponential_shape:
+            raise UnsupportedOracleError(
+                f"the closure needs exponential kernels, got singularity {k.singularity}")
+    return present
+
+
+def closure_matrix(space: PhaseSpace, gamma: float) -> np.ndarray:
+    """Generator of the exact memory-integral closure at one eigenvalue.
+
+    States: u, v, theta, then one memory integral I per present kernel, in
+    the order mu, nu, beta, with I' = -decay*I + mass*source. The source is
+    theta for mu and nu and v for beta, and I loads the same row. With no
+    kernel present this is the memory-free 3x3 block.
+    """
+    g = float(gamma)
+    kernels = _closure_kernels(space)
+    A = np.zeros((3 + len(kernels),) * 2)
+    A[:3, :3] = [[0.0, 1.0, 0.0], [-g * g, 0.0, g], [0.0, -g, -space.params.tau]]
+    if space.beta is None:
+        A[1, 1] -= g * g        # Kelvin-Voigt friction in place of viscous memory
+    if space.mu is None:
+        A[2, 2] -= g            # Fourier term in place of thermal memory
+    coupling = {"mu": (2, g), "nu": (2, 1.0), "beta": (1, g * g)}
+    for j, (name, k) in enumerate(kernels.items(), start=3):
+        row, load = coupling[name]
+        A[row, j] = -load
+        A[j, j] = -k.decay
+        A[j, row] = kernel_moment(k, 0)
+    return A
+
+
 def saturating_profile_integrals(space: PhaseSpace, coefficients: np.ndarray) -> dict:
-    """Continuum memory integrals of the preset history profile
-    c * (1 - exp(-s)) under each active kernel, per mode.
+    """Continuum memory integrals, by kernel name, of the preset history
+    profile c * (1 - exp(-s)) under each present kernel, per mode.
 
     Closed form: integral of amp*exp(-dec*s)*(1-exp(-s)) is
     amp*(1/dec - 1/(dec+1)).
     """
     coef = np.asarray(coefficients, dtype=float)
-    out = {}
-    for name, k in (("mu", space.mu), ("nu", space.nu), ("beta", space.beta)):
-        if k is None:
-            out[name] = np.zeros_like(coef)
-            continue
-        if not k.is_exponential_shape:
-            raise UnsupportedOracleError(
-                f"no closed profile integral for a kernel of singularity {k.singularity}")
-        out[name] = coef * k.amplitude * (1.0 / k.decay - 1.0 / (k.decay + 1.0))
-    return out
+    return {name: coef * k.amplitude * (1.0 / k.decay - 1.0 / (k.decay + 1.0))
+            for name, k in _closure_kernels(space).items()}
 
 
 def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
@@ -384,63 +407,32 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
     """Reference evolution through the exact memory-integral closure.
 
     For purely exponential kernels the memory integrals satisfy scalar
-    closure equations with continuum constants, so each mode reduces to a
-    linear system of at most six states advanced by a matrix exponential.
-    Grid weights never enter, which keeps this route independent of the
-    sampled-history discretization.
+    closure equations with continuum constants, so each mode reduces to the
+    linear system closure_matrix, advanced by its matrix exponential.
+    initial_integrals holds each present kernel's integrals per mode by name;
+    without it the histories must be zero. Grid weights never enter, which
+    keeps this route independent of the sampled-history discretization.
     """
-    p = space.params
-    for k in (space.mu, space.nu, space.beta):
-        if k is not None and not k.is_exponential_shape:
-            raise UnsupportedOracleError(
-                f"closure oracle needs exponential-shape kernels, got singularity "
-                f"{k.singularity}")
+    kernels = _closure_kernels(space)
+    n = space.modes.count
     if initial_integrals is None:
         if np.any(initial.eta != 0.0) or np.any(initial.xi != 0.0):
             raise UnsupportedOracleError(
                 "nonzero initial histories need explicit initial_integrals")
-        zeros = np.zeros(space.modes.count)
-        initial_integrals = {"mu": zeros, "nu": zeros, "beta": zeros}
+        initial_integrals = dict.fromkeys(kernels, np.zeros(n))
+    z0 = np.stack([initial.u, initial.v, initial.theta]
+                  + [initial_integrals[name] for name in kernels], axis=1)
 
     nsteps = _step_count(dt, horizon)
     stored = _stored_steps(nsteps, store_stride)
     k_of_step = {s: k for k, s in enumerate(stored)}
-    n = space.modes.count
     out = np.zeros((3, n, len(stored)))
 
-    for i in range(n):
-        g = float(space.modes.eigenvalues[i])
-        A = np.zeros((6, 6))
-        A[0, 1] = 1.0
-        A[1, 0] = -g * g
-        A[1, 2] = g
-        A[2, 1] = -g
-        A[2, 2] = -p.tau
-        if space.beta is not None:
-            A[1, 5] = -g * g
-            A[5, 5] = -space.beta.decay
-            A[5, 1] = kernel_moment(space.beta, 0)
-        else:
-            A[1, 1] += -g * g
-        if space.mu is not None:
-            A[2, 3] = -g
-            A[3, 3] = -space.mu.decay
-            A[3, 2] = kernel_moment(space.mu, 0)
-        else:
-            A[2, 2] += -g
-        if space.nu is not None:
-            A[2, 4] = -1.0
-            A[4, 4] = -space.nu.decay
-            A[4, 2] = kernel_moment(space.nu, 0)
-        z = np.array([initial.u[i], initial.v[i], initial.theta[i],
-                      initial_integrals["mu"][i], initial_integrals["nu"][i],
-                      initial_integrals["beta"][i]])
-        P = scipy.linalg.expm(dt * A)
+    for i, z in enumerate(z0):
+        P = scipy.linalg.expm(dt * closure_matrix(space, space.modes.eigenvalues[i]))
         for step in range(nsteps + 1):
-            k = k_of_step.get(step)
-            if k is not None:
-                out[:, i, k] = z[:3]
-            if step < nsteps:
-                z = P @ z
+            if step in k_of_step:
+                out[:, i, k_of_step[step]] = z[:3]
+            z = P @ z
     times = dt * np.array(stored, dtype=float)
     return OracleTrajectory(times, *out)

@@ -19,8 +19,8 @@ from test_kernels import LAPLACE_KERNELS, quadrature_laplace
 
 from memoplate.config import preset
 from memoplate.decay import check_differential_inequalities, fit_decay_rate
-from memoplate.dynamics import (closure_oracle_evolve, evolve, evolve_limit,
-                                limit_mode_matrix)
+from memoplate.dynamics import (closure_matrix, closure_oracle_evolve, evolve,
+                                evolve_limit)
 from memoplate.kernels import (build_kernel_family, canonical_base,
                                kernel_moment, laplace_transform,
                                normalized_power_base)
@@ -149,7 +149,7 @@ def test_criterion_4_limit_system_cross_check():
     trip0 = np.array([[1.0, 0.5, -0.5]])
     dt = 1e-3
     traj = evolve_limit(modes, trip0, dt, 10.0, store_stride=20)
-    block = limit_mode_matrix(1.0)
+    block = closure_matrix(build_phase_space(modes, Params()), 1.0)
     worst = 0.0
     for k, t in enumerate(traj.times):
         ref = scipy.linalg.expm(t * block) @ trip0[0]

@@ -106,6 +106,19 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys):
                  id="pruss-scan-equal scales"),
     pytest.param("pruss-scan", "probe", "gamma_lo = 4\ngamma_hi = 1",
                  id="pruss-scan-decreasing scales"),
+    # numbers that parse but are not finite, and a finite pair whose step
+    # count is not
+    ("simulate", "integrator", "dt = nan"),
+    ("simulate", "integrator", "horizon = inf"),
+    pytest.param("simulate", "integrator", "horizon = 1e308\ndt = 1e-308",
+                 id="simulate-integrator-step count overflows"),
+    ("simulate", "integrator", "ratio = nan"),
+    ("simulate", "kernels", "mu_decay = inf"),
+    ("simulate", "kernels", "mu_amplitude = inf"),
+    ("simulate", "domain", "lengths = nan"),
+    ("pruss-scan", "probe", "gamma_lo = nan"),
+    ("pruss-scan", "probe", "residual_gamma = inf"),
+    ("kernel-check", "kernels", "check_bound = nan"),
 ])
 def test_rejected_value_exits_2(tmp_path, capsys, command, section, text):
     # a value the library rejects is a configuration error naming its section
@@ -116,6 +129,13 @@ def test_rejected_value_exits_2(tmp_path, capsys, command, section, text):
     assert f"config error: [{section}] " in capsys.readouterr().err
     steps = {s["name"]: s for s in read_manifest(out)["steps"]}
     assert steps[command]["status"] == "failed"
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    ini = tmp_path / "latin1.ini"
+    ini.write_bytes(b"[integrator]\nhorizon = 1 \xff\n")
+    assert main(["simulate", "--config", str(ini), "--out", str(tmp_path / "o")]) == 2
+    assert "config error: cannot parse" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, preset, text", [

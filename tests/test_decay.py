@@ -7,7 +7,7 @@ from memoplate.decay import (
     DEFAULT_WINDOW, SCALE_LADDER,
     check_differential_inequalities, equivalence_margins, fit_decay_rate, lyapunov_series,
 )
-from memoplate.dynamics import default_time_step, evolve, evolve_limit, limit_mode_matrix
+from memoplate.dynamics import closure_matrix, default_time_step, evolve, evolve_limit
 from memoplate.modes import Domain, Params, build_phase_space, dirichlet_eigenvalues, initial_data_preset
 
 
@@ -89,7 +89,8 @@ def test_fitted_rate_against_spectral_oracle():
     modes = dirichlet_eigenvalues(Domain("interval", (np.pi,)), 1)
     traj = evolve_limit(modes, np.array([[1.0, 0.5, -0.5]]), 1e-3, 50.0, store_stride=20)
     fit = fit_decay_rate(traj.times, traj.total_energy(), (10.0, 50.0))
-    target = -2.0 * float(np.max(np.linalg.eigvals(limit_mode_matrix(1.0)).real))
+    block = closure_matrix(build_phase_space(modes, Params()), 1.0)
+    target = -2.0 * float(np.max(np.linalg.eigvals(block).real))
     assert fit.rate == pytest.approx(target, rel=0.02)
     assert fit.r_squared > 0.999
 

@@ -2,8 +2,8 @@
 
 The structured midpoint stepper is checked against a dense per-block solve,
 against the algebraic energy-balance identity of the midpoint rule, and
-against two independent reference solutions: the 3x3 matrix exponential for
-the collapsed system and the memory-integral closure for exponential kernels.
+against the matrix exponential of the memory-integral closure for
+exponential kernels, whose kernel-free case is the collapsed 3x3 system.
 """
 import numpy as np
 import pytest
@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from memoplate.errors import DomainError, SingularStepError, UnsupportedOracleError
 from memoplate.dynamics import (
-    MidpointStepper, TransportStepper, assemble_mode_operator, closure_oracle_evolve,
-    default_time_step, evolve, evolve_limit, generator_quadratic_form, limit_mode_matrix,
-    mode_blocks, mode_weights, saturating_profile_integrals,
+    MidpointStepper, TransportStepper, assemble_mode_operator, closure_matrix,
+    closure_oracle_evolve, default_time_step, evolve, evolve_limit,
+    generator_quadratic_form, mode_blocks, mode_weights, saturating_profile_integrals,
 )
 from memoplate.limits import compare_trajectories
 from memoplate.modes import (
@@ -126,8 +126,9 @@ def test_limit_matches_matrix_exponential(interval_modes):
     dt = 1e-3
     traj = evolve_limit(interval_modes, trip0, dt, 5.0, store_stride=100)
     worst = np.zeros(interval_modes.count)
+    limit_space = build_phase_space(interval_modes, Params())
     for i, gam in enumerate(interval_modes.eigenvalues):
-        A = limit_mode_matrix(float(gam))
+        A = closure_matrix(limit_space, gam)
         for k, t in enumerate(traj.times):
             ref = scipy.linalg.expm(t * A) @ trip0[i]
             got = np.array([traj.u[i, k], traj.v[i, k], traj.theta[i, k]])
@@ -137,9 +138,13 @@ def test_limit_matches_matrix_exponential(interval_modes):
     assert np.all(worst <= 5e-6)
 
 
-def test_limit_block_spectrum_stable():
+def test_limit_block_spectrum_stable(interval_modes):
+    # with no kernel present the closure is the memory-free block
+    limit_space = build_phase_space(interval_modes, Params())
     for gam in (1.0, 4.0, 9.0, 100.0):
-        ev = np.linalg.eigvals(limit_mode_matrix(gam))
+        A = closure_matrix(limit_space, gam)
+        assert np.array_equal(A, [[0, 1, 0], [-gam ** 2, -gam ** 2, gam], [0, -gam, -gam]])
+        ev = np.linalg.eigvals(A)
         assert np.all(ev.real < 0.0)
 
 
@@ -148,6 +153,20 @@ ORACLE_CASES = [Params(1.0, 0.0, 1.0), Params(1.0, 0.5, 1.0), Params(0.5, 0.5, 0
                 Params(0.0, 0.5, 1.0), Params(0.5, 0.0, 0.0), Params(0.0, 0.0, 0.5),
                 Params(0.0, 0.0, 0.0), Params(0.5, 0.25, 0.5), Params(0.5, 0.5, 0.5),
                 Params(0.0, 0.5, 0.5)]
+
+
+@pytest.mark.parametrize("params", ORACLE_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
+def test_closure_spectral_gap_is_uniform(interval_modes, params):
+    # point-spectrum form of uniform exponential decay: one state per present
+    # kernel, no zero row, and a spectral abscissa bounded away from 0 from
+    # the first mode to a very high one
+    space = build_phase_space(interval_modes, params, grid_size=40)
+    d = 3 + sum(k is not None for k in (space.mu, space.nu, space.beta))
+    for gam in (1.0, 4.0, 9.0, 100.0, 1e4):
+        A = closure_matrix(space, gam)
+        assert A.shape == (d, d)
+        assert np.all(np.any(A != 0.0, axis=1))
+        assert np.linalg.eigvals(A).real.max() <= -0.1
 
 
 @pytest.mark.parametrize("params", ORACLE_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
@@ -188,9 +207,8 @@ def test_closure_oracle_with_profile_integrals(interval_modes):
     z0 = initial_data_preset("spectral-decay 4", space, 0, with_history=True)
     coef = (np.arange(4) + 1.0) ** -4.0
     ints = saturating_profile_integrals(space, coef)
-    ii = {"mu": ints["mu"], "nu": ints["nu"], "beta": ints["beta"]}
     traj = evolve(space, z0, 1e-3, 3.0, store_stride=10)
-    orc = closure_oracle_evolve(space, z0, 1e-3, 3.0, initial_integrals=ii, store_stride=10)
+    orc = closure_oracle_evolve(space, z0, 1e-3, 3.0, initial_integrals=ints, store_stride=10)
     scale = max(np.abs(orc.u).max(), np.abs(orc.v).max(), np.abs(orc.theta).max())
     dev = max(np.abs(traj.u - orc.u).max(), np.abs(traj.theta - orc.theta).max())
     assert dev / scale <= 2e-3
