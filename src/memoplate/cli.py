@@ -79,7 +79,6 @@ def _check_fit_first(cfg, stride, check) -> None:
     """Run ``check(times)`` under [fit] on every grid point's sample times
     before any point is stepped, so a rejected value costs no evolution;
     ``stride(nsteps)`` is the run's sample stride."""
-    import numpy as np
     from . import config as cfgmod
     from .dynamics import _step_count, _stored_steps
 
@@ -87,7 +86,7 @@ def _check_fit_first(cfg, stride, check) -> None:
         with cfgmod.section("integrator"):
             dt = cfg.dt_for(*point)
             nsteps = _step_count(dt, cfg.horizon)
-            times = dt * np.array(_stored_steps(nsteps, stride(nsteps)))
+            times = dt * _stored_steps(nsteps, stride(nsteps))
         with cfgmod.section("fit"):
             check(times)
 

@@ -15,12 +15,13 @@ exactly, up to roundoff.
 
 The midpoint solve never touches a generic sparse factorization: the history
 blocks are lower bidiagonal and couple to the triplet by rank-one terms, so
-one banded substitution per grid plus a 3x3 solve per mode advances the
-whole state exactly.
+one triangular substitution per grid, the Cayley form of the midpoint map,
+plus a 3x3 solve per mode advances the whole state exactly.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,48 +102,45 @@ def default_time_step(params: Params) -> float:
 class TransportStepper:
     """Implicit midpoint for a driven transport block on one history grid.
 
-    Advances all modes at once: profiles are stored (nodes, modes) and the
-    lower-bidiagonal solve runs column-wise through LAPACK. An absent block
-    (grid None) has 0 nodes, and its steps never reach LAPACK.
+    Advances all modes at once, profiles stored (nodes, modes), through the
+    Cayley form 2 (I - aT)^-1 - I of the midpoint map (I - aT)^-1 (I + aT):
+    one lower-bidiagonal substitution by LAPACK tbtrs, which neither factors
+    nor writes the band. An absent block (grid None) has 0 nodes and never
+    reaches LAPACK, where tbtrs on 0 rows corrupts the heap.
     """
 
     def __init__(self, grid, dt: float):
-        a = 0.5 * dt
-        h = np.zeros(0) if grid is None else grid.spacing
-        size = h.size
-        self.a, self.h = a, h
-        ab = np.zeros((2, size))
-        ab[0] = 1.0 + a / h
-        ab[1, :-1] = -(a / h)[1:]
-        # the LAPACK routine scipy's solve_banded uses for this band, on the
-        # same padded band, so results match it bit for bit; it skips the
-        # per-call validation, since _drive rejects non-finite states itself
-        self._gbsv, = get_lapack_funcs(("gbsv",), (ab,))
-        self._band = np.zeros((3, size))
-        self._band[1:] = ab
-        # response of the implicit half to a unit constant drive, through
-        # _gbsv rather than solve(), which runs once per active history block
-        # and step; gbsv rejects n = 0, which an absent block's partial skips
-        self.unit_response = np.zeros(0) if not size else self._gbsv(
-            1, 0, self._band.copy(), np.ones(size), overwrite_ab=True)[2]
+        self.a = 0.5 * dt
+        c = self.a / (np.zeros(0) if grid is None else grid.spacing)
+        # lower band of I - aT: the diagonal, then the subdiagonal
+        self._band = np.zeros((2, c.size), order="F")
+        self._band[0] = 1.0 + c
+        self._band[1, :-1] = -c[1:]
+        self._tbtrs, = get_lapack_funcs(("tbtrs",), (self._band,))
+        # response of the implicit half to a unit constant drive, called
+        # directly so that solve() runs once per active history block and step
+        self.unit_response = np.zeros(0) if not c.size else self._tbtrs(
+            self._band, np.ones((c.size, 1)), uplo="L")[0][:, 0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        _, _, x, info = self._gbsv(1, 0, self._band.copy(), rhs, overwrite_ab=True)
+        """(I - aT)^-1 rhs for rhs (nodes, modes); overwrites a Fortran-order rhs."""
+        x, info = self._tbtrs(self._band, rhs, uplo="L", overwrite_b=True)
         if info != 0:
-            raise SingularStepError(f"banded transport solve failed (info {info})")
+            raise SingularStepError(f"triangular transport solve failed (info {info})")
         return x
 
     def partial(self, profile: np.ndarray, drive: np.ndarray) -> np.ndarray:
         """First part of a midpoint step of profile' = T profile + drive:
-        the explicit half (I + a T) profile, zero inflow, plus the old drive
-        (modes,), solved with a zero new drive. An empty profile is its own
-        solution."""
-        if not self.h.size:
+        (I - aT)^-1 ((I + aT) profile + a drive) with zero inflow, the old
+        drive (modes,) and a zero new drive, as
+        2 solve(profile + (a/2) drive) - profile. An empty profile is its
+        own solution."""
+        if not profile.size:
             return profile.copy()
-        shifted = np.zeros_like(profile)
-        shifted[1:] = profile[:-1]
-        return self.solve(profile + self.a * (shifted - profile) / self.h[:, None]
-                          + self.a * drive)
+        y = self.solve(profile + 0.5 * self.a * drive)
+        y *= 2.0
+        y -= profile
+        return y
 
     def complete(self, partial: np.ndarray, drive: np.ndarray) -> np.ndarray:
         """Second part: add the share of the new drive (modes,) into
@@ -250,19 +248,23 @@ class Trajectory:
 
 
 def _step_count(dt: float, horizon: float) -> int:
+    """Steps to the horizon, rejected before any allocation when not finite
+    or when the per-step energy record alone exceeds physical memory."""
     if not (dt > 0 and horizon > 0 and math.isfinite(horizon / dt)):
         raise DomainError(f"need positive dt and horizon with a finite step count, "
                           f"got {dt}, {horizon}")
-    return max(1, int(round(horizon / dt)))
+    nsteps = max(1, int(round(horizon / dt)))
+    if 8 * (nsteps + 1) > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise DomainError(f"{nsteps} steps need a per-step energy record larger "
+                          f"than physical memory")
+    return nsteps
 
 
-def _stored_steps(nsteps: int, stride: int) -> list[int]:
+def _stored_steps(nsteps: int, stride: int) -> np.ndarray:
     if stride < 1:
         raise DomainError(f"store_stride must be >= 1, got {stride}")
-    stored = list(range(0, nsteps + 1, stride))
-    if stored[-1] != nsteps:
-        stored.append(nsteps)
-    return stored
+    stored = np.arange(0, nsteps + 1, stride)
+    return stored if stored[-1] == nsteps else np.append(stored, nsteps)
 
 
 def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, stride: int,
@@ -282,10 +284,10 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     """
     space, dt = stepper.space, stepper.dt
     nsteps = _step_count(dt, horizon)
-    stored = np.array(_stored_steps(nsteps, stride))
-    k_of_step = {s: k for k, s in enumerate(stored.tolist())}
+    stored = _stored_steps(nsteps, stride)
     step_energy = np.zeros(nsteps + 1)
     columns = None
+    k = 0
     state = (initial.u, initial.v, initial.theta, initial.eta, initial.xi)
     for step in range(nsteps + 1):
         if step:
@@ -300,13 +302,13 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
             raise SingularStepError(f"state left the finite range at step {step} "
                                     f"(t = {step * dt:.6g})")
         step_energy[step] = e
-        k = k_of_step.get(step)
-        if k is not None:
+        if step == stored[k]:
             values = sample(state, blocks)
             if columns is None:
                 columns = [np.zeros(np.shape(x) + (stored.size,)) for x in values]
             for col, x in zip(columns, values):
                 col[..., k] = x
+            k += 1
     return stored, step_energy, columns, state
 
 
@@ -425,14 +427,14 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
 
     nsteps = _step_count(dt, horizon)
     stored = _stored_steps(nsteps, store_stride)
-    k_of_step = {s: k for k, s in enumerate(stored)}
-    out = np.zeros((3, n, len(stored)))
+    out = np.zeros((3, n, stored.size))
 
     for i, z in enumerate(z0):
         P = scipy.linalg.expm(dt * closure_matrix(space, space.modes.eigenvalues[i]))
+        k = 0
         for step in range(nsteps + 1):
-            if step in k_of_step:
-                out[:, i, k_of_step[step]] = z[:3]
+            if step == stored[k]:
+                out[:, i, k] = z[:3]
+                k += 1
             z = P @ z
-    times = dt * np.array(stored, dtype=float)
-    return OracleTrajectory(times, *out)
+    return OracleTrajectory(dt * stored, *out)

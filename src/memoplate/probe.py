@@ -311,8 +311,7 @@ def _cell_update_defect(f: np.ndarray, h: np.ndarray, lam: float,
     return (f - np.exp(-1j * x) * prev) / h - gain * source
 
 
-def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
-                   *, s_max: float | None = None) -> ResidualReport:
+def residual_check(ap: AbstractParams, gamma: float, grid_size: int) -> ResidualReport:
     """Discrete resolvent defect of the sampled probe pair.
 
     The probe profiles oscillate at a fixed frequency, so the histories are
@@ -321,7 +320,7 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
     right-endpoint quadrature of the two memory integrals: with spacing h the
     defect is (h/2) sqrt(|gamma^alpha (r + gamma^(-alpha/2)) c(lam)|^2 +
     |gamma^2 (q + Lambda) b(lam)|^2) / ||z_tilde|| to leading order, first
-    order in h, so it halves under grid doubling. The span defaults to
+    order in h, so it halves under grid doubling. The span is
     history_cutoff of the two kernels, the rule the stepper's history grids
     use; the kernel mass left beyond it is reported per channel. The cell
     weights are the cells' kernel masses, as under the mass weight policy.
@@ -332,8 +331,7 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
     lam = pair.lam
     mu = ap.thermal_kernel()
     beta = ap.shear_kernel()
-    if s_max is None:
-        s_max = history_cutoff(k for k in (mu, beta) if k is not None)
+    s_max = history_cutoff(k for k in (mu, beta) if k is not None)
     bounds = geometric_boundaries(s_max, grid_size, 1.0)
     nodes, spacing = bounds[1:], np.diff(bounds)
 

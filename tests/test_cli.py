@@ -112,6 +112,10 @@ def test_out_of_range_parameter_exits_2(tmp_path, capsys):
     ("simulate", "integrator", "horizon = inf"),
     pytest.param("simulate", "integrator", "horizon = 1e308\ndt = 1e-308",
                  id="simulate-integrator-step count overflows"),
+    # 10^12 steps at dt = 0.001: the per-step energy record alone exceeds
+    # physical memory, so the run stops before allocating it
+    ("simulate", "integrator", "horizon = 1e9"),
+    ("decay", "integrator", "horizon = 1e9"),
     ("simulate", "integrator", "ratio = nan"),
     ("simulate", "kernels", "mu_decay = inf"),
     ("simulate", "kernels", "mu_amplitude = inf"),

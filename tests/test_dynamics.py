@@ -38,9 +38,13 @@ def random_state(space, seed, order=0):
     return vec
 
 
-@pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
-def test_stepper_matches_dense_block_solve(interval_modes, params):
-    space = build_phase_space(interval_modes, params, grid_size=50)
+# the default 400-node grids reach a/h ~ 3e5 in their first cell, where the
+# transport's midpoint map is close to -1
+@pytest.mark.parametrize("params, grid_size", [
+    pytest.param(p, size, id=f"s{p.sigma}-t{p.tau}-e{p.eps}" + suffix)
+    for size, suffix in ((50, ""), (400, "-400nodes")) for p in PARAM_CASES])
+def test_stepper_matches_dense_block_solve(interval_modes, params, grid_size):
+    space = build_phase_space(interval_modes, params, grid_size=grid_size)
     dt = 1e-3
     stepper = MidpointStepper(space, dt)
     vec = random_state(space, 11)

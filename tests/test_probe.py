@@ -8,8 +8,8 @@ from scipy.optimize import minimize_scalar
 from memoplate.errors import DomainError, FitError
 from memoplate.kernels import laplace_transform
 from memoplate.probe import (
-    AbstractParams, admissibility_report, build_probe_pair, mode_frequency,
-    residual_check, resolvent_scan,
+    AbstractParams, _cell_update_defect, admissibility_report, build_probe_pair,
+    mode_frequency, residual_check, resolvent_scan,
 )
 
 A2 = AbstractParams(alpha=1.0, coupling=1.0, omega1=0.25)
@@ -137,12 +137,13 @@ def test_residual_check_reports_tail_and_stays_finite():
         assert rep.tail_shear == pytest.approx(1e-8, rel=1e-9)
         assert rep.tail_thermal < 1e-8
     assert rep.lam * rep.cutoff / rep.grid_size > 600.0
-    at_period = residual_check(A3, 10.0, 400, s_max=2.0 * np.pi * 400 / mode_frequency(A3, 10.0).lam)
-    assert np.isfinite(at_period.residual)
-    # a short span keeps the truncated mass and reports it per channel
-    short = residual_check(A3, 10.0, 400, s_max=4.0)
-    assert short.tail_thermal == pytest.approx(A3.thermal_kernel().tail_fraction(4.0))
-    assert short.tail_shear == pytest.approx(A3.shear_kernel().tail_fraction(4.0))
+    # the cell update stays finite when lam h is a whole period
+    lam = mode_frequency(A3, 10.0).lam
+    assert np.all(np.isfinite(_cell_update_defect(np.ones(400), np.full(400, 2.0 * np.pi / lam),
+                                                  lam, 1.0)))
+    # the truncated mass is reported per channel
+    assert rep.tail_thermal == pytest.approx(A3.thermal_kernel().tail_fraction(rep.cutoff))
+    assert rep.tail_shear == pytest.approx(A3.shear_kernel().tail_fraction(rep.cutoff))
     assert residual_check(A2, 10.0, 400).tail_shear == 0.0
 
 
