@@ -16,7 +16,9 @@ exactly, up to roundoff.
 The midpoint solve never touches a generic sparse factorization: the history
 blocks are lower bidiagonal and couple to the triplet by rank-one terms, so
 one triangular substitution per grid, the Cayley form of the midpoint map,
-plus a 3x3 solve per mode advances the whole state exactly.
+plus a 3x3 solve per mode advances the whole state exactly. The substitution
+has a unit diagonal, because its right-hand side is scaled by the inverse
+diagonal beforehand, and the rank-one drive terms go in place by BLAS ger.
 """
 from __future__ import annotations
 
@@ -26,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import DomainError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
 from .modes import (ModeSet, Params, PhaseSpace, PhaseVector, block_energies,
-                    build_phase_space, history_quadratures, lift_triplet)
+                    build_phase_space, history_quadratures, lift_triplet, norm_powers)
 
 
 def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
@@ -102,29 +104,39 @@ def default_time_step(params: Params) -> float:
 class TransportStepper:
     """Implicit midpoint for a driven transport block on one history grid.
 
-    Advances all modes at once, profiles stored (nodes, modes), through the
-    Cayley form 2 (I - aT)^-1 - I of the midpoint map (I - aT)^-1 (I + aT):
-    one lower-bidiagonal substitution by LAPACK tbtrs, which neither factors
-    nor writes the band. An absent block (grid None) has 0 nodes and never
-    reaches LAPACK, where tbtrs on 0 rows corrupts the heap.
+    Advances all modes at once, profiles stored (nodes, modes) in Fortran
+    order, through the Cayley form 2 (I - aT)^-1 - I of the midpoint map
+    (I - aT)^-1 (I + aT). With c = a/h, I - aT = D (I + N) for D = diag(1 + c)
+    and N strictly lower with subdiagonal -c_i/(1 + c_i): a right-hand side
+    scaled by D^-1 needs one unit-diagonal lower-bidiagonal substitution by
+    LAPACK tbtrs, which divides by nothing and writes only its right-hand
+    side. The drive terms are rank-one and go in place by BLAS ger. An
+    absent block (grid None) has 0 nodes and never reaches LAPACK or BLAS,
+    where tbtrs on 0 rows corrupts the heap.
     """
 
     def __init__(self, grid, dt: float):
         self.a = 0.5 * dt
         c = self.a / (np.zeros(0) if grid is None else grid.spacing)
-        # lower band of I - aT: the diagonal, then the subdiagonal
+        # D^-1, and 2 D^-1 as a column: partial() folds the Cayley factor 2
+        # into its scaling
+        self._dinv = 1.0 / (1.0 + c)
+        self._two_dinv = 2.0 * self._dinv[:, None]
+        # lower band of I + N: the unit diagonal (never read), then the subdiagonal
         self._band = np.zeros((2, c.size), order="F")
-        self._band[0] = 1.0 + c
-        self._band[1, :-1] = -c[1:]
+        self._band[0] = 1.0
+        self._band[1, :-1] = -c[1:] * self._dinv[1:]
         self._tbtrs, = get_lapack_funcs(("tbtrs",), (self._band,))
+        self._ger, = get_blas_funcs(("ger",), (self._band,))
         # response of the implicit half to a unit constant drive, called
         # directly so that solve() runs once per active history block and step
         self.unit_response = np.zeros(0) if not c.size else self._tbtrs(
-            self._band, np.ones((c.size, 1)), uplo="L")[0][:, 0]
+            self._band, self._dinv[:, None], uplo="L", diag="U")[0][:, 0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(I - aT)^-1 rhs for rhs (nodes, modes); overwrites a Fortran-order rhs."""
-        x, info = self._tbtrs(self._band, rhs, uplo="L", overwrite_b=True)
+        """(I - aT)^-1 D rhs = (I + N)^-1 rhs for rhs (nodes, modes) already
+        scaled by D^-1; overwrites a Fortran-order rhs."""
+        x, info = self._tbtrs(self._band, rhs, uplo="L", diag="U", overwrite_b=True)
         if info != 0:
             raise SingularStepError(f"triangular transport solve failed (info {info})")
         return x
@@ -133,22 +145,23 @@ class TransportStepper:
         """First part of a midpoint step of profile' = T profile + drive:
         (I - aT)^-1 ((I + aT) profile + a drive) with zero inflow, the old
         drive (modes,) and a zero new drive, as
-        2 solve(profile + (a/2) drive) - profile. An empty profile is its
-        own solution."""
+        solve(2 D^-1 profile + a D^-1 1 drive) - profile, in a new
+        Fortran-order array. An empty profile is its own solution."""
         if not profile.size:
             return profile.copy()
-        y = self.solve(profile + 0.5 * self.a * drive)
-        y *= 2.0
+        rhs = np.multiply(self._two_dinv, profile, order="F")
+        y = self.solve(self._ger(self.a, self._dinv, drive, a=rhs, overwrite_a=True))
         y -= profile
         return y
 
     def complete(self, partial: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        """Second part: add the share of the new drive (modes,) into
-        ``partial`` in place, and return it."""
-        # LAPACK returns partial in Fortran order; the transposed outer
-        # product matches it, so the add runs contiguously
-        partial += self.a * np.outer(drive, self.unit_response).T
-        return partial
+        """Second part: add the share a * unit_response * drive of the new
+        drive (modes,) into ``partial`` in place, and return it; a
+        Fortran-order ``partial``, as partial() returns, is updated without
+        a copy."""
+        if not partial.size:
+            return partial
+        return self._ger(self.a, self.unit_response, drive, a=partial, overwrite_a=True)
 
 
 class MidpointStepper:
@@ -199,17 +212,20 @@ class MidpointStepper:
         space, g = self.space, self.g
         load = np.zeros((g.size, 3))
         load[:, 1] = g ** 2 * (space.w_beta @ xi)
-        load[:, 2] = g * (space.w_mu @ eta) + space.w_nu @ eta
+        q_mu, q_nu = space.w_eta @ eta
+        load[:, 2] = g * q_mu + q_nu
         return load
 
     def step(self, u, v, th, eta, xi):
+        x1 = np.einsum("nij,nj->ni", self.P, np.stack([u, v, th], axis=1))
+        if not (eta.size or xi.size):
+            return x1[:, 0], x1[:, 1], x1[:, 2], eta, xi
         y_eta = self.eta_t.partial(eta, th)
         y_xi = self.xi_t.partial(xi, v)
         # M is linear: loading the old histories and the partial solves apart
         # needs no summed copy of either
         load = self.memory_load(eta, xi) + self.memory_load(y_eta, y_xi)
-        x = np.stack([u, v, th], axis=1)
-        x1 = np.einsum("nij,nj->ni", self.P, x) - np.einsum("nij,nj->ni", self.Q, load)
+        x1 -= np.einsum("nij,nj->ni", self.Q, load)
         u1, v1, th1 = x1[:, 0], x1[:, 1], x1[:, 2]
         return u1, v1, th1, self.eta_t.complete(y_eta, th1), self.xi_t.complete(y_xi, v1)
 
@@ -283,6 +299,7 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     MidpointStepper.step never writes into.
     """
     space, dt = stepper.space, stepper.dt
+    powers = norm_powers(space, initial.order)
     nsteps = _step_count(dt, horizon)
     stored = _stored_steps(nsteps, stride)
     step_energy = np.zeros(nsteps + 1)
@@ -296,7 +313,7 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
                 advance()
         u, v, th, eta, xi = state
         blocks = block_energies(space, initial.order, u, v, th,
-                                *history_quadratures(space, eta, xi))
+                                *history_quadratures(space, eta, xi), powers=powers)
         e = float(np.sum(sum(blocks)))
         if not math.isfinite(e):
             raise SingularStepError(f"state left the finite range at step {step} "

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .dynamics import MidpointStepper, _drive, _step_count
 from .modes import (Params, PhaseSpace, PhaseVector, block_energies, build_phase_space,
-                    history_quadratures)
+                    history_quadratures, norm_powers)
 
 
 def pi_bounds(params: Params) -> tuple[float, float]:
@@ -129,6 +129,7 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     """
     stride = _comparison_stride(_step_count(dt, horizon))
     m = initial.order
+    powers = norm_powers(space, m)
 
     stepper = MidpointStepper(space, dt)
     # the collapsed system has no memory load, so its step is the midpoint map
@@ -152,9 +153,10 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
         # distance to the limit state with the reconstructed histories; its
         # triplet part is also the triplet part of the zero-padded distance
         diff = block_energies(space, m, u - lu, v - lv, th - lth,
-                              *history_quadratures(space, eta - eta_hat, xi - xi_hat))
+                              *history_quadratures(space, eta - eta_hat, xi - xi_hat),
+                              powers=powers)
         trip = float(np.sum(diff[0] + diff[1] + diff[2]))
-        limit = block_energies(space, m, lu, lv, lth)
+        limit = block_energies(space, m, lu, lv, lth, powers=powers)
         return (np.sqrt(trip + hmu + hnu + hxi),
                 np.sqrt(trip + sum(float(np.sum(b)) for b in diff[3:])),
                 float(np.sum(limit[0] + limit[1] + limit[2])),

@@ -8,6 +8,7 @@ everything else in the package funnels its norms through this module.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,12 @@ class PhaseSpace:
     def xi_size(self) -> int:
         return self.w_beta.size
 
+    @functools.cached_property
+    def w_eta(self) -> np.ndarray:
+        """(2, eta nodes) stack of w_mu and w_nu: both eta quadratures in one
+        product."""
+        return np.stack((self.w_mu, self.w_nu))
+
 
 def memory_kernels(params: Params, base_mu: KernelSpec | None = None,
                    base_beta: KernelSpec | None = None) -> tuple:
@@ -151,29 +158,36 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
                       weights["beta"], policies)
 
 
+def norm_powers(space: PhaseSpace, order: int, ndim: int = 1) -> tuple:
+    """(g^m, g^(m+1), g^(m+2)) of the order-m phase norm, with the mode on
+    the first of ndim axes. This is the one place that knows the eigenvalue
+    powers of the norm."""
+    g = space.modes.eigenvalues.reshape((-1,) + (1,) * (ndim - 1))
+    g0 = g ** order
+    g1 = g0 * g
+    return g0, g1, g1 * g
+
+
 def block_energies(space: PhaseSpace, order: int, u, v, theta,
-                   q_mu=0.0, q_nu=0.0, q_beta=0.0) -> tuple:
+                   q_mu=0.0, q_nu=0.0, q_beta=0.0, *, powers=None) -> tuple:
     """Energies of the six blocks of the order-m phase norm, mode by mode:
     (u, v, theta, eta under mu, eta under nu, xi).
 
     u, v and theta are modal amplitudes with the mode on the first axis;
     q_mu, q_nu and q_beta are the quadratures sum_j w_j f_j^2 of the history
     profiles under mu, nu and beta (0 for an absent kernel). Further axes
-    broadcast against the modes. This is the one place that knows the
-    eigenvalue powers of the norm.
+    broadcast against the modes. ``powers``, if given, is norm_powers of the
+    same order and number of axes, taken once for many calls.
     """
-    g = space.modes.eigenvalues.reshape((-1,) + (1,) * (np.ndim(u) - 1))
-    g0 = g ** order
-    g1 = g0 * g
-    g2 = g1 * g
+    g0, g1, g2 = norm_powers(space, order, np.ndim(u)) if powers is None else powers
     return (g2 * u ** 2, g0 * v ** 2, g0 * theta ** 2, g1 * q_mu, g0 * q_nu, g2 * q_beta)
 
 
 def history_quadratures(space: PhaseSpace, eta, xi) -> tuple:
     """(q_mu, q_nu, q_beta) for block_energies from profiles stored
     (nodes, modes); an absent kernel's zero weights give 0."""
-    sq = eta ** 2
-    return space.w_mu @ sq, space.w_nu @ sq, space.w_beta @ xi ** 2
+    q_mu, q_nu = space.w_eta @ eta ** 2
+    return q_mu, q_nu, space.w_beta @ xi ** 2
 
 
 @dataclass

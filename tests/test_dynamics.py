@@ -39,12 +39,17 @@ def random_state(space, seed, order=0):
 
 
 # the default 400-node grids reach a/h ~ 3e5 in their first cell, where the
-# transport's midpoint map is close to -1
-@pytest.mark.parametrize("params, grid_size", [
-    pytest.param(p, size, id=f"s{p.sigma}-t{p.tau}-e{p.eps}" + suffix)
-    for size, suffix in ((50, ""), (400, "-400nodes")) for p in PARAM_CASES])
-def test_stepper_matches_dense_block_solve(interval_modes, params, grid_size):
-    space = build_phase_space(interval_modes, params, grid_size=grid_size)
+# transport's midpoint map is close to -1; the 1600-node grids reach a/h up
+# to 8.7e30, where 1/(1 + a/h) ~ 1e-31 and the scaled band entry
+# -(a/h)/(1 + a/h) rounds to -1
+@pytest.mark.parametrize("params, grid_size, modes", [
+    pytest.param(p, size, 4, id=f"s{p.sigma}-t{p.tau}-e{p.eps}" + suffix)
+    for size, suffix in ((50, ""), (400, "-400nodes")) for p in PARAM_CASES] + [
+    pytest.param(p, 1600, 2, id=f"s{p.sigma}-t{p.tau}-e{p.eps}-1600nodes")
+    for p in (Params(0.5, 0.25, 0.5), Params(0.5, 0.0, 0.0), Params(0.0, 0.0, 0.5))])
+def test_stepper_matches_dense_block_solve(params, grid_size, modes):
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), modes),
+                              params, grid_size=grid_size)
     dt = 1e-3
     stepper = MidpointStepper(space, dt)
     vec = random_state(space, 11)
@@ -53,11 +58,31 @@ def test_stepper_matches_dense_block_solve(interval_modes, params, grid_size):
                                                           vec.eta, vec.xi)))
     a = 0.5 * dt
     eye = np.eye(x.shape[1])
-    for i in range(interval_modes.count):
+    for i in range(modes):
         L = assemble_mode_operator(space, i)
         ref = np.linalg.solve(eye - a * L, (eye + a * L) @ x[i])
         np.testing.assert_allclose(got[i], ref, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_step_leaves_its_inputs_unchanged(interval_modes, params, layout):
+    # the drive terms go into the stepper's own arrays in place, never into
+    # the state it was given, whatever the histories' memory order
+    space = build_phase_space(interval_modes, params, grid_size=50)
+    stepper = MidpointStepper(space, 1e-3)
+    vec = random_state(space, 13)
+    state = (vec.u, vec.v, vec.theta) + tuple(np.asarray(h, order=layout)
+                                             for h in (vec.eta, vec.xi))
+    before = [x.tobytes() for x in state]
+    stepper.step(*state)
+    assert [x.tobytes() for x in state] == before
+    for tr, profile, drive in ((stepper.eta_t, state[3], vec.theta),
+                               (stepper.xi_t, state[4], vec.v)):
+        y = tr.partial(profile, drive)
+        assert y.flags.f_contiguous and tr.complete(y, drive) is y
+    assert [x.tobytes() for x in state] == before
 
 
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
@@ -244,9 +269,9 @@ def test_closure_oracle_rejects_zero_stride(interval_modes):
 
 
 def test_transport_solves_per_step(small_space, monkeypatch):
-    # one banded solve per active history block and step, as many again for
-    # the reconstructed limit histories, none for the collapsed system: an
-    # empty block never reaches LAPACK
+    # one triangular substitution per active history block and step, as many
+    # again for the reconstructed limit histories, none for the collapsed
+    # system: an empty block never reaches LAPACK
     calls = []
     solve = TransportStepper.solve
     monkeypatch.setattr(TransportStepper, "solve",
