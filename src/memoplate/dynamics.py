@@ -33,7 +33,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from .errors import DomainError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
 from .modes import (ModeSet, Params, PhaseSpace, PhaseVector, block_energies,
-                    build_phase_space, history_quadratures, lift_triplet, norm_powers)
+                    build_phase_space, history_quadratures, lift_triplet)
 
 
 def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
@@ -299,7 +299,6 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     MidpointStepper.step never writes into.
     """
     space, dt = stepper.space, stepper.dt
-    powers = norm_powers(space, initial.order)
     nsteps = _step_count(dt, horizon)
     stored = _stored_steps(nsteps, stride)
     step_energy = np.zeros(nsteps + 1)
@@ -313,7 +312,7 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
                 advance()
         u, v, th, eta, xi = state
         blocks = block_energies(space, initial.order, u, v, th,
-                                *history_quadratures(space, eta, xi), powers=powers)
+                                *history_quadratures(space, eta, xi))
         e = float(np.sum(sum(blocks)))
         if not math.isfinite(e):
             raise SingularStepError(f"state left the finite range at step {step} "

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError
 from .dynamics import MidpointStepper, _drive, _step_count
 from .modes import (Params, PhaseSpace, PhaseVector, block_energies, build_phase_space,
-                    history_quadratures, norm_powers)
+                    history_quadratures)
 
 
 def pi_bounds(params: Params) -> tuple[float, float]:
@@ -129,11 +129,11 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     """
     stride = _comparison_stride(_step_count(dt, horizon))
     m = initial.order
-    powers = norm_powers(space, m)
 
     stepper = MidpointStepper(space, dt)
-    # the collapsed system has no memory load, so its step is the midpoint map
-    P_lim = MidpointStepper(build_phase_space(space.modes, Params(0.0, 0.0, 0.0)), dt).P
+    # the collapsed system has no histories, so its step is the midpoint map
+    lim = MidpointStepper(build_phase_space(space.modes, Params(0.0, 0.0, 0.0)), dt)
+    empty = np.zeros((0, initial.u.size))
     tr_eta, tr_xi = stepper.eta_t, stepper.xi_t
 
     lu, lv, lth = initial.u, initial.v, initial.theta
@@ -142,8 +142,7 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     def advance():
         nonlocal lu, lv, lth, eta_hat, xi_hat
         lth_old, lv_old = lth, lv
-        x1 = np.einsum("nij,nj->ni", P_lim, np.stack([lu, lv, lth], axis=1))
-        lu, lv, lth = x1[:, 0], x1[:, 1], x1[:, 2]
+        lu, lv, lth, *_ = lim.step(lu, lv, lth, empty, empty)
         eta_hat = tr_eta.complete(tr_eta.partial(eta_hat, lth_old), lth)
         xi_hat = tr_xi.complete(tr_xi.partial(xi_hat, lv_old), lv)
 
@@ -153,10 +152,9 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
         # distance to the limit state with the reconstructed histories; its
         # triplet part is also the triplet part of the zero-padded distance
         diff = block_energies(space, m, u - lu, v - lv, th - lth,
-                              *history_quadratures(space, eta - eta_hat, xi - xi_hat),
-                              powers=powers)
+                              *history_quadratures(space, eta - eta_hat, xi - xi_hat))
         trip = float(np.sum(diff[0] + diff[1] + diff[2]))
-        limit = block_energies(space, m, lu, lv, lth, powers=powers)
+        limit = block_energies(space, m, lu, lv, lth)
         return (np.sqrt(trip + hmu + hnu + hxi),
                 np.sqrt(trip + sum(float(np.sum(b)) for b in diff[3:])),
                 float(np.sum(limit[0] + limit[1] + limit[2])),

@@ -158,28 +158,21 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
                       weights["beta"], policies)
 
 
-def norm_powers(space: PhaseSpace, order: int, ndim: int = 1) -> tuple:
-    """(g^m, g^(m+1), g^(m+2)) of the order-m phase norm, with the mode on
-    the first of ndim axes. This is the one place that knows the eigenvalue
-    powers of the norm."""
-    g = space.modes.eigenvalues.reshape((-1,) + (1,) * (ndim - 1))
-    g0 = g ** order
-    g1 = g0 * g
-    return g0, g1, g1 * g
-
-
 def block_energies(space: PhaseSpace, order: int, u, v, theta,
-                   q_mu=0.0, q_nu=0.0, q_beta=0.0, *, powers=None) -> tuple:
+                   q_mu=0.0, q_nu=0.0, q_beta=0.0) -> tuple:
     """Energies of the six blocks of the order-m phase norm, mode by mode:
     (u, v, theta, eta under mu, eta under nu, xi).
 
     u, v and theta are modal amplitudes with the mode on the first axis;
     q_mu, q_nu and q_beta are the quadratures sum_j w_j f_j^2 of the history
     profiles under mu, nu and beta (0 for an absent kernel). Further axes
-    broadcast against the modes. ``powers``, if given, is norm_powers of the
-    same order and number of axes, taken once for many calls.
+    broadcast against the modes. This is the one place that knows the
+    eigenvalue powers of the norm.
     """
-    g0, g1, g2 = norm_powers(space, order, np.ndim(u)) if powers is None else powers
+    g = space.modes.eigenvalues.reshape((-1,) + (1,) * (np.ndim(u) - 1))
+    g0 = g ** order
+    g1 = g0 * g
+    g2 = g1 * g
     return (g2 * u ** 2, g0 * v ** 2, g0 * theta ** 2, g1 * q_mu, g0 * q_nu, g2 * q_beta)
 
 
