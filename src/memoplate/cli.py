@@ -137,14 +137,12 @@ def _cmd_simulate(cfg, manifest, out_dir) -> None:
                   f"sigma={sigma} tau={tau} eps={eps} dt={dt} steps={traj.step_energy.size - 1} "
                   f"{_policy_note(space)}")
 
-    modal = traj.modal_energy()
-    eta_n = np.sqrt(traj.he_mu + traj.he_nu)
-    xi_n = np.sqrt(traj.hx)
-    rows = []
-    for k, t in enumerate(traj.times):
-        for i in range(space.modes.count):
-            rows.append((t, i, traj.u[i, k], traj.v[i, k], traj.theta[i, k],
-                         eta_n[i, k], xi_n[i, k], modal[i, k]))
+    n = space.modes.count
+    per_mode = (traj.u, traj.v, traj.theta, np.sqrt(traj.he_mu + traj.he_nu),
+                np.sqrt(traj.hx), traj.modal_energy())
+    # row k * modes + i holds sample k of mode i
+    rows = zip(np.repeat(traj.times, n), np.tile(np.arange(n), traj.times.size),
+               *(x.T.ravel() for x in per_mode))
     path = cfgmod.write_csv(out_dir / "trajectory.csv",
                             ["t", "mode", "u", "v", "theta", "eta_norm",
                              "xi_norm", "modal_energy"], rows)

@@ -16,9 +16,12 @@ exactly, up to roundoff.
 The midpoint solve never touches a generic sparse factorization: the history
 blocks are lower bidiagonal and couple to the triplet by rank-one terms, so
 one triangular substitution per grid, the Cayley form of the midpoint map,
-plus a 3x3 solve per mode advances the whole state exactly. The substitution
-has a unit diagonal, because its right-hand side is scaled by the inverse
-diagonal beforehand, and the rank-one drive terms go in place by BLAS ger.
+plus a 3x3 map per mode advances the whole state exactly. The substitution
+runs on the old history alone and has a unit diagonal, because its
+right-hand side is scaled by the inverse diagonal beforehand. The rank-one
+drive terms are folded into the 3x3 map once, and enter the new history by
+one BLAS ger with the old and new drive summed, so a step makes five passes
+over each history array.
 """
 from __future__ import annotations
 
@@ -110,9 +113,10 @@ class TransportStepper:
     and N strictly lower with subdiagonal -c_i/(1 + c_i): a right-hand side
     scaled by D^-1 needs one unit-diagonal lower-bidiagonal substitution by
     LAPACK tbtrs, which divides by nothing and writes only its right-hand
-    side. The drive terms are rank-one and go in place by BLAS ger. An
-    absent block (grid None) has 0 nodes and never reaches LAPACK or BLAS,
-    where tbtrs on 0 rows corrupts the heap.
+    side. The drive terms are rank-one: partial() solves for the old
+    profile alone, and complete() adds the old and the new drive's share in
+    place by one BLAS ger. An absent block (grid None) has 0 nodes and never
+    reaches LAPACK or BLAS, where tbtrs on 0 rows corrupts the heap.
     """
 
     def __init__(self, grid, dt: float):
@@ -120,18 +124,18 @@ class TransportStepper:
         c = self.a / (np.zeros(0) if grid is None else grid.spacing)
         # D^-1, and 2 D^-1 as a column: partial() folds the Cayley factor 2
         # into its scaling
-        self._dinv = 1.0 / (1.0 + c)
-        self._two_dinv = 2.0 * self._dinv[:, None]
+        dinv = 1.0 / (1.0 + c)
+        self._two_dinv = 2.0 * dinv[:, None]
         # lower band of I + N: the unit diagonal (never read), then the subdiagonal
         self._band = np.zeros((2, c.size), order="F")
         self._band[0] = 1.0
-        self._band[1, :-1] = -c[1:] * self._dinv[1:]
+        self._band[1, :-1] = -c[1:] * dinv[1:]
         self._tbtrs, = get_lapack_funcs(("tbtrs",), (self._band,))
         self._ger, = get_blas_funcs(("ger",), (self._band,))
         # response of the implicit half to a unit constant drive, called
         # directly so that solve() runs once per active history block and step
         self.unit_response = np.zeros(0) if not c.size else self._tbtrs(
-            self._band, self._dinv[:, None], uplo="L", diag="U")[0][:, 0]
+            self._band, dinv[:, None], uplo="L", diag="U")[0][:, 0]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(I - aT)^-1 D rhs = (I + N)^-1 rhs for rhs (nodes, modes) already
@@ -141,27 +145,23 @@ class TransportStepper:
             raise SingularStepError(f"triangular transport solve failed (info {info})")
         return x
 
-    def partial(self, profile: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        """First part of a midpoint step of profile' = T profile + drive:
-        (I - aT)^-1 ((I + aT) profile + a drive) with zero inflow, the old
-        drive (modes,) and a zero new drive, as
-        solve(2 D^-1 profile + a D^-1 1 drive) - profile, in a new
+    def partial(self, profile: np.ndarray) -> np.ndarray:
+        """solve(2 D^-1 profile) = 2 (I - aT)^-1 profile, the undriven solve of
+        a midpoint step of profile' = T profile + drive, in a new
         Fortran-order array. An empty profile is its own solution."""
         if not profile.size:
             return profile.copy()
-        rhs = np.multiply(self._two_dinv, profile, order="F")
-        y = self.solve(self._ger(self.a, self._dinv, drive, a=rhs, overwrite_a=True))
-        y -= profile
-        return y
+        return self.solve(np.multiply(self._two_dinv, profile, order="F"))
 
-    def complete(self, partial: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        """Second part: add the share a * unit_response * drive of the new
-        drive (modes,) into ``partial`` in place, and return it; a
-        Fortran-order ``partial``, as partial() returns, is updated without
-        a copy."""
-        if not partial.size:
-            return partial
-        return self._ger(self.a, self.unit_response, drive, a=partial, overwrite_a=True)
+    def complete(self, z: np.ndarray, profile: np.ndarray, drive_sum: np.ndarray) -> np.ndarray:
+        """The stepped profile z - profile + a * unit_response * drive_sum from
+        z = partial(profile) and the sum (modes,) of the old and the new
+        drive, written into ``z`` in place and returned; a Fortran-order
+        ``z``, as partial() returns, is updated without a copy."""
+        if not z.size:
+            return z
+        z -= profile
+        return self._ger(self.a, self.unit_response, drive_sum, a=z, overwrite_a=True)
 
 
 class MidpointStepper:
@@ -171,9 +171,13 @@ class MidpointStepper:
     (eta_nodes, modes) and xi of shape (xi_nodes, modes), with 0 nodes for a
     collapsed block. Per mode, the triplet x = (u, v, theta) obeys
     x' = T x - M(eta, xi) with the memory load M of memory_load; the
-    histories enter only through M, so eliminating them leaves one 3x3
-    solve per mode. With both blocks collapsed M is zero and a step is the
-    midpoint map x1 = P x.
+    histories enter only through M, so eliminating them leaves one 3x3 map
+    per mode. The old plus the new history is the undriven solve z of
+    TransportStepper.partial plus a * unit_response times the old plus the
+    new drive, and M is linear, so with s the load of unit_response a step
+    is x1 = P x - Q M(z): P is the midpoint map of T - a diag(s) and Q is a
+    times its implicit factor. With both blocks collapsed M and s are zero
+    and a step is P x alone.
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
@@ -197,12 +201,12 @@ class MidpointStepper:
             T[:, 1, 1] -= g ** 2        # Kelvin-Voigt friction in place of viscous memory
         if space.mu is None:
             T[:, 2, 2] -= g             # Fourier term in place of thermal memory
-        # the new histories are the partial solves plus a * unit_response
-        # times the new theta (eta) or v (xi), which adds a^2 * s to the
-        # diagonal of the eliminated triplet matrix
+        # the drives' share of the history load acts on the triplet as a
+        # damping a * s per mode
         s = self.memory_load(self.eta_t.unit_response, self.xi_t.unit_response)
         eye = np.eye(3)
-        Ainv = np.linalg.inv(eye - a * T + a * a * s[:, :, None] * eye)
+        T -= a * s[:, :, None] * eye
+        Ainv = np.linalg.inv(eye - a * T)
         self.P = Ainv @ (eye + a * T)
         self.Q = a * Ainv
 
@@ -220,14 +224,12 @@ class MidpointStepper:
         x1 = np.einsum("nij,nj->ni", self.P, np.stack([u, v, th], axis=1))
         if not (eta.size or xi.size):
             return x1[:, 0], x1[:, 1], x1[:, 2], eta, xi
-        y_eta = self.eta_t.partial(eta, th)
-        y_xi = self.xi_t.partial(xi, v)
-        # M is linear: loading the old histories and the partial solves apart
-        # needs no summed copy of either
-        load = self.memory_load(eta, xi) + self.memory_load(y_eta, y_xi)
-        x1 -= np.einsum("nij,nj->ni", self.Q, load)
+        z_eta = self.eta_t.partial(eta)
+        z_xi = self.xi_t.partial(xi)
+        x1 -= np.einsum("nij,nj->ni", self.Q, self.memory_load(z_eta, z_xi))
         u1, v1, th1 = x1[:, 0], x1[:, 1], x1[:, 2]
-        return u1, v1, th1, self.eta_t.complete(y_eta, th1), self.xi_t.complete(y_xi, v1)
+        return (u1, v1, th1, self.eta_t.complete(z_eta, eta, th + th1),
+                self.xi_t.complete(z_xi, xi, v + v1))
 
 
 @dataclass

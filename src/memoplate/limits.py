@@ -143,8 +143,8 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
         nonlocal lu, lv, lth, eta_hat, xi_hat
         lth_old, lv_old = lth, lv
         lu, lv, lth, *_ = lim.step(lu, lv, lth, empty, empty)
-        eta_hat = tr_eta.complete(tr_eta.partial(eta_hat, lth_old), lth)
-        xi_hat = tr_xi.complete(tr_xi.partial(xi_hat, lv_old), lv)
+        eta_hat = tr_eta.complete(tr_eta.partial(eta_hat), eta_hat, lth_old + lth)
+        xi_hat = tr_xi.complete(tr_xi.partial(xi_hat), xi_hat, lv_old + lv)
 
     def sample(state, blocks):
         u, v, th, eta, xi = state

@@ -23,6 +23,7 @@ deliberately discrete route.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,6 +312,23 @@ def _cell_update_defect(f: np.ndarray, h: np.ndarray, lam: float,
     return (f - np.exp(-1j * x) * prev) / h - gain * source
 
 
+@functools.lru_cache(maxsize=8)
+def _uniform_grid(ap: AbstractParams, grid_size: int):
+    """(cutoff, nodes, spacing, thermal cell masses, shear cell masses or
+    None) of residual_check's uniform grid. None of them depends on gamma,
+    so they are built once per model and size; the arrays are read-only
+    because every call shares them."""
+    mu, beta = ap.thermal_kernel(), ap.shear_kernel()
+    s_max = history_cutoff(k for k in (mu, beta) if k is not None)
+    bounds = geometric_boundaries(s_max, grid_size, 1.0)
+    nodes, spacing, w_mu = bounds[1:], np.diff(bounds), cell_masses(mu, bounds)
+    w_b = None if beta is None else cell_masses(beta, bounds)
+    for x in (nodes, spacing, w_mu, w_b):
+        if x is not None:
+            x.flags.writeable = False
+    return s_max, nodes, spacing, w_mu, w_b
+
+
 def residual_check(ap: AbstractParams, gamma: float, grid_size: int) -> ResidualReport:
     """Discrete resolvent defect of the sampled probe pair.
 
@@ -331,14 +349,11 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int) -> Residual
     lam = pair.lam
     mu = ap.thermal_kernel()
     beta = ap.shear_kernel()
-    s_max = history_cutoff(k for k in (mu, beta) if k is not None)
-    bounds = geometric_boundaries(s_max, grid_size, 1.0)
-    nodes, spacing = bounds[1:], np.diff(bounds)
+    s_max, nodes, spacing, w_mu, w_b = _uniform_grid(ap, grid_size)
 
     def profile(amp: complex) -> np.ndarray:
         return amp * (1.0 - np.exp(-1j * lam * nodes)) / (1j * lam)
 
-    w_mu = cell_masses(mu, bounds)
     amp_th = pair.r + gamma ** (-0.5 * ap.alpha)
     phi = profile(amp_th)
 
@@ -354,7 +369,6 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int) -> Residual
     tail_shear = 0.0
 
     if beta is not None:
-        w_b = cell_masses(beta, bounds)
         amp_sh = pair.q + pair.shear_amp
         psi = profile(amp_sh)
         res_v += gamma ** 2 * np.sum(w_b * psi)

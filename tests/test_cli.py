@@ -3,6 +3,7 @@ import ast
 import json
 import os
 
+import numpy as np
 import pytest
 
 from memoplate.cli import main
@@ -284,6 +285,45 @@ def test_csv_bit_identical_across_runs(small_ini, tmp_path):
         with open(os.path.join(out2, name), "rb") as fh:
             b2 = fh.read()
         assert b1 == b2
+
+
+@pytest.mark.parametrize("command, name", [("simulate", "trajectory.csv"),
+                                           ("limit-sweep", "sweep.csv")])
+def test_stepping_csv_bit_identical_across_runs(small_ini, tmp_path, command, name):
+    out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
+    assert main([command, "--config", small_ini, "--out", out1]) == 0
+    assert main([command, "--config", small_ini, "--out", out2]) == 0
+    with open(os.path.join(out1, name), "rb") as fh:
+        b1 = fh.read()
+    with open(os.path.join(out2, name), "rb") as fh:
+        b2 = fh.read()
+    assert b1 == b2
+
+
+def test_trajectory_rows_hold_each_sample_and_mode(tmp_path):
+    # recomputed from the Trajectory, apart from the writer: row k * modes + i
+    # is sample k of mode i, each float cell as format(x, ".17g")
+    from memoplate.config import default_config, load_config
+    from memoplate.dynamics import evolve
+
+    ini = tmp_path / "traj.ini"
+    ini.write_text("[domain]\nmodes = 3\n\n[integrator]\ndt = 0.01\nhorizon = 0.2\n"
+                   "stride = 3\ngrid_size = 40\n")
+    out = str(tmp_path / "traj")
+    assert main(["simulate", "--config", str(ini), "--out", out]) == 0
+    cfg = load_config(str(ini), default_config())
+    space, z0, dt = cfg.point(*cfg.parameter_grid()[0])
+    traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
+    per_mode = (traj.u, traj.v, traj.theta, np.sqrt(traj.he_mu + traj.he_nu),
+                np.sqrt(traj.hx), traj.modal_energy())
+    with open(os.path.join(out, "trajectory.csv")) as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh][1:]
+    modes = space.modes.count
+    assert len(rows) == traj.times.size * modes == 8 * 3
+    for r, row in enumerate(rows):
+        k, i = divmod(r, modes)
+        assert row[:2] == [format(traj.times[k], ".17g"), str(i)]
+        assert row[2:] == [format(x[i, k], ".17g") for x in per_mode]
 
 
 def test_emit_plots_flag(tmp_path):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from memoplate import config
 from memoplate.errors import ConfigError
 from memoplate.config import (
     ExperimentConfig, Manifest, default_config, emit_plots, format_cell,
@@ -164,6 +165,40 @@ def test_write_csv_deterministic(tmp_path):
     lines = p1.read_text().strip().split("\n")
     assert lines[0] == "x,n,s"
     assert len(lines) == 3
+
+
+def _joined_cell_by_cell(header, rows):
+    # reference: every cell through format_cell, joined row by row
+    return "\n".join([",".join(header)]
+                     + [",".join(format_cell(cell) for cell in row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("block_rows", [None, 2])
+def test_write_csv_matches_cell_by_cell_join(tmp_path, monkeypatch, block_rows):
+    # at 2 rows per block, columns change type from one block to the next
+    if block_rows is not None:
+        monkeypatch.setattr(config, "CSV_BLOCK_ROWS", block_rows)
+    header = ["flag", "name", "count", "value", "mixed"]
+    rows = [
+        (True, "a", 7, float("nan"), 1),
+        (np.bool_(False), "b,c", np.int64(-3), float("inf"), 0.5),
+        (False, "", 2 ** 70, -float("inf"), np.int64(2)),
+        (np.bool_(True), "d", np.int64(0), -0.0, 2 ** 60 + 1),
+        (True, "e", -1, 5e-324, np.float64(1.0 / 3.0)),
+        (False, "f", 12, np.float64(1e308), True),
+        (True, "g", np.int64(2 ** 62), np.float64(-1.0 / 7.0), -0.0),
+    ]
+    path = write_csv(tmp_path / "mixed.csv", header, rows)
+    assert path.read_text() == _joined_cell_by_cell(header, rows)
+
+    # rows zipped from arrays, as the simulate command writes them
+    columns = (np.array([0.1, -2.5e-300, 1e16]), np.arange(3),
+               np.array([0.1, 3.0, -0.0], dtype=np.float32), np.array([True, False, True]))
+    path = write_csv(tmp_path / "arrays.csv", header[:4], zip(*columns))
+    assert path.read_text() == _joined_cell_by_cell(header[:4], list(zip(*columns)))
+
+    path = write_csv(tmp_path / "empty.csv", header, [])
+    assert path.read_text() == "flag,name,count,value,mixed\n"
 
 
 def test_manifest_written_with_steps(tmp_path):

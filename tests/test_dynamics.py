@@ -68,8 +68,9 @@ def test_stepper_matches_dense_block_solve(params, grid_size, modes):
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_step_leaves_its_inputs_unchanged(interval_modes, params, layout):
-    # the drive terms go into the stepper's own arrays in place, never into
-    # the state it was given, whatever the histories' memory order
+    # the undriven solve and the drive terms go into the stepper's own
+    # arrays in place, never into the state it was given, whatever the
+    # histories' memory order
     space = build_phase_space(interval_modes, params, grid_size=50)
     stepper = MidpointStepper(space, 1e-3)
     vec = random_state(space, 13)
@@ -80,8 +81,8 @@ def test_step_leaves_its_inputs_unchanged(interval_modes, params, layout):
     assert [x.tobytes() for x in state] == before
     for tr, profile, drive in ((stepper.eta_t, state[3], vec.theta),
                                (stepper.xi_t, state[4], vec.v)):
-        y = tr.partial(profile, drive)
-        assert y.flags.f_contiguous and tr.complete(y, drive) is y
+        z = tr.partial(profile)
+        assert z.flags.f_contiguous and tr.complete(z, profile, drive) is z
     assert [x.tobytes() for x in state] == before
 
 
