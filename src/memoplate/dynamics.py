@@ -22,6 +22,14 @@ right-hand side is scaled by the inverse diagonal beforehand. The rank-one
 drive terms are folded into the 3x3 map once, and enter the new history by
 one BLAS ger with the old and new drive summed, so a step makes five passes
 over each history array.
+
+A step allocates no state array. Each TransportStepper owns two history
+buffers and each MidpointStepper two triplet work arrays, allocated once,
+and a step writes into the ones that do not hold its input. The arrays a step
+returns therefore belong to the stepper and stay valid until the step
+after next; a caller that keeps a state longer copies it. The stepping
+driver measures each state's energy with PhaseEnergy, whose eigenvalue
+powers and squared-history scratch are likewise taken once per run.
 """
 from __future__ import annotations
 
@@ -35,8 +43,8 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import DomainError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
-from .modes import (ModeSet, Params, PhaseSpace, PhaseVector, block_energies,
-                    build_phase_space, history_quadratures, lift_triplet)
+from .modes import (ModeSet, Params, PhaseEnergy, PhaseSpace, PhaseVector, aligned_empty,
+                    block_energies, build_phase_space, lift_triplet)
 
 
 def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
@@ -117,15 +125,19 @@ class TransportStepper:
     profile alone, and complete() adds the old and the new drive's share in
     place by one BLAS ger. An absent block (grid None) has 0 nodes and never
     reaches LAPACK or BLAS, where tbtrs on 0 rows corrupts the heap.
+
+    The stepper owns two (nodes, modes) Fortran-order buffers for the whole
+    run, and partial() writes into the one that does not hold its profile.
+    A stepped profile is therefore valid until the step after next, which
+    writes into its buffer again.
     """
 
-    def __init__(self, grid, dt: float):
+    def __init__(self, grid, dt: float, modes: int):
         self.a = 0.5 * dt
         c = self.a / (np.zeros(0) if grid is None else grid.spacing)
-        # D^-1, and 2 D^-1 as a column: partial() folds the Cayley factor 2
-        # into its scaling
+        # D^-1, and 2 D^-1: partial() folds the Cayley factor 2 into its scaling
         dinv = 1.0 / (1.0 + c)
-        self._two_dinv = 2.0 * dinv[:, None]
+        self._two_dinv = 2.0 * dinv
         # lower band of I + N: the unit diagonal (never read), then the subdiagonal
         self._band = np.zeros((2, c.size), order="F")
         self._band[0] = 1.0
@@ -136,6 +148,7 @@ class TransportStepper:
         # directly so that solve() runs once per active history block and step
         self.unit_response = np.zeros(0) if not c.size else self._tbtrs(
             self._band, dinv[:, None], uplo="L", diag="U")[0][:, 0]
+        self._buffers = tuple(aligned_empty((c.size, modes), order="F") for _ in range(2))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(I - aT)^-1 D rhs = (I + N)^-1 rhs for rhs (nodes, modes) already
@@ -147,20 +160,23 @@ class TransportStepper:
 
     def partial(self, profile: np.ndarray) -> np.ndarray:
         """solve(2 D^-1 profile) = 2 (I - aT)^-1 profile, the undriven solve of
-        a midpoint step of profile' = T profile + drive, in a new
-        Fortran-order array. An empty profile is its own solution."""
-        if not profile.size:
-            return profile.copy()
-        return self.solve(np.multiply(self._two_dinv, profile, order="F"))
+        a midpoint step of profile' = T profile + drive, written into the
+        buffer that does not share memory with ``profile`` and returned. An
+        empty profile needs no solve."""
+        out = self._buffers[np.may_share_memory(profile, self._buffers[0])]
+        if out.size:
+            # einsum, not a broadcast multiply: NumPy's ufunc iterator
+            # allocates a buffer of up to 64 KB for the broadcast operand
+            self.solve(np.einsum("i,ij->ij", self._two_dinv, profile, out=out))
+        return out
 
     def complete(self, z: np.ndarray, profile: np.ndarray, drive_sum: np.ndarray) -> np.ndarray:
         """The stepped profile z - profile + a * unit_response * drive_sum from
         z = partial(profile) and the sum (modes,) of the old and the new
-        drive, written into ``z`` in place and returned; a Fortran-order
-        ``z``, as partial() returns, is updated without a copy."""
+        drive, written into ``z`` in place and returned."""
         if not z.size:
             return z
-        z -= profile
+        np.subtract(z, profile, out=z)
         return self._ger(self.a, self.unit_response, drive_sum, a=z, overwrite_a=True)
 
 
@@ -170,14 +186,28 @@ class MidpointStepper:
     State arrays: u, v, theta of shape (modes,), eta of shape
     (eta_nodes, modes) and xi of shape (xi_nodes, modes), with 0 nodes for a
     collapsed block. Per mode, the triplet x = (u, v, theta) obeys
-    x' = T x - M(eta, xi) with the memory load M of memory_load; the
-    histories enter only through M, so eliminating them leaves one 3x3 map
-    per mode. The old plus the new history is the undriven solve z of
+    x' = T x - M(eta, xi) with the memory load
+    M = (0, g^2 q_beta, g q_mu + q_nu) of the history quadratures
+    (q_mu, q_nu, q_beta) = (w_mu.eta, w_nu.eta, w_beta.xi); the histories
+    enter only through M, so eliminating them leaves one 3x3 map per mode.
+    The old plus the new history is the undriven solve z of
     TransportStepper.partial plus a * unit_response times the old plus the
     new drive, and M is linear, so with s the load of unit_response a step
     is x1 = P x - Q M(z): P is the midpoint map of T - a diag(s) and Q is a
-    times its implicit factor. With both blocks collapsed M and s are zero
-    and a step is P x alone.
+    times its implicit factor. M's first entry is zero, so a step applies
+    one (modes, 3, 5) map [P | -Q] to x and M's other two entries. With both
+    blocks collapsed M is zero and a step is P x alone.
+
+    Buffers: besides its transport steppers' two history buffers per block,
+    the stepper owns two (8, modes) work arrays, allocated once. Rows 0-2
+    hold a triplet, rows 3-4 the nonzero load entries of the step that
+    reads it and rows 5-7 the quadratures (w_mu.z_eta, w_nu.z_eta,
+    w_beta.z_xi) they are formed from. A step reads its triplet from one
+    work array, copied there first unless the caller's arrays are that
+    array's rows, and returns the other one's rows. Every array a step
+    returns is the stepper's own and is valid until the step after next,
+    which writes into it again; step() never writes into the arrays it is
+    given.
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
@@ -187,11 +217,11 @@ class MidpointStepper:
         self.dt = dt
         a = 0.5 * dt
         g = space.modes.eigenvalues
-        self.g = g
-        self.eta_t = TransportStepper(space.eta_grid, dt)
-        self.xi_t = TransportStepper(space.xi_grid, dt)
+        n = g.size
+        self.eta_t = TransportStepper(space.eta_grid, dt, n)
+        self.xi_t = TransportStepper(space.xi_grid, dt, n)
 
-        T = np.zeros((g.size, 3, 3))
+        T = np.zeros((n, 3, 3))
         T[:, 0, 1] = 1.0
         T[:, 1, 0] = -g ** 2
         T[:, 1, 2] = g
@@ -201,35 +231,57 @@ class MidpointStepper:
             T[:, 1, 1] -= g ** 2        # Kelvin-Voigt friction in place of viscous memory
         if space.mu is None:
             T[:, 2, 2] -= g             # Fourier term in place of thermal memory
+        self._g, self._g2 = g, g ** 2
         # the drives' share of the history load acts on the triplet as a
         # damping a * s per mode
-        s = self.memory_load(self.eta_t.unit_response, self.xi_t.unit_response)
+        s = self._memory_load(np.append(space.w_eta @ self.eta_t.unit_response,
+                                        space.w_beta @ self.xi_t.unit_response),
+                              np.empty((2, n)))
+        T[:, 1, 1] -= a * s[0]
+        T[:, 2, 2] -= a * s[1]
         eye = np.eye(3)
-        T -= a * s[:, :, None] * eye
         Ainv = np.linalg.inv(eye - a * T)
-        self.P = Ainv @ (eye + a * T)
-        self.Q = a * Ainv
+        # [P | -Q] without Q's first column, which meets M's zero entry
+        self.map = np.concatenate([Ainv @ (eye + a * T), -a * Ainv[:, :, 1:]], axis=2)
+        self._work = (np.zeros((8, n)), np.zeros((8, n)))
+        self._rows = tuple(tuple(w[:3]) for w in self._work)
+        self._drive_sum = np.empty((2, n))
 
-    def memory_load(self, eta, xi) -> np.ndarray:
-        """(modes, 3) load (0, g^2 w_beta.xi, g w_mu.eta + w_nu.eta) of history
-        profiles stored (nodes, modes) or (nodes,)."""
-        space, g = self.space, self.g
-        load = np.zeros((g.size, 3))
-        load[:, 1] = g ** 2 * (space.w_beta @ xi)
-        q_mu, q_nu = space.w_eta @ eta
-        load[:, 2] = g * q_mu + q_nu
-        return load
+    def _memory_load(self, q, out: np.ndarray) -> np.ndarray:
+        """The nonzero entries (g^2 q_beta, g q_mu + q_nu) of the memory load
+        M of quadratures q = (q_mu, q_nu, q_beta), written into the rows of
+        ``out`` (2, modes)."""
+        np.multiply(self._g2, q[2], out=out[0])
+        np.add(np.multiply(self._g, q[0], out=out[1]), q[1], out=out[1])
+        return out
+
+    def _triplet_index(self, u, v, th) -> int:
+        """Index of the work array whose rows are (u, v, th); a triplet of
+        other arrays is copied into work array 0 first."""
+        for k, rows in enumerate(self._rows):
+            if u is rows[0] and v is rows[1] and th is rows[2]:
+                return k
+        for row, x in zip(self._rows[0], (u, v, th)):
+            np.copyto(row, x)
+        return 0
 
     def step(self, u, v, th, eta, xi):
-        x1 = np.einsum("nij,nj->ni", self.P, np.stack([u, v, th], axis=1))
-        if not (eta.size or xi.size):
-            return x1[:, 0], x1[:, 1], x1[:, 2], eta, xi
-        z_eta = self.eta_t.partial(eta)
-        z_xi = self.xi_t.partial(xi)
-        x1 -= np.einsum("nij,nj->ni", self.Q, self.memory_load(z_eta, z_xi))
-        u1, v1, th1 = x1[:, 0], x1[:, 1], x1[:, 2]
-        return (u1, v1, th1, self.eta_t.complete(z_eta, eta, th + th1),
-                self.xi_t.complete(z_xi, xi, v + v1))
+        k = self._triplet_index(u, v, th)
+        x, x1 = self._work[k], self._work[1 - k]
+        active = eta.size or xi.size
+        if active:
+            z_eta = self.eta_t.partial(eta)
+            z_xi = self.xi_t.partial(xi)
+            np.matmul(self.space.w_eta, z_eta, out=x[5:7])
+            np.matmul(self.space.w_beta, z_xi, out=x[7])
+            self._memory_load(x[5:8], x[3:5])
+        np.einsum("nij,jn->in", self.map, x[:5], out=x1[:3])
+        u1, v1, th1 = self._rows[1 - k]
+        if not active:
+            return u1, v1, th1, eta, xi
+        drive = np.add(x[1:3], x1[1:3], out=self._drive_sum)
+        return (u1, v1, th1, self.eta_t.complete(z_eta, eta, drive[1]),
+                self.xi_t.complete(z_xi, xi, drive[0]))
 
 
 @dataclass
@@ -298,12 +350,16 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
 
     Returns (stored step indices, per-step energy, sampled columns, final
     state arrays). The state starts from ``initial``'s own arrays, which
-    MidpointStepper.step never writes into.
+    MidpointStepper.step never writes into. ``blocks`` is the (6, modes)
+    array of one PhaseEnergy, and every later state is the stepper's own
+    arrays; later steps overwrite both, and the values ``sample`` returns
+    are copied into their columns at once, so they may be views of either.
     """
     space, dt = stepper.space, stepper.dt
     nsteps = _step_count(dt, horizon)
     stored = _stored_steps(nsteps, stride)
     step_energy = np.zeros(nsteps + 1)
+    energy = PhaseEnergy(space, initial.order)
     columns = None
     k = 0
     state = (initial.u, initial.v, initial.theta, initial.eta, initial.xi)
@@ -312,10 +368,8 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
             state = stepper.step(*state)
             if advance is not None:
                 advance()
-        u, v, th, eta, xi = state
-        blocks = block_energies(space, initial.order, u, v, th,
-                                *history_quadratures(space, eta, xi))
-        e = float(np.sum(sum(blocks)))
+        blocks = energy(*state)
+        e = energy.total()
         if not math.isfinite(e):
             raise SingularStepError(f"state left the finite range at step {step} "
                                     f"(t = {step * dt:.6g})")
@@ -344,11 +398,10 @@ def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
 
     stored, step_energy, cols, state = _drive(stepper, initial, horizon, store_stride, sample)
     m = initial.order
-    # copied: the last step's own arrays sit above its freed temporaries,
-    # and holding them keeps that heap memory from being released (2 MB more
-    # peak RSS at 128 modes and 1600 + 1600 nodes)
+    # not copied: the final state is the last step's buffers, and no step
+    # follows to overwrite them once the stepper is dropped with this call
     return Trajectory(space, m, dt * stored, *cols, step_energy,
-                      PhaseVector(space, m, *(x.copy() for x in state)))
+                      PhaseVector(space, m, *state))
 
 
 def evolve_limit(modes: ModeSet, triplet0: np.ndarray, dt: float, horizon: float,

@@ -13,14 +13,15 @@ never assumed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .dynamics import MidpointStepper, _drive, _step_count
-from .modes import (Params, PhaseSpace, PhaseVector, block_energies, build_phase_space,
-                    history_quadratures)
+from .dynamics import MidpointStepper, TransportStepper, _drive, _step_count
+from .modes import (Params, PhaseEnergy, PhaseSpace, PhaseVector, aligned_empty,
+                    build_phase_space)
 
 
 def pi_bounds(params: Params) -> tuple[float, float]:
@@ -129,36 +130,48 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     """
     stride = _comparison_stride(_step_count(dt, horizon))
     m = initial.order
+    n = initial.u.size
 
     stepper = MidpointStepper(space, dt)
     # the collapsed system has no histories, so its step is the midpoint map
     lim = MidpointStepper(build_phase_space(space.modes, Params(0.0, 0.0, 0.0)), dt)
-    empty = np.zeros((0, initial.u.size))
-    tr_eta, tr_xi = stepper.eta_t, stepper.xi_t
+    empty = np.zeros((0, n))
+    # the reconstruction has its own buffers, apart from the memory system's
+    rec_eta = TransportStepper(space.eta_grid, dt, n)
+    rec_xi = TransportStepper(space.xi_grid, dt, n)
+    drive_v, drive_th = np.empty((2, n))
 
     lu, lv, lth = initial.u, initial.v, initial.theta
     eta_hat, xi_hat = np.zeros_like(initial.eta), np.zeros_like(initial.xi)
 
     def advance():
         nonlocal lu, lv, lth, eta_hat, xi_hat
-        lth_old, lv_old = lth, lv
-        lu, lv, lth, *_ = lim.step(lu, lv, lth, empty, empty)
-        eta_hat = tr_eta.complete(tr_eta.partial(eta_hat), eta_hat, lth_old + lth)
-        xi_hat = tr_xi.complete(tr_xi.partial(xi_hat), xi_hat, lv_old + lv)
+        # the step writes into lim's other work array, so the old triplet is
+        # still there for the drive sums
+        lu1, lv1, lth1, *_ = lim.step(lu, lv, lth, empty, empty)
+        np.add(lv, lv1, out=drive_v)
+        np.add(lth, lth1, out=drive_th)
+        lu, lv, lth = lu1, lv1, lth1
+        eta_hat = rec_eta.complete(rec_eta.partial(eta_hat), eta_hat, drive_th)
+        xi_hat = rec_xi.complete(rec_xi.partial(xi_hat), xi_hat, drive_v)
+
+    gap = PhaseEnergy(space, m)
+    gap_eta = aligned_empty(initial.eta.shape, order="F")
+    gap_xi = aligned_empty(initial.xi.shape, order="F")
+    limit_powers = gap.powers[:3]
 
     def sample(state, blocks):
         u, v, th, eta, xi = state
-        hmu, hnu, hxi = (float(np.sum(b)) for b in blocks[3:])
+        hmu, hnu, hxi = blocks[3:].sum(axis=1).tolist()
         # distance to the limit state with the reconstructed histories; its
         # triplet part is also the triplet part of the zero-padded distance
-        diff = block_energies(space, m, u - lu, v - lv, th - lth,
-                              *history_quadratures(space, eta - eta_hat, xi - xi_hat))
-        trip = float(np.sum(diff[0] + diff[1] + diff[2]))
-        limit = block_energies(space, m, lu, lv, lth)
-        return (np.sqrt(trip + hmu + hnu + hxi),
-                np.sqrt(trip + sum(float(np.sum(b)) for b in diff[3:])),
-                float(np.sum(limit[0] + limit[1] + limit[2])),
-                np.sqrt(hmu), np.sqrt(hnu), np.sqrt(hxi))
+        diff = gap(u - lu, v - lv, th - lth, np.subtract(eta, eta_hat, out=gap_eta),
+                   np.subtract(xi, xi_hat, out=gap_xi)).sum(axis=1).tolist()
+        trip = diff[0] + diff[1] + diff[2]
+        limit = float(np.vdot(limit_powers, np.square((lu, lv, lth))))
+        return (math.sqrt(trip + hmu + hnu + hxi),
+                math.sqrt(trip + diff[3] + diff[4] + diff[5]),
+                limit, math.sqrt(hmu), math.sqrt(hnu), math.sqrt(hxi))
 
     stored, step_energy, cols, _ = _drive(stepper, initial, horizon, stride, sample, advance)
     D, DP, EL, HMU, HNU, HXI = cols

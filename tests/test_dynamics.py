@@ -5,6 +5,8 @@ against the algebraic energy-balance identity of the midpoint rule, and
 against the matrix exponential of the memory-integral closure for
 exponential kernels, whose kernel-free case is the collapsed 3x3 system.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -63,6 +65,60 @@ def test_stepper_matches_dense_block_solve(params, grid_size, modes):
         ref = np.linalg.solve(eye - a * L, (eye + a * L) @ x[i])
         np.testing.assert_allclose(got[i], ref, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+@pytest.mark.parametrize("params", [Params(0.5, 0.25, 0.5), Params(0.5, 0.0, 0.0),
+                                    Params(0.0, 0.0, 0.5)],
+                         ids=["both-blocks", "xi-only", "eta-only"])
+@pytest.mark.parametrize("grid_size", [50, 400])
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_consecutive_steps_match_dense_block_solves(params, grid_size, layout):
+    # each step writes into the buffers its input does not occupy, so five
+    # steps in a row, each fed the previous step's own arrays, must follow
+    # five dense midpoint solves: a buffer that overwrote its own input
+    # would show from the second step on
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), 4),
+                              params, grid_size=grid_size)
+    dt = 1e-3
+    stepper = MidpointStepper(space, dt)
+    vec = random_state(space, 17)
+    state = (vec.u, vec.v, vec.theta) + tuple(np.asarray(h, order=layout)
+                                             for h in (vec.eta, vec.xi))
+    ref = mode_blocks(vec)
+    a = 0.5 * dt
+    eye = np.eye(ref.shape[1])
+    dense = [(eye - a * L, eye + a * L)
+             for L in (assemble_mode_operator(space, i) for i in range(4))]
+    for _ in range(5):
+        state = stepper.step(*state)
+        ref = np.stack([np.linalg.solve(lhs, rhs @ x) for (lhs, rhs), x in zip(dense, ref)])
+        got = mode_blocks(PhaseVector(space, 0, *state))
+        np.testing.assert_allclose(got, ref, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+def test_steps_allocate_less_than_one_history():
+    # the stepper writes into buffers it allocated once; ten steps after two
+    # warm-up steps must not allocate even one history array's worth
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), 4),
+                              Params(0.5, 0.25, 0.5), grid_size=400)
+    stepper = MidpointStepper(space, 1e-3)
+    vec = random_state(space, 19)
+    state = (vec.u, vec.v, vec.theta, vec.eta, vec.xi)
+    for _ in range(2):
+        state = stepper.step(*state)
+    history_bytes = vec.eta.nbytes
+    assert history_bytes == 400 * 4 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for _ in range(10):
+            state = stepper.step(*state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < history_bytes
 
 
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")

@@ -122,6 +122,27 @@ def test_energy_series_recorded(memory_space):
     assert np.all(np.diff(comp.energy_limit) <= 1e-12 * comp.energy_limit[0])
 
 
+@pytest.mark.parametrize("order", [0, 2])
+def test_one_energy_across_both_drivers(memory_space, order):
+    # compare_trajectories steps the same memory system as evolve and
+    # measures it through the same per-step energy; its history norms are
+    # the PhaseVector block norms of the stepped state
+    z0 = initial_data_preset("spectral-decay 4", memory_space, order, with_history=True)
+    dt, horizon = 2e-3, 8.4
+    comp = compare_trajectories(memory_space, z0, dt, horizon)
+    stored = np.rint(comp.times / dt).astype(int)
+    assert stored[1] == 2          # more than 2000 steps: every second one is sampled
+    traj = evolve(memory_space, z0, dt, horizon, store_stride=2)
+    np.testing.assert_array_equal(traj.times, comp.times)
+    np.testing.assert_allclose(comp.energy_full, traj.step_energy[stored], rtol=1e-14, atol=0)
+    final = traj.final_state.block_norms_sq()
+    for norm, block, name in ((comp.eta_mu_norm, traj.he_mu, "eta_mu"),
+                              (comp.eta_nu_norm, traj.he_nu, "eta_nu"),
+                              (comp.xi_norm, traj.hx, "xi")):
+        assert norm[-1] ** 2 == pytest.approx(final[name], rel=1e-14)
+        np.testing.assert_allclose(norm ** 2, block.sum(axis=0), rtol=1e-14, atol=0)
+
+
 def test_history_envelopes_hold(memory_space):
     # horizon long enough that the memory-fed plateau falls inside the fit
     # window; shorter runs fit before the plateau and under-predict
