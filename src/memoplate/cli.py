@@ -138,8 +138,8 @@ def _cmd_simulate(cfg, manifest, out_dir) -> None:
                   f"{_policy_note(space)}")
 
     n = space.modes.count
-    per_mode = (traj.u, traj.v, traj.theta, np.sqrt(traj.he_mu + traj.he_nu),
-                np.sqrt(traj.hx), traj.modal_energy())
+    per_mode = (traj.u, traj.v, traj.theta, np.sqrt(traj.blocks[3] + traj.blocks[4]),
+                np.sqrt(traj.blocks[5]), traj.modal_energy())
     # row k * modes + i holds sample k of mode i
     rows = zip(np.repeat(traj.times, n), np.tile(np.arange(n), traj.times.size),
                *(x.T.ravel() for x in per_mode))

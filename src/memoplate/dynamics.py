@@ -44,7 +44,7 @@ from scipy.linalg import get_blas_funcs, get_lapack_funcs
 from .errors import DomainError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
 from .modes import (ModeSet, Params, PhaseEnergy, PhaseSpace, PhaseVector, aligned_empty,
-                    block_energies, build_phase_space, lift_triplet)
+                    build_phase_space, lift_triplet, norm_powers)
 
 
 def assemble_mode_operator(space: PhaseSpace, mode_index: int) -> np.ndarray:
@@ -86,12 +86,10 @@ def mode_blocks(vec: PhaseVector) -> np.ndarray:
 
 def mode_weights(space: PhaseSpace, order: int) -> np.ndarray:
     """(modes, d) diagonal of the order-m phase inner product in the layout
-    of mode_blocks."""
-    one = np.ones((space.modes.count, 1))
-    eu, ev, eth, emu, enu, exi = block_energies(
-        space, order, one, one, one,
-        *(w[None, :] for w in (space.w_mu, space.w_nu, space.w_beta)))
-    return np.concatenate([eu, ev, eth, emu + enu, exi], axis=1)
+    of mode_blocks, from norm_powers: the dense reference for PhaseEnergy."""
+    p = norm_powers(space, order)[:, :, None]
+    return np.concatenate([p[0], p[1], p[2], p[3] * space.w_mu + p[4] * space.w_nu,
+                           p[5] * space.w_beta], axis=1)
 
 
 def generator_quadratic_form(space: PhaseSpace, vec: PhaseVector) -> tuple[float, float]:
@@ -211,8 +209,8 @@ class MidpointStepper:
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
-        if dt <= 0:
-            raise DomainError(f"need positive dt, got {dt}")
+        if not 0 < dt < math.inf:
+            raise DomainError(f"need positive finite dt, got {dt}")
         self.space = space
         self.dt = dt
         a = 0.5 * dt
@@ -288,30 +286,26 @@ class MidpointStepper:
 class Trajectory:
     """Sampled solution of one evolution run.
 
-    Per-mode arrays have shape (modes, samples). History columns hold the
-    gamma-weighted squared block contributions at the trajectory's norm
-    order, so the total energy is the plain sum over blocks and modes. imu
+    Per-mode arrays have shape (modes, samples). ``blocks`` (6, modes,
+    samples) keeps the PhaseEnergy rows the stepping driver measured at each
+    stored step, at final_state.order; their sum is the modal energy. imu
     and ibe are the plain memory integrals per mode. step_energy records the
     squared phase norm after every step, not just at stored samples.
     """
 
     space: PhaseSpace
-    order: int
     times: np.ndarray
     u: np.ndarray
     v: np.ndarray
     theta: np.ndarray
-    he_mu: np.ndarray
-    he_nu: np.ndarray
-    hx: np.ndarray
+    blocks: np.ndarray
     imu: np.ndarray
     ibe: np.ndarray
     step_energy: np.ndarray
     final_state: PhaseVector
 
     def modal_energy(self) -> np.ndarray:
-        eu, ev, eth = block_energies(self.space, self.order, self.u, self.v, self.theta)[:3]
-        return eu + ev + eth + self.he_mu + self.he_nu + self.hx
+        return self.blocks.sum(axis=0)
 
     def total_energy(self) -> np.ndarray:
         return self.modal_energy().sum(axis=0)
@@ -394,14 +388,13 @@ def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
 
     def sample(state, blocks):
         u, v, th, eta, xi = state
-        return (u, v, th) + tuple(blocks[3:]) + (space.w_mu @ eta, space.w_beta @ xi)
+        return u, v, th, blocks, space.w_mu @ eta, space.w_beta @ xi
 
     stored, step_energy, cols, state = _drive(stepper, initial, horizon, store_stride, sample)
-    m = initial.order
     # not copied: the final state is the last step's buffers, and no step
     # follows to overwrite them once the stepper is dropped with this call
-    return Trajectory(space, m, dt * stored, *cols, step_energy,
-                      PhaseVector(space, m, *state))
+    return Trajectory(space, dt * stored, *cols, step_energy,
+                      PhaseVector(space, initial.order, *state))
 
 
 def evolve_limit(modes: ModeSet, triplet0: np.ndarray, dt: float, horizon: float,

@@ -9,6 +9,7 @@ for every admissible weight vector, which the evolution layer relies on.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -70,8 +71,10 @@ def build_history_grid(cutoff: float, size: int, *,
     carrying given kernels is their history_cutoff."""
     if size < 8:
         raise DomainError(f"need at least 8 history nodes, got {size}")
-    if ratio < 1.0:
-        raise DomainError(f"grid ratio must be >= 1, got {ratio}")
+    if not 0.0 < cutoff < math.inf:
+        raise DomainError(f"grid cutoff must be positive and finite, got {cutoff}")
+    if not 1.0 <= ratio < math.inf:
+        raise DomainError(f"grid ratio must be >= 1 and finite, got {ratio}")
     bounds = geometric_boundaries(cutoff, size, ratio)
     return HistoryGrid(nodes=bounds[1:], spacing=np.diff(bounds), ratio=ratio,
                        cutoff=float(cutoff))

@@ -10,6 +10,7 @@ quadrature built independently of this code.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,10 @@ class KernelSpec:
     singularity: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude <= 0:
-            raise DomainError(f"amplitude must be positive, got {self.amplitude}")
-        if self.decay <= 0:
-            raise DomainError(f"decay must be positive, got {self.decay}")
+        if not 0.0 < self.amplitude < math.inf:
+            raise DomainError(f"amplitude must be positive and finite, got {self.amplitude}")
+        if not 0.0 < self.decay < math.inf:
+            raise DomainError(f"decay must be positive and finite, got {self.decay}")
         if not 0.0 <= self.singularity < 1.0:
             raise NonIntegrableError(
                 f"singularity exponent {self.singularity} outside [0,1): kernel not integrable")
@@ -82,8 +83,8 @@ class ScalarModel:
     rate: float = 1.0
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise DomainError(f"model rate must be positive, got {self.rate}")
+        if not 0.0 < self.rate < math.inf:
+            raise DomainError(f"model rate must be positive and finite, got {self.rate}")
 
 
 def build_kernel_family(base: KernelSpec, relaxation: float) -> KernelSpec:

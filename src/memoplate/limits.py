@@ -158,7 +158,7 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     gap = PhaseEnergy(space, m)
     gap_eta = aligned_empty(initial.eta.shape, order="F")
     gap_xi = aligned_empty(initial.xi.shape, order="F")
-    limit_powers = gap.powers[:3]
+    limit_energy = PhaseEnergy(lim.space, m)
 
     def sample(state, blocks):
         u, v, th, eta, xi = state
@@ -168,10 +168,10 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
         diff = gap(u - lu, v - lv, th - lth, np.subtract(eta, eta_hat, out=gap_eta),
                    np.subtract(xi, xi_hat, out=gap_xi)).sum(axis=1).tolist()
         trip = diff[0] + diff[1] + diff[2]
-        limit = float(np.vdot(limit_powers, np.square((lu, lv, lth))))
+        limit_energy(lu, lv, lth, empty, empty)
         return (math.sqrt(trip + hmu + hnu + hxi),
                 math.sqrt(trip + diff[3] + diff[4] + diff[5]),
-                limit, math.sqrt(hmu), math.sqrt(hnu), math.sqrt(hxi))
+                limit_energy.total(), math.sqrt(hmu), math.sqrt(hnu), math.sqrt(hxi))
 
     stored, step_energy, cols, _ = _drive(stepper, initial, horizon, stride, sample, advance)
     D, DP, EL, HMU, HNU, HXI = cols

@@ -32,7 +32,7 @@ class Domain:
             ok = len(self.lengths) == 2
         else:
             raise DomainError(f"unsupported domain kind {self.kind!r}")
-        if not ok or any(L <= 0 for L in self.lengths):
+        if not ok or not all(0.0 < L < math.inf for L in self.lengths):
             raise DomainError(f"bad side lengths {self.lengths} for {self.kind}")
 
 
@@ -56,11 +56,25 @@ def dirichlet_eigenvalues(domain: Domain, count: int) -> ModeSet:
         n = np.arange(1, count + 1)
         return ModeSet(domain, (n * np.pi / L) ** 2)
     Lx, Ly = domain.lengths
-    # any pair with an index beyond count is dominated by count same-row pairs,
-    # so enumerating j,k <= count is exhaustive for the first count eigenvalues
-    values = sorted(float((j * np.pi / Lx) ** 2 + (k * np.pi / Ly) ** 2)
-                    for j in range(1, count + 1) for k in range(1, count + 1))
-    return ModeSet(domain, np.array(values[:count]))
+
+    def value(j, k):
+        return float((j * np.pi / Lx) ** 2 + (k * np.pi / Ly) ** 2)
+
+    # the value grows in j and in k. The s x s square, s = ceil(sqrt(count)),
+    # holds count pairs at or below the value of (s, s), and a pair with an
+    # index beyond count lies above count pairs of its row or column, so
+    # neither is among the first count
+    s = math.isqrt(count - 1) + 1
+    bound = value(s, s)
+    values = []
+    j = 1
+    while j <= count and value(j, 1) <= bound:
+        k = 1
+        while k <= count and (v := value(j, k)) <= bound:
+            values.append(v)
+            k += 1
+        j += 1
+    return ModeSet(domain, np.array(sorted(values)[:count]))
 
 
 @dataclass(frozen=True)
@@ -160,28 +174,14 @@ def build_phase_space(modes: ModeSet, params: Params, *, grid_size: int = 400,
 
 
 def norm_powers(space: PhaseSpace, order: int) -> np.ndarray:
-    """(6, modes) eigenvalue powers that weight the six blocks of the order-m
-    phase norm, in block_energies' order: gamma^(m+2), gamma^m, gamma^m,
-    gamma^(m+1), gamma^m, gamma^(m+2). This is the one place that knows them."""
+    """(6, modes) eigenvalue powers weighting the blocks (u, v, theta, eta under
+    mu, eta under nu, xi) of the order-m phase norm: gamma^(m+2), gamma^m,
+    gamma^m, gamma^(m+1), gamma^m, gamma^(m+2). This is the one place that knows them."""
     g = space.modes.eigenvalues
     g0 = g ** order
     g1 = g0 * g
     g2 = g1 * g
     return np.stack((g2, g0, g0, g1, g0, g2))
-
-
-def block_energies(space: PhaseSpace, order: int, u, v, theta,
-                   q_mu=0.0, q_nu=0.0, q_beta=0.0) -> tuple:
-    """Energies of the six blocks of the order-m phase norm, mode by mode:
-    (u, v, theta, eta under mu, eta under nu, xi).
-
-    u, v and theta are modal amplitudes with the mode on the first axis;
-    q_mu, q_nu and q_beta are the quadratures sum_j w_j f_j^2 of the history
-    profiles under mu, nu and beta (0 for an absent kernel). Further axes
-    broadcast against the modes. The weights are norm_powers.
-    """
-    w = norm_powers(space, order).reshape((6, -1) + (1,) * (np.ndim(u) - 1))
-    return tuple(wk * x for wk, x in zip(w, (u ** 2, v ** 2, theta ** 2, q_mu, q_nu, q_beta)))
 
 
 def aligned_empty(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
@@ -198,11 +198,11 @@ def aligned_empty(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
 
 
 class PhaseEnergy:
-    """block_energies of one space and norm order, for states measured over
-    and over: the powers are taken once, the histories are squared into
-    scratch allocated once, and each call writes the six blocks into the
-    rows of one (6, modes) array, ``blocks``, which the next call
-    overwrites."""
+    """The one evaluator of the order-m phase norm. Row k of its (6, modes)
+    array ``blocks`` is norm_powers' row k times u^2, v^2, theta^2, or the
+    quadrature sum_j w_j f_j^2 of eta under mu or nu or of xi under beta.
+    The powers are taken once, the histories are squared into scratch
+    allocated once, and each call overwrites ``blocks``."""
 
     def __init__(self, space: PhaseSpace, order: int):
         n = space.modes.count
@@ -229,8 +229,8 @@ class PhaseEnergy:
         return self.blocks
 
     def total(self) -> float:
-        """The squared norm of the last call's state: blocks summed per mode,
-        then modes, in block_energies' order."""
+        """The squared norm of the last call's state: the blocks summed per
+        mode in row order, then the modes."""
         return float(self.blocks.sum(axis=0, out=self._total).sum())
 
 

@@ -20,8 +20,8 @@ from memoplate.dynamics import (
 )
 from memoplate.limits import compare_trajectories
 from memoplate.modes import (
-    Domain, Params, PhaseVector, build_phase_space, dirichlet_eigenvalues,
-    initial_data_preset, project_initial_data, zero_phase_vector,
+    Domain, Params, PhaseEnergy, PhaseVector, build_phase_space, dirichlet_eigenvalues,
+    initial_data_preset, norm_powers, project_initial_data, zero_phase_vector,
 )
 
 PARAM_CASES = [Params(0.5, 0.25, 0.5), Params(0.0, 0.5, 0.5), Params(0.5, 0.0, 0.0),
@@ -189,6 +189,16 @@ def test_phase_norm_agrees_across_layouts(small_space, order):
     assert traj.total_energy()[-1] == pytest.approx(final, rel=1e-12)
     x1 = mode_blocks(traj.final_state)
     assert np.sum(W * x1 * x1) == pytest.approx(final, rel=1e-12)
+    # the recorded blocks are the driver's PhaseEnergy rows, and the modal
+    # energy sums them in the order the triplet energies were once added
+    fs = traj.final_state
+    np.testing.assert_array_equal(
+        traj.blocks[..., -1],
+        PhaseEnergy(small_space, fs.order)(fs.u, fs.v, fs.theta, fs.eta, fs.xi))
+    p = norm_powers(small_space, order)[:, :, None]
+    eu, ev, eth = p[0] * traj.u ** 2, p[1] * traj.v ** 2, p[2] * traj.theta ** 2
+    np.testing.assert_array_equal(
+        traj.modal_energy(), eu + ev + eth + traj.blocks[3] + traj.blocks[4] + traj.blocks[5])
 
 
 def test_evolution_linearity(small_space):

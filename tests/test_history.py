@@ -141,6 +141,12 @@ def test_grid_construction_contracts():
         grid_for(k, 4)
     with pytest.raises(DomainError):
         grid_for(k, 40, ratio=0.9)
+    for cutoff in (np.nan, np.inf, 0.0):
+        with pytest.raises(DomainError):
+            build_history_grid(cutoff, 20)
+    for ratio in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            build_history_grid(10.0, 20, ratio=ratio)
     with pytest.raises(DomainError):
         KernelSpec(0.0, 1.0)
     with pytest.raises(DomainError):

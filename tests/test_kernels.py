@@ -174,6 +174,13 @@ def test_kernel_constructor_contracts():
         build_kernel_family(canonical_base(), 0.0)
     with pytest.raises(DomainError):
         ScalarModel(0.0)
+    # NaN fails every comparison, so the guards must reject it explicitly
+    for amplitude, decay in ((np.nan, 1.0), (1.0, np.nan), (1.0, np.inf), (np.inf, 1.0)):
+        with pytest.raises(DomainError):
+            KernelSpec(amplitude, decay)
+    for rate in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            ScalarModel(rate)
     with pytest.raises(NonIntegrableError):
         normalized_power_base(1.2)
     with pytest.raises(DomainError):

@@ -136,9 +136,9 @@ def test_one_energy_across_both_drivers(memory_space, order):
     np.testing.assert_array_equal(traj.times, comp.times)
     np.testing.assert_allclose(comp.energy_full, traj.step_energy[stored], rtol=1e-14, atol=0)
     final = traj.final_state.block_norms_sq()
-    for norm, block, name in ((comp.eta_mu_norm, traj.he_mu, "eta_mu"),
-                              (comp.eta_nu_norm, traj.he_nu, "eta_nu"),
-                              (comp.xi_norm, traj.hx, "xi")):
+    for norm, block, name in ((comp.eta_mu_norm, traj.blocks[3], "eta_mu"),
+                              (comp.eta_nu_norm, traj.blocks[4], "eta_nu"),
+                              (comp.xi_norm, traj.blocks[5], "xi")):
         assert norm[-1] ** 2 == pytest.approx(final[name], rel=1e-14)
         np.testing.assert_allclose(norm ** 2, block.sum(axis=0), rtol=1e-14, atol=0)
 

@@ -38,6 +38,19 @@ def test_rectangle_spectrum_sorted():
     assert modes.eigenvalues[0] == pytest.approx(1.25)
 
 
+@pytest.mark.parametrize("lengths", [(np.pi, np.pi), (np.pi, np.e), (1.0, 10.0),
+                                     (10.0, 1.0), (1.0, 100.0), (1e6, 1.0)])
+def test_rectangle_spectrum_matches_full_enumeration(lengths):
+    # the bounded enumeration returns exactly the first values of a sort over
+    # every pair with both indices up to count
+    Lx, Ly = lengths
+    for count in (1, 2, 3, 4, 5, 10, 50, 128, 400):
+        full = sorted(float((j * np.pi / Lx) ** 2 + (k * np.pi / Ly) ** 2)
+                      for j in range(1, count + 1) for k in range(1, count + 1))
+        got = dirichlet_eigenvalues(Domain("rectangle", lengths), count).eigenvalues
+        np.testing.assert_array_equal(got, full[:count])
+
+
 def test_domain_contracts():
     with pytest.raises(DomainError):
         Domain("disk", (1.0,))
@@ -45,8 +58,17 @@ def test_domain_contracts():
         Domain("interval", (0.0,))
     with pytest.raises(DomainError):
         Domain("rectangle", (1.0,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            Domain("interval", (bad,))
+        with pytest.raises(DomainError):
+            Domain("rectangle", (1.0, bad))
     with pytest.raises(DomainError):
         dirichlet_eigenvalues(Domain("interval", (1.0,)), 0)
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (1.0,)), 2), Params())
+    for dt in (0.0, np.nan, np.inf):
+        with pytest.raises(DomainError):
+            MidpointStepper(space, dt)
 
 
 def test_params_gating():
