@@ -138,8 +138,8 @@ def _cmd_simulate(cfg, manifest, out_dir) -> None:
                   f"{_policy_note(space)}")
 
     n = space.modes.count
-    per_mode = (traj.u, traj.v, traj.theta, np.sqrt(traj.blocks[3] + traj.blocks[4]),
-                np.sqrt(traj.blocks[5]), traj.modal_energy())
+    per_mode = (traj.u, traj.v, traj.theta, np.sqrt(traj.history_energy[:2].sum(axis=0)),
+                np.sqrt(traj.history_energy[2]), traj.modal_energy)
     # row k * modes + i holds sample k of mode i
     rows = zip(np.repeat(traj.times, n), np.tile(np.arange(n), traj.times.size),
                *(x.T.ravel() for x in per_mode))
@@ -169,7 +169,7 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
         with cfgmod.section("integrator"):
             traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
         with cfgmod.section("fit"):
-            fit = fit_decay_rate(traj.times, traj.total_energy(), window)
+            fit = fit_decay_rate(traj.times, traj.total_energy, window)
             ineq = check_differential_inequalities(traj, window)
         rows.append((sigma, tau, eps, cfg.order, fit.rate, fit.prefactor,
                      ineq.lambda_hat, ineq.d0_hat, ineq.residual, fit.r_squared))
@@ -177,7 +177,7 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
                       f"tau={tau} rate={fit.rate:.6g} d0={ineq.d0_hat:.6g} dt={dt} "
                       f"{_policy_note(space)}")
         epath = cfgmod.write_csv(out_dir / f"energy_{idx}.csv", ["t", "energy"],
-                                 zip(traj.times, traj.total_energy()))
+                                 zip(traj.times, traj.total_energy))
         manifest.output(epath)
         print(f"decay: sigma={sigma} tau={tau} eps={eps} -> rate {fit.rate:.6g} "
               f"(R^2 {fit.r_squared:.4f}), d0 {ineq.d0_hat:.4g}, "

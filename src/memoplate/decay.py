@@ -32,7 +32,7 @@ def lyapunov_series(traj: Trajectory, scale: float) -> dict[str, np.ndarray]:
     energy multiple ``scale`` in the secondary functional F2."""
     p = traj.space.params
     g = traj.space.modes.eigenvalues[:, None]
-    E = traj.total_energy()
+    E = traj.total_energy
     theta_flat = np.sum(traj.u * traj.v, axis=0)
     theta_sharp = -p.sigma * np.sum(traj.ibe * traj.v / g, axis=0)
     K = -p.eps * np.sum(traj.theta * traj.imu, axis=0)
@@ -104,41 +104,40 @@ def check_differential_inequalities(traj: Trajectory,
                                     ) -> InequalityReport:
     """Fit the inequality constants along the run.
 
-    The secondary functional's energy multiple climbs SCALE_LADDER and the
-    first value giving a positive decay constant wins (falling back to the
-    best seen).
+    The secondary functional's energy multiple climbs SCALE_LADDER, skipping
+    a value whose F2 is not positive on the window; the first value giving a
+    positive decay constant wins (falling back to the best seen).
     """
-    idx = _window_indices(traj.times, window)
-    t = traj.times
+    t, idx = traj.times, _window_indices(traj.times, window)
+    series = lyapunov_series(traj, SCALE_LADDER[0])
+    E, K3, F1 = series["energy"], series["K3"], series["F1"]
+    dF1, f1 = np.gradient(F1, t)[idx], F1[idx]
+    tau = traj.space.params.tau
+    degenerate = tau == 0.0
+    # lambda and d0 are minima over the window's samples, so both
+    # inequalities hold at every sample by construction; only the
+    # degenerate check dF1 <= 0 can leave a residual (recomputing the
+    # others would report roundoff of one ulp as a violation)
+    if degenerate:
+        lam = np.nan
+        residual = float(np.max(np.maximum(dF1, 0.0)))
+    elif np.any(f1 <= 0.0):
+        raise FitError("primary functional loses positivity inside the window")
+    else:
+        lam = float(np.min(-2.0 * dF1 / (tau * f1)))
+        residual = 0.0
 
     best: InequalityReport | None = None
     for N in SCALE_LADDER:
-        series = lyapunov_series(traj, N)
-        F1, F2 = series["F1"], series["F2"]
-        dF1 = np.gradient(F1, t)[idx]
-        dF2 = np.gradient(F2, t)[idx]
-        f1, f2 = F1[idx], F2[idx]
-        tau = traj.space.params.tau
-        degenerate = tau == 0.0
-        # lambda and d0 are minima over the window's samples, so both
-        # inequalities hold at every sample by construction; only the
-        # degenerate check dF1 <= 0 can leave a residual (recomputing the
-        # others would report roundoff of one ulp as a violation)
-        if degenerate:
-            lam = np.nan
-            residual = float(np.max(np.maximum(dF1, 0.0)))
-        elif np.any(f1 <= 0.0):
-            raise FitError("primary functional loses positivity inside the window")
-        else:
-            lam = float(np.min(-2.0 * dF1 / (tau * f1)))
-            residual = 0.0
-        if np.any(f2 <= 0.0):
-            raise FitError("secondary functional loses positivity inside the window; "
-                           "increase the energy scale")
-        d0 = float(np.min(-dF2 / f2))
+        F2 = N * E + K3
+        if np.any(F2[idx] <= 0.0):
+            continue
+        d0 = float(np.min(-np.gradient(F2, t)[idx] / F2[idx]))
         report = InequalityReport(lam, d0, float(N), residual, degenerate)
         if best is None or report.d0_hat > best.d0_hat:
             best = report
         if d0 > 0.0:
             return report
+    if best is None:
+        raise FitError("secondary functional loses positivity inside the window at every scale")
     return best

@@ -286,11 +286,12 @@ class MidpointStepper:
 class Trajectory:
     """Sampled solution of one evolution run.
 
-    Per-mode arrays have shape (modes, samples). ``blocks`` (6, modes,
-    samples) keeps the PhaseEnergy rows the stepping driver measured at each
-    stored step, at final_state.order; their sum is the modal energy. imu
-    and ibe are the plain memory integrals per mode. step_energy records the
-    squared phase norm after every step, not just at stored samples.
+    Per-mode arrays have shape (modes, samples). At each stored step, at
+    final_state.order, the stepping driver's PhaseEnergy gave the per-mode
+    sums ``modal_energy``, the rows ``history_energy`` (3, modes, samples) of
+    eta under mu and nu and of xi, and ``total_energy``: step_energy, the
+    squared phase norm after every step, at the stored steps. imu and ibe
+    are the plain memory integrals per mode.
     """
 
     space: PhaseSpace
@@ -298,17 +299,13 @@ class Trajectory:
     u: np.ndarray
     v: np.ndarray
     theta: np.ndarray
-    blocks: np.ndarray
+    modal_energy: np.ndarray
+    history_energy: np.ndarray
     imu: np.ndarray
     ibe: np.ndarray
+    total_energy: np.ndarray
     step_energy: np.ndarray
     final_state: PhaseVector
-
-    def modal_energy(self) -> np.ndarray:
-        return self.blocks.sum(axis=0)
-
-    def total_energy(self) -> np.ndarray:
-        return self.modal_energy().sum(axis=0)
 
 
 def _step_count(dt: float, horizon: float) -> int:
@@ -339,15 +336,16 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     companion system after each step. The block energies at the initial
     order are taken at step 0 and after every step, and a non-finite total
     raises SingularStepError. At every ``stride``-th step and the last,
-    ``sample(state, blocks)`` returns a tuple of values, which come back
+    ``sample(state, energy)`` returns a tuple of values, which come back
     stacked along a trailing sample axis.
 
     Returns (stored step indices, per-step energy, sampled columns, final
     state arrays). The state starts from ``initial``'s own arrays, which
-    MidpointStepper.step never writes into. ``blocks`` is the (6, modes)
-    array of one PhaseEnergy, and every later state is the stepper's own
-    arrays; later steps overwrite both, and the values ``sample`` returns
-    are copied into their columns at once, so they may be views of either.
+    MidpointStepper.step never writes into. ``energy`` is the run's one
+    PhaseEnergy, holding ``state``'s blocks and modal sums, and every later
+    state is the stepper's own arrays; later steps overwrite both, and the
+    values ``sample`` returns are copied into their columns at once, so they
+    may be views of either.
     """
     space, dt = stepper.space, stepper.dt
     nsteps = _step_count(dt, horizon)
@@ -362,14 +360,14 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
             state = stepper.step(*state)
             if advance is not None:
                 advance()
-        blocks = energy(*state)
+        energy(*state)
         e = energy.total()
         if not math.isfinite(e):
             raise SingularStepError(f"state left the finite range at step {step} "
                                     f"(t = {step * dt:.6g})")
         step_energy[step] = e
         if step == stored[k]:
-            values = sample(state, blocks)
+            values = sample(state, energy)
             if columns is None:
                 columns = [np.zeros(np.shape(x) + (stored.size,)) for x in values]
             for col, x in zip(columns, values):
@@ -386,14 +384,14 @@ def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
     """
     stepper = MidpointStepper(space, dt)
 
-    def sample(state, blocks):
+    def sample(state, energy):
         u, v, th, eta, xi = state
-        return u, v, th, blocks, space.w_mu @ eta, space.w_beta @ xi
+        return u, v, th, energy.modal, energy.blocks[3:], space.w_mu @ eta, space.w_beta @ xi
 
     stored, step_energy, cols, state = _drive(stepper, initial, horizon, store_stride, sample)
     # not copied: the final state is the last step's buffers, and no step
     # follows to overwrite them once the stepper is dropped with this call
-    return Trajectory(space, dt * stored, *cols, step_energy,
+    return Trajectory(space, dt * stored, *cols, step_energy[stored], step_energy,
                       PhaseVector(space, initial.order, *state))
 
 

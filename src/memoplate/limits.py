@@ -160,9 +160,9 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     gap_xi = aligned_empty(initial.xi.shape, order="F")
     limit_energy = PhaseEnergy(lim.space, m)
 
-    def sample(state, blocks):
+    def sample(state, energy):
         u, v, th, eta, xi = state
-        hmu, hnu, hxi = blocks[3:].sum(axis=1).tolist()
+        hmu, hnu, hxi = energy.blocks[3:].sum(axis=1).tolist()
         # distance to the limit state with the reconstructed histories; its
         # triplet part is also the triplet part of the zero-padded distance
         diff = gap(u - lu, v - lv, th - lth, np.subtract(eta, eta_hat, out=gap_eta),

@@ -56,25 +56,21 @@ def dirichlet_eigenvalues(domain: Domain, count: int) -> ModeSet:
         n = np.arange(1, count + 1)
         return ModeSet(domain, (n * np.pi / L) ** 2)
     Lx, Ly = domain.lengths
-
-    def value(j, k):
-        return float((j * np.pi / Lx) ** 2 + (k * np.pi / Ly) ** 2)
-
-    # the value grows in j and in k. The s x s square, s = ceil(sqrt(count)),
-    # holds count pairs at or below the value of (s, s), and a pair with an
-    # index beyond count lies above count pairs of its row or column, so
-    # neither is among the first count
+    # the value (j pi/Lx)^2 + (k pi/Ly)^2 grows in j and in k. The s x s
+    # square, s = ceil(sqrt(count)), holds count pairs at or below the value
+    # of (s, s), and a pair with an index beyond count lies above count pairs
+    # of its row or column, so neither is among the first count
+    n = np.arange(1, count + 1)
+    x, y = (n * np.pi / Lx) ** 2, (n * np.pi / Ly) ** 2
     s = math.isqrt(count - 1) + 1
-    bound = value(s, s)
-    values = []
-    j = 1
-    while j <= count and value(j, 1) <= bound:
-        k = 1
-        while k <= count and (v := value(j, k)) <= bound:
-            values.append(v)
-            k += 1
-        j += 1
-    return ModeSet(domain, np.array(sorted(values)[:count]))
+    bound = x[s - 1] + y[s - 1]
+    # row j holds k up to (Ly/pi) sqrt(bound - x_j); one more absorbs the
+    # rounding of the root, and the filter keeps the pairs at or below bound
+    rows = x[x + y[0] <= bound]
+    width = np.minimum(Ly / np.pi * np.sqrt(bound - rows) + 1, count).astype(int)
+    k = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    values = np.repeat(rows, width) + y[k]
+    return ModeSet(domain, np.sort(values[values <= bound])[:count])
 
 
 @dataclass(frozen=True)
@@ -202,7 +198,8 @@ class PhaseEnergy:
     array ``blocks`` is norm_powers' row k times u^2, v^2, theta^2, or the
     quadrature sum_j w_j f_j^2 of eta under mu or nu or of xi under beta.
     The powers are taken once, the histories are squared into scratch
-    allocated once, and each call overwrites ``blocks``."""
+    allocated once, and each call overwrites ``blocks``; total() writes the
+    per-mode sums into ``modal``."""
 
     def __init__(self, space: PhaseSpace, order: int):
         n = space.modes.count
@@ -211,7 +208,8 @@ class PhaseEnergy:
         self.blocks = np.empty((6, n))
         self._triplet = tuple(self.blocks[:3])
         self._quad_eta, self._quad_xi = self.blocks[3:5], self.blocks[5]
-        self._total = np.empty(n)
+        self.modal = np.empty(n)
+        self._running = np.empty(n)
         # one scratch for both squares, the larger history's size
         ne, nx = space.eta_size, space.xi_size
         flat = aligned_empty((max(ne, nx) * n,))
@@ -229,9 +227,11 @@ class PhaseEnergy:
         return self.blocks
 
     def total(self) -> float:
-        """The squared norm of the last call's state: the blocks summed per
-        mode in row order, then the modes."""
-        return float(self.blocks.sum(axis=0, out=self._total).sum())
+        """The squared norm of the last call's state, in the package's one
+        order: the blocks summed per mode in row order into ``modal``, then
+        the modes one after another (sum() adds 8 or more pairwise)."""
+        self.blocks.sum(axis=0, out=self.modal)
+        return float(np.add.accumulate(self.modal, out=self._running)[-1])
 
 
 @dataclass

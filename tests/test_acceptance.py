@@ -90,7 +90,7 @@ def test_criterion_2_decay_rate_structure(edec_runs):
     start = time.perf_counter()
     rates, lam_hats, d0_hats = [], [], []
     for traj in edec_runs["runs"]:
-        fit = fit_decay_rate(traj.times, traj.total_energy(), cfg.fit_window)
+        fit = fit_decay_rate(traj.times, traj.total_energy, cfg.fit_window)
         rep = check_differential_inequalities(traj, window=cfg.fit_window)
         rates.append(fit.rate)
         lam_hats.append(rep.lambda_hat)
@@ -158,7 +158,7 @@ def test_criterion_4_limit_system_cross_check():
     # the slow eigenvalue is real and the complex pair decays nearly twice as
     # fast, so the rate is fitted on a late window where the pair has died out
     long_run = evolve_limit(modes, trip0, dt, 60.0, store_stride=50)
-    fit = fit_decay_rate(long_run.times, long_run.total_energy(), (10.0, 50.0))
+    fit = fit_decay_rate(long_run.times, long_run.total_energy, (10.0, 50.0))
     target = -2.0 * float(np.max(np.linalg.eigvals(block).real))
     dev = abs(fit.rate - target) / target
     ok = worst <= 1e-6 and dev <= 0.02

@@ -314,8 +314,9 @@ def test_trajectory_rows_hold_each_sample_and_mode(tmp_path):
     cfg = load_config(str(ini), default_config())
     space, z0, dt = cfg.point(*cfg.parameter_grid()[0])
     traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
-    per_mode = (traj.u, traj.v, traj.theta, np.sqrt(traj.blocks[3] + traj.blocks[4]),
-                np.sqrt(traj.blocks[5]), traj.modal_energy())
+    he = traj.history_energy
+    per_mode = (traj.u, traj.v, traj.theta, np.sqrt(he[0] + he[1]), np.sqrt(he[2]),
+                traj.modal_energy)
     with open(os.path.join(out, "trajectory.csv")) as fh:
         rows = [line.rstrip("\n").split(",") for line in fh][1:]
     modes = space.modes.count

@@ -1,4 +1,6 @@
 """Rate fitting and Lyapunov-functional diagnostics."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ def test_lyapunov_series_keys_and_scale(thermal_run):
     for key in ("energy", "theta_flat", "theta_sharp", "K", "K2", "K3", "F1", "F2"):
         assert ser[key].shape == thermal_run.times.shape
     np.testing.assert_array_equal(ser["F2"], 20.0 * ser["energy"] + ser["K3"])
-    np.testing.assert_allclose(ser["energy"], thermal_run.total_energy(), rtol=1e-12)
+    np.testing.assert_allclose(ser["energy"], thermal_run.total_energy, rtol=1e-12)
 
 
 def test_equivalence_band(thermal_run):
@@ -84,11 +86,35 @@ def test_scale_ladder_autoselect(thermal_run):
     assert rep.d0_hat > 0.0
 
 
+def test_scale_ladder_skips_scales_without_positive_f2():
+    # on a long interval F2 = N E + K3 dips below zero inside the window at
+    # N = 5 and 10 and stays positive from 20 on, where d0 is negative at
+    # every scale: the ladder skips the first two and reports the best seen
+    modes = dirichlet_eigenvalues(Domain("interval", (10.0,)), 4)
+    space = build_phase_space(modes, Params(0.5, 0.5, 0.5), grid_size=120)
+    z0 = initial_data_preset("spectral-decay 6", space, 0)
+    traj = evolve(space, z0, 1e-3, 16.0, store_stride=10)
+    window = (1.0, 15.0)
+    inside = (traj.times >= window[0]) & (traj.times <= window[1])
+    positive = [N for N in SCALE_LADDER if np.all(lyapunov_series(traj, N)["F2"][inside] > 0.0)]
+    assert positive == [20.0, 40.0, 80.0]
+    rep = check_differential_inequalities(traj, window)
+    assert rep.scale == 80.0
+    assert rep.d0_hat == pytest.approx(-0.0062, abs=1e-4)
+    assert rep.lambda_hat > 0.0
+
+
+def test_scale_ladder_fails_without_any_positive_f2(cold_run):
+    flipped = dataclasses.replace(cold_run, total_energy=-cold_run.total_energy)
+    with pytest.raises(FitError, match="at every scale"):
+        check_differential_inequalities(flipped, (1.0, 10.0))
+
+
 def test_fitted_rate_against_spectral_oracle():
     # collapsed system: energy decay rate equals twice the spectral abscissa
     modes = dirichlet_eigenvalues(Domain("interval", (np.pi,)), 1)
     traj = evolve_limit(modes, np.array([[1.0, 0.5, -0.5]]), 1e-3, 50.0, store_stride=20)
-    fit = fit_decay_rate(traj.times, traj.total_energy(), (10.0, 50.0))
+    fit = fit_decay_rate(traj.times, traj.total_energy, (10.0, 50.0))
     block = closure_matrix(build_phase_space(modes, Params()), 1.0)
     target = -2.0 * float(np.max(np.linalg.eigvals(block).real))
     assert fit.rate == pytest.approx(target, rel=0.02)
@@ -97,8 +123,8 @@ def test_fitted_rate_against_spectral_oracle():
 
 def test_rate_increases_with_coupling(thermal_run, cold_run):
     w = (1.0, 10.0)
-    rate_cold = fit_decay_rate(cold_run.times, cold_run.total_energy(), w).rate
-    rate_warm = fit_decay_rate(thermal_run.times, thermal_run.total_energy(), w).rate
+    rate_cold = fit_decay_rate(cold_run.times, cold_run.total_energy, w).rate
+    rate_warm = fit_decay_rate(thermal_run.times, thermal_run.total_energy, w).rate
     assert rate_cold > 0.0
     assert rate_warm >= rate_cold * 0.95
 

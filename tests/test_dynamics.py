@@ -170,13 +170,21 @@ def test_energy_non_increasing_every_step(small_space):
     traj = evolve(small_space, z0, 1e-3, 1.0)
     e = traj.step_energy
     assert np.all(np.diff(e) <= 1e-12 * e[0])
-    assert traj.total_energy()[0] == pytest.approx(e[0], rel=1e-12)
+    assert traj.total_energy[0] == pytest.approx(e[0], rel=1e-12)
 
 
-@pytest.mark.parametrize("order", [0, 2])
-def test_phase_norm_agrees_across_layouts(small_space, order):
+@pytest.mark.parametrize("order, modes", [
+    pytest.param(0, 4, id="0"), pytest.param(2, 4, id="2"),
+    # from 8 modes on, NumPy's 1-D sum adds pairwise: these cases see the
+    # summation order
+    pytest.param(0, 16, id="0-16modes"), pytest.param(2, 16, id="2-16modes")])
+def test_phase_norm_agrees_across_layouts(small_space, order, modes):
     # the norm read from PhaseVector, from the per-mode weight diagonal, from
-    # the stepper's per-step energy and from the recorded trajectory blocks
+    # the stepper's per-step energy and from the recorded trajectory energies
+    if modes != small_space.modes.count:
+        small_space = build_phase_space(
+            dirichlet_eigenvalues(Domain("interval", (np.pi,)), modes),
+            small_space.params, grid_size=80)
     z0 = random_state(small_space, 31, order)
     W = mode_weights(small_space, order)
     x = mode_blocks(z0)
@@ -186,19 +194,24 @@ def test_phase_norm_agrees_across_layouts(small_space, order):
     assert final < z0.norm_sq()
     assert traj.step_energy[0] == pytest.approx(z0.norm_sq(), rel=1e-12)
     assert traj.step_energy[-1] == pytest.approx(final, rel=1e-12)
-    assert traj.total_energy()[-1] == pytest.approx(final, rel=1e-12)
+    assert traj.total_energy[-1] == pytest.approx(final, rel=1e-12)
     x1 = mode_blocks(traj.final_state)
     assert np.sum(W * x1 * x1) == pytest.approx(final, rel=1e-12)
-    # the recorded blocks are the driver's PhaseEnergy rows, and the modal
-    # energy sums them in the order the triplet energies were once added
+    # the recorded energies are the driver's PhaseEnergy rows and sums, and
+    # the modal energy sums the rows in the order the triplet energies were
+    # once added
     fs = traj.final_state
-    np.testing.assert_array_equal(
-        traj.blocks[..., -1],
-        PhaseEnergy(small_space, fs.order)(fs.u, fs.v, fs.theta, fs.eta, fs.xi))
+    energy = PhaseEnergy(small_space, fs.order)
+    blocks = energy(fs.u, fs.v, fs.theta, fs.eta, fs.xi)
+    np.testing.assert_array_equal(traj.history_energy[..., -1], blocks[3:])
+    energy.total()
+    np.testing.assert_array_equal(traj.modal_energy[:, -1], energy.modal)
+    # every step is stored, so the recorded totals are the per-step energy
+    np.testing.assert_array_equal(traj.total_energy, traj.step_energy)
     p = norm_powers(small_space, order)[:, :, None]
     eu, ev, eth = p[0] * traj.u ** 2, p[1] * traj.v ** 2, p[2] * traj.theta ** 2
-    np.testing.assert_array_equal(
-        traj.modal_energy(), eu + ev + eth + traj.blocks[3] + traj.blocks[4] + traj.blocks[5])
+    he = traj.history_energy
+    np.testing.assert_array_equal(traj.modal_energy, eu + ev + eth + he[0] + he[1] + he[2])
 
 
 def test_evolution_linearity(small_space):
