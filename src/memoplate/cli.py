@@ -173,9 +173,12 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
             ineq = check_differential_inequalities(traj, window)
         rows.append((sigma, tau, eps, cfg.order, fit.rate, fit.prefactor,
                      ineq.lambda_hat, ineq.d0_hat, ineq.residual, fit.r_squared))
-        manifest.step(f"decay[{idx}]", "ok",
+        # the ladder's best d0 not positive: dF2/dt <= -d0 F2 bounds no decay
+        held = ineq.d0_hat > 0.0
+        manifest.step(f"decay[{idx}]", "ok" if held else "failed",
                       f"tau={tau} rate={fit.rate:.6g} d0={ineq.d0_hat:.6g} dt={dt} "
-                      f"{_policy_note(space)}")
+                      f"{_policy_note(space)}"
+                      + ("" if held else "; no scale gave d0 > 0"))
         epath = cfgmod.write_csv(out_dir / f"energy_{idx}.csv", ["t", "energy"],
                                  zip(traj.times, traj.total_energy))
         manifest.output(epath)
@@ -231,7 +234,8 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
 def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
     import numpy as np
     from . import config as cfgmod
-    from .probe import HALVING_BAND, admissibility_report, residual_check, resolvent_scan
+    from .probe import (HALVING_BAND, admissibility_report, build_probe_pair, residual_check,
+                        resolvent_scan)
 
     ap = cfg.probe_params()
     report = admissibility_report(ap)
@@ -240,7 +244,8 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
                       f"margin={margin:.6g}")
     with cfgmod.section("probe"):
         scan = resolvent_scan(ap, cfg.probe_gammas())
-        residuals = [residual_check(ap, float(g), cfg.residual_size) for g in scan.gammas]
+        residuals = [residual_check(ap, pair.gamma, cfg.residual_size, pair)
+                     for pair in scan.pairs]
     rows = [(g, l, zn, zt, rt, qr, res.residual) for (g, l, zn, zt, rt, qr), res
             in zip(scan.rows(), residuals)]
     path = cfgmod.write_csv(out_dir / "scan.csv",
@@ -249,8 +254,9 @@ def _cmd_pruss_scan(cfg, manifest, out_dir) -> None:
     manifest.output(path)
 
     with cfgmod.section("probe"):
-        fine = residual_check(ap, cfg.residual_gamma, 2 * cfg.residual_size)
-        coarse = residual_check(ap, cfg.residual_gamma, cfg.residual_size)
+        pair = build_probe_pair(ap, cfg.residual_gamma)
+        fine = residual_check(ap, pair.gamma, 2 * cfg.residual_size, pair)
+        coarse = residual_check(ap, pair.gamma, cfg.residual_size, pair)
     # phase advance per uniform cell; above 1 the cells do not resolve the
     # probe's oscillation
     lam_h = [res.lam * res.cutoff / res.grid_size for res in residuals]

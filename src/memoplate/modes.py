@@ -56,21 +56,30 @@ def dirichlet_eigenvalues(domain: Domain, count: int) -> ModeSet:
         n = np.arange(1, count + 1)
         return ModeSet(domain, (n * np.pi / L) ** 2)
     Lx, Ly = domain.lengths
-    # the value (j pi/Lx)^2 + (k pi/Ly)^2 grows in j and in k. The s x s
-    # square, s = ceil(sqrt(count)), holds count pairs at or below the value
-    # of (s, s), and a pair with an index beyond count lies above count pairs
-    # of its row or column, so neither is among the first count
+    # the value (j pi/Lx)^2 + (k pi/Ly)^2 grows in j and in k, so a pair with
+    # an index beyond count lies above count pairs of its row or column and
+    # is not among the first count
     n = np.arange(1, count + 1)
     x, y = (n * np.pi / Lx) ** 2, (n * np.pi / Ly) ** 2
-    s = math.isqrt(count - 1) + 1
-    bound = x[s - 1] + y[s - 1]
-    # row j holds k up to (Ly/pi) sqrt(bound - x_j); one more absorbs the
-    # rounding of the root, and the filter keeps the pairs at or below bound
-    rows = x[x + y[0] <= bound]
-    width = np.minimum(Ly / np.pi * np.sqrt(bound - rows) + 1, count).astype(int)
-    k = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-    values = np.repeat(rows, width) + y[k]
-    return ModeSet(domain, np.sort(values[values <= bound])[:count])
+    # start at the two-term Weyl estimate of the count-th value: the root of
+    # N(lam) = (Lx Ly lam - 2 (Lx + Ly) sqrt(lam)) / (4 pi) = count, in a
+    # form that neither overflows nor underflows at extreme sides. Double
+    # the bound until it holds count pairs, so about count pairs are
+    # enumerated at any aspect ratio
+    c = 1.0 / Lx + 1.0 / Ly
+    root = c + math.hypot(c, 2.0 * math.sqrt(math.pi * count) / (math.sqrt(Lx) * math.sqrt(Ly)))
+    bound = root * root
+    while True:
+        # row j holds k up to (Ly/pi) sqrt(bound - x_j); one more absorbs the
+        # rounding of the root, and the filter keeps the pairs at or below bound
+        rows = x[x + y[0] <= bound]
+        width = np.minimum(Ly / np.pi * np.sqrt(bound - rows) + 1, count).astype(int)
+        k = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+        values = np.repeat(rows, width) + y[k]
+        values = values[values <= bound]
+        if values.size >= count:
+            return ModeSet(domain, np.sort(values)[:count])
+        bound *= 2.0
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,12 @@ cannot decay for any omega2 >= 0, and the probe shows a resolvent that stays
 bounded, the shear memory acting on the principal part as a stabilizer. All
 norms here have closed forms; the sampled-grid residual check is a separate,
 deliberately discrete route.
+
+A scan builds each scale's pair once and keeps it (ScanResult.pairs), so the
+residual check reads the pair instead of rebuilding it, and evaluates its
+phase factors once per distinct cell width of its uniform grid. Only that
+grid's geometry (nodes, cell masses and their sums, tail fractions, width
+classes) is cached across calls, per model and size.
 """
 from __future__ import annotations
 
@@ -69,11 +75,13 @@ class AbstractParams:
             return None
         return KernelSpec(1.0, 1.0, self.omega2)
 
-    @property
+    # cached per instance, outside the fields, so equality and hashing
+    # (and _uniform_grid's cache key) do not see them
+    @functools.cached_property
     def k0(self) -> float:
         return kernel_moment(self.thermal_kernel(), 0)
 
-    @property
+    @functools.cached_property
     def h0(self) -> float:
         k = self.shear_kernel()
         return 0.0 if k is None else kernel_moment(k, 0)
@@ -251,6 +259,7 @@ class ScanResult:
     slope_gamma_lam: float       # nan without the shear channel, as its half-width
     half_gamma_lam: float
     ratio_decreasing: bool
+    pairs: tuple[ProbePair, ...]  # one per scale, for residual_check
 
     def rows(self):
         for k in range(self.gammas.size):
@@ -274,7 +283,7 @@ def resolvent_scan(ap: AbstractParams, gammas: np.ndarray) -> ScanResult:
         raise DomainError(f"scan needs at least three scales, got {g.size}")
     if np.any(np.diff(g) <= 0.0):
         raise DomainError(f"scan scales must strictly increase, got {g[0]:.6g} to {g[-1]:.6g}")
-    pairs = [build_probe_pair(ap, float(x)) for x in g]
+    pairs = tuple(build_probe_pair(ap, float(x)) for x in g)
     lam = np.array([p.lam for p in pairs])
     zn = np.array([p.z_norm for p in pairs])
     zt = np.array([p.z_tilde_norm for p in pairs])
@@ -284,7 +293,7 @@ def resolvent_scan(ap: AbstractParams, gammas: np.ndarray) -> ScanResult:
     slope_z, half_z = _log_slope(g, zn)
     slope_gl, half_gl = _log_slope(g, gl) if ap.with_shear else (np.nan, np.nan)
     return ScanResult(g, lam, zn, zt, ratio, qr, slope_z, half_z, slope_gl, half_gl,
-                      bool(np.all(np.diff(ratio) < 0.0)))
+                      bool(np.all(np.diff(ratio) < 0.0)), pairs)
 
 
 @dataclass(frozen=True)
@@ -297,39 +306,62 @@ class ResidualReport:
     tail_shear: float            # same for the shear kernel, 0 without it
 
 
-def _cell_update_defect(f: np.ndarray, h: np.ndarray, lam: float,
-                        source: complex) -> np.ndarray:
+def _cell_update_defect(f: np.ndarray, h: np.ndarray, lam: float, source: complex,
+                        classes: tuple[np.ndarray, np.ndarray] | None = None
+                        ) -> np.ndarray:
     """Defect per unit age of the exact-exponential cell update for
     i lam f + f' = source with zero inflow at s = 0.
 
     The update f_j = e^(-i lam h) f_(j-1) + h g(lam h) source, with
     g(x) = (1 - e^(-ix)) / (ix), integrates the cell exactly for a constant
     source; g is finite for every x > 0, including lam h in 2 pi Z.
+    ``classes`` is np.unique(h, return_inverse=True): the phase factors are
+    then evaluated once per distinct width and gathered, the same values.
     """
-    x = lam * h
-    gain = -np.expm1(-1j * x) / (1j * x)
+    widths, inverse = (h, slice(None)) if classes is None else classes
+    x = lam * widths
+    gain = (-np.expm1(-1j * x) / (1j * x))[inverse]
+    phase = np.exp(-1j * x)[inverse]
     prev = np.concatenate([[0.0], f[:-1]])
-    return (f - np.exp(-1j * x) * prev) / h - gain * source
+    return (f - phase * prev) / h - gain * source
+
+
+@dataclass(frozen=True)
+class _UniformGrid:
+    cutoff: float
+    nodes: np.ndarray
+    spacing: np.ndarray
+    classes: tuple[np.ndarray, np.ndarray]  # np.unique(spacing, return_inverse=True)
+    w_mu: np.ndarray                        # thermal cell masses
+    w_b: np.ndarray | None                  # shear cell masses, None without shear
+    mass_thermal: float                     # sum of w_mu
+    mass_shear: float                       # sum of w_b, 0 without shear
+    tail_thermal: float
+    tail_shear: float
 
 
 @functools.lru_cache(maxsize=8)
-def _uniform_grid(ap: AbstractParams, grid_size: int):
-    """(cutoff, nodes, spacing, thermal cell masses, shear cell masses or
-    None) of residual_check's uniform grid. None of them depends on gamma,
-    so they are built once per model and size; the arrays are read-only
-    because every call shares them."""
+def _uniform_grid(ap: AbstractParams, grid_size: int) -> _UniformGrid:
+    """residual_check's uniform grid. None of it depends on gamma, so it is
+    built once per model and size; the arrays are read-only because every
+    call shares them. Rounding leaves a handful of distinct cell widths."""
     mu, beta = ap.thermal_kernel(), ap.shear_kernel()
     s_max = history_cutoff(k for k in (mu, beta) if k is not None)
     bounds = geometric_boundaries(s_max, grid_size, 1.0)
     nodes, spacing, w_mu = bounds[1:], np.diff(bounds), cell_masses(mu, bounds)
+    classes = np.unique(spacing, return_inverse=True)
     w_b = None if beta is None else cell_masses(beta, bounds)
-    for x in (nodes, spacing, w_mu, w_b):
+    for x in (nodes, spacing, *classes, w_mu, w_b):
         if x is not None:
             x.flags.writeable = False
-    return s_max, nodes, spacing, w_mu, w_b
+    no_shear = beta is None
+    return _UniformGrid(s_max, nodes, spacing, classes, w_mu, w_b,
+                        float(np.sum(w_mu)), 0.0 if no_shear else float(np.sum(w_b)),
+                        mu.tail_fraction(s_max), 0.0 if no_shear else beta.tail_fraction(s_max))
 
 
-def residual_check(ap: AbstractParams, gamma: float, grid_size: int) -> ResidualReport:
+def residual_check(ap: AbstractParams, gamma: float, grid_size: int,
+                   pair: ProbePair | None = None) -> ResidualReport:
     """Discrete resolvent defect of the sampled probe pair.
 
     The probe profiles oscillate at a fixed frequency, so the histories are
@@ -342,17 +374,25 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int) -> Residual
     history_cutoff of the two kernels, the rule the stepper's history grids
     use; the kernel mass left beyond it is reported per channel. The cell
     weights are the cells' kernel masses, as under the mass weight policy.
+
+    ``pair`` is the probe pair at gamma when the caller already holds it (a
+    scan's pairs, or one pair checked at two grid sizes); it is built here
+    otherwise, and one for another scale raises DomainError. The profiles'
+    common factor 1 - e^(-i lam s) is evaluated once for both channels.
     """
     if grid_size < 8:
         raise DomainError(f"need at least 8 history nodes, got {grid_size}")
-    pair = build_probe_pair(ap, gamma)
+    if pair is None:
+        pair = build_probe_pair(ap, gamma)
+    elif pair.gamma != gamma:
+        raise DomainError(f"probe pair is for gamma={pair.gamma}, not {gamma}")
     lam = pair.lam
-    mu = ap.thermal_kernel()
-    beta = ap.shear_kernel()
-    s_max, nodes, spacing, w_mu, w_b = _uniform_grid(ap, grid_size)
+    grid = _uniform_grid(ap, grid_size)
+    w_mu, w_b = grid.w_mu, grid.w_b
+    osc = 1.0 - np.exp(-1j * lam * grid.nodes)
 
     def profile(amp: complex) -> np.ndarray:
-        return amp * (1.0 - np.exp(-1j * lam * nodes)) / (1j * lam)
+        return amp * osc / (1j * lam)
 
     amp_th = pair.r + gamma ** (-0.5 * ap.alpha)
     phi = profile(amp_th)
@@ -360,24 +400,22 @@ def residual_check(ap: AbstractParams, gamma: float, grid_size: int) -> Residual
     res_u = 1j * lam * pair.p - pair.q
     res_th = 1j * lam * pair.r + gamma ** ap.coupling * pair.q \
         + gamma ** ap.alpha * np.sum(w_mu * phi)
-    res_eta = _cell_update_defect(phi, spacing, lam, amp_th)
+    res_eta = _cell_update_defect(phi, grid.spacing, lam, amp_th, grid.classes)
     res_v = 1j * lam * pair.q + gamma ** 2 * pair.p - gamma ** ap.coupling * pair.r
 
     num_sq = (gamma ** 2 * abs(res_u) ** 2 + abs(res_th) ** 2
               + gamma ** ap.alpha * float(np.sum(w_mu * np.abs(res_eta) ** 2)))
-    den_sq = float(np.sum(w_mu))
-    tail_shear = 0.0
+    den_sq = grid.mass_thermal
 
-    if beta is not None:
+    if w_b is not None:
         amp_sh = pair.q + pair.shear_amp
         psi = profile(amp_sh)
         res_v += gamma ** 2 * np.sum(w_b * psi)
-        res_xi = _cell_update_defect(psi, spacing, lam, amp_sh)
+        res_xi = _cell_update_defect(psi, grid.spacing, lam, amp_sh, grid.classes)
         num_sq += gamma ** 2 * float(np.sum(w_b * np.abs(res_xi) ** 2))
-        den_sq += gamma ** 2 * abs(pair.shear_amp) ** 2 * float(np.sum(w_b))
-        tail_shear = beta.tail_fraction(s_max)
+        den_sq += gamma ** 2 * abs(pair.shear_amp) ** 2 * grid.mass_shear
     num_sq += abs(res_v) ** 2
 
-    return ResidualReport(lam, grid_size, float(s_max),
+    return ResidualReport(lam, grid_size, grid.cutoff,
                           float(np.sqrt(num_sq / den_sq)),
-                          mu.tail_fraction(s_max), tail_shear)
+                          grid.tail_thermal, grid.tail_shear)

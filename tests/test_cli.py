@@ -194,6 +194,21 @@ def test_decay_rows_and_energy_files(small_ini, tmp_path):
     assert os.path.exists(os.path.join(out, "energy_0.csv"))
 
 
+def test_decay_without_positive_d0_exits_3(tmp_path):
+    # on an interval of length 10 no energy multiple of the ladder gives
+    # dF2/dt <= -d0 F2 with d0 > 0, and the step says so
+    ini = tmp_path / "long.ini"
+    ini.write_text("[domain]\nlengths = 10\nmodes = 4\n\n[parameters]\nsigma = 0.5\n"
+                   "tau = 0.5\neps = 0.5\n\n[integrator]\ngrid_size = 120\nhorizon = 16\n"
+                   "\n[fit]\nwindow_lo = 1\nwindow_hi = 15\n")
+    out = str(tmp_path / "long")
+    assert main(["decay", "--config", str(ini), "--out", out]) == 3
+    assert os.path.exists(os.path.join(out, "decay.csv"))
+    step = {s["name"]: s for s in read_manifest(out)["steps"]}["decay[0]"]
+    assert step["status"] == "failed"
+    assert "d0=-" in step["detail"] and step["detail"].endswith("no scale gave d0 > 0")
+
+
 def test_manifest_reports_weight_policies(tmp_path):
     # at sigma = eps = 0.5 and tau > 0 the shared eta grid spans nu's cutoff
     # (decay 1), and its ratio drops until the faster mu (decay 2) is resolved
@@ -237,6 +252,22 @@ def test_pruss_scan_preset(tmp_path):
     assert "18 of 20 scales with lam_h > 1" in span["detail"]
     max_lam_h = float(span["detail"].split("max_lam_h=")[1].split(",")[0])
     assert 600.0 < max_lam_h < 700.0
+
+
+@pytest.mark.parametrize("preset", ["thm-a2", "thm-a3"])
+def test_pruss_scan_builds_one_pair_per_scale(tmp_path, monkeypatch, preset):
+    # 20 scan scales and the halving scale; every residual reuses its pair
+    from memoplate import probe
+    built = []
+    build = probe.build_probe_pair
+
+    def counted(ap, gamma):
+        built.append(gamma)
+        return build(ap, gamma)
+
+    monkeypatch.setattr(probe, "build_probe_pair", counted)
+    assert main(["pruss-scan", "--preset", preset, "--out", str(tmp_path / "p")]) == 0
+    assert len(built) == 21 and len(set(built)) == 20
 
 
 def test_two_scale_scan_fails_typed(tmp_path):

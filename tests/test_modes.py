@@ -1,5 +1,6 @@
 """Dirichlet spectra, parameter gating, phase vectors and norm orders."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,33 @@ def test_rectangle_spectrum_matches_full_enumeration(lengths):
                       for j in range(1, count + 1) for k in range(1, count + 1))
         got = dirichlet_eigenvalues(Domain("rectangle", lengths), count).eigenvalues
         np.testing.assert_array_equal(got, full[:count])
+
+
+@pytest.mark.parametrize("lengths", [(1e150, 1e-150), (1e-20, 1.0), (1.0, 1e20),
+                                     (1e160, 1.0)])
+def test_rectangle_spectrum_at_extreme_sides(lengths):
+    # the Weyl start bound neither overflows nor underflows (a warning fails
+    # the test) and still yields the first values of the full enumeration
+    Lx, Ly = lengths
+    for count in (1, 7, 50):
+        full = sorted(float((j * np.pi / Lx) ** 2 + (k * np.pi / Ly) ** 2)
+                      for j in range(1, count + 1) for k in range(1, count + 1))
+        got = dirichlet_eigenvalues(Domain("rectangle", lengths), count).eigenvalues
+        np.testing.assert_array_equal(got, full[:count])
+
+
+@pytest.mark.parametrize("lengths", [(1e6, 1.0), (1.0, 100.0)])
+def test_rectangle_spectrum_memory_stays_near_count(lengths):
+    # a bound from Weyl's law enumerates about count pairs at any aspect
+    # ratio, a few MB at most for 20000 modes
+    tracemalloc.start()
+    try:
+        modes = dirichlet_eigenvalues(Domain("rectangle", lengths), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert modes.count == 20000
+    assert peak < 5e6
 
 
 def test_domain_contracts():

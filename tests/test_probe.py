@@ -8,8 +8,8 @@ from scipy.optimize import minimize_scalar
 from memoplate.errors import DomainError, FitError
 from memoplate.kernels import laplace_transform
 from memoplate.probe import (
-    AbstractParams, _cell_update_defect, admissibility_report, build_probe_pair,
-    mode_frequency, residual_check, resolvent_scan,
+    AbstractParams, _cell_update_defect, _uniform_grid, admissibility_report,
+    build_probe_pair, mode_frequency, residual_check, resolvent_scan,
 )
 
 A2 = AbstractParams(alpha=1.0, coupling=1.0, omega1=0.25)
@@ -145,6 +145,38 @@ def test_residual_check_reports_tail_and_stays_finite():
     assert rep.tail_thermal == pytest.approx(A3.thermal_kernel().tail_fraction(rep.cutoff))
     assert rep.tail_shear == pytest.approx(A3.shear_kernel().tail_fraction(rep.cutoff))
     assert residual_check(A2, 10.0, 400).tail_shear == 0.0
+
+
+@pytest.mark.parametrize("ap", [A2, A3], ids=["no-shear", "shear"])
+@pytest.mark.parametrize("size", [400, 800])
+def test_scan_pairs_and_width_classes_change_no_bit(ap, size):
+    # the residual from the scan's pair, and the cell update from the width
+    # classes, are the same numbers as building the pair and the phase
+    # factors per node
+    scan = resolvent_scan(ap, np.logspace(1, 4, 20))
+    grid = _uniform_grid(ap, size)
+    assert 5 <= grid.classes[0].size < 20
+    for gamma, pair in zip(scan.gammas, scan.pairs):
+        assert pair == build_probe_pair(ap, float(gamma))
+        assert residual_check(ap, pair.gamma, size, pair) == residual_check(ap, gamma, size)
+        f = (1.0 - np.exp(-1j * pair.lam * grid.nodes)) / (1j * pair.lam)
+        np.testing.assert_array_equal(
+            _cell_update_defect(f, grid.spacing, pair.lam, 1.0, grid.classes),
+            _cell_update_defect(f, grid.spacing, pair.lam, 1.0))
+
+
+def test_residual_check_rejects_another_scales_pair():
+    with pytest.raises(DomainError, match="gamma"):
+        residual_check(A2, 20.0, 400, build_probe_pair(A2, 10.0))
+
+
+def test_cached_moments_leave_hash_and_grid_cache_alone():
+    a = AbstractParams(alpha=1.0, coupling=0.5, omega1=0.2, omega2=0.1, with_shear=True)
+    b = AbstractParams(alpha=1.0, coupling=0.5, omega1=0.2, omega2=0.1, with_shear=True)
+    assert a.k0 > 0.0 and a.h0 > 0.0
+    assert "k0" in vars(a) and "k0" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert _uniform_grid(a, 64) is _uniform_grid(b, 64)
 
 
 def single_mode_response(ap, gamma, lam):
