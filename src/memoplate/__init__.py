@@ -2,9 +2,10 @@
 
 Submodules: kernels (memory kernels and their transforms), history (sampled
 past-history grids), modes (spectra and phase vectors), dynamics (generator
-assembly and time stepping), decay (rate fits and functional inequalities),
-limits (collapsed-kernel comparisons), probe (resolvent growth probes),
-config/cli (experiment harness).
+assembly and time stepping), ctransport (the compiled history-transport
+kernel and its LAPACK/BLAS reference), decay (rate fits and functional
+inequalities), limits (collapsed-kernel comparisons), probe (resolvent
+growth probes), config/cli (experiment harness).
 """
 
 __version__ = "0.1.0"

@@ -75,6 +75,13 @@ def _policy_note(space) -> str:
                                 for name, policy in space.policies.items())
 
 
+def _record_transport(manifest) -> None:
+    """Name the history-transport path the steppers run under the manifest's
+    versions: the compiled kernel's file, or tbtrs and why."""
+    from .ctransport import kernel
+    manifest.data["versions"]["transport"] = kernel()[1]
+
+
 def _check_fit_first(cfg, stride, check) -> None:
     """Run ``check(times)`` under [fit] on every grid point's sample times
     before any point is stepped, so a rejected value costs no evolution;
@@ -127,10 +134,11 @@ def _cmd_kernel_check(cfg, manifest, out_dir) -> None:
 def _cmd_simulate(cfg, manifest, out_dir) -> None:
     import numpy as np
     from . import config as cfgmod
-    from .dynamics import evolve
+    from .dynamics import evolve, max_step_increase
 
     sigma, tau, eps = cfg.parameter_grid()[0]
     space, z0, dt = cfg.point(sigma, tau, eps)
+    _record_transport(manifest)
     with cfgmod.section("integrator"):
         traj = evolve(space, z0, dt, cfg.horizon, store_stride=cfg.stride)
     manifest.step("evolve", "ok",
@@ -148,21 +156,21 @@ def _cmd_simulate(cfg, manifest, out_dir) -> None:
                              "xi_norm", "modal_energy"], rows)
     manifest.output(path)
 
-    e = traj.step_energy
-    increase = np.max((e[1:] - e[:-1]) / np.maximum(e[:-1], 1e-300))
+    increase = max_step_increase(traj.step_energy)
     manifest.step("energy-monotone", "ok" if increase <= 1e-12 else "failed",
                   f"max relative step increase {increase:.3e}")
-    print(f"simulate: {space.modes.count} modes, {e.size - 1} steps, "
+    print(f"simulate: {space.modes.count} modes, {traj.step_energy.size - 1} steps, "
           f"max relative energy increase {increase:.3e}")
 
 
 def _cmd_decay(cfg, manifest, out_dir) -> None:
     from . import config as cfgmod
     from .decay import _window_indices, check_differential_inequalities, fit_decay_rate
-    from .dynamics import evolve
+    from .dynamics import evolve, max_step_increase
 
     window = cfg.fit_window
     _check_fit_first(cfg, lambda nsteps: cfg.stride, lambda t: _window_indices(t, window))
+    _record_transport(manifest)
     rows = []
     for idx, (sigma, tau, eps) in enumerate(cfg.parameter_grid()):
         space, z0, dt = cfg.point(sigma, tau, eps)
@@ -176,8 +184,9 @@ def _cmd_decay(cfg, manifest, out_dir) -> None:
         # the ladder's best d0 not positive: dF2/dt <= -d0 F2 bounds no decay
         held = ineq.d0_hat > 0.0
         manifest.step(f"decay[{idx}]", "ok" if held else "failed",
-                      f"tau={tau} rate={fit.rate:.6g} d0={ineq.d0_hat:.6g} dt={dt} "
-                      f"{_policy_note(space)}"
+                      f"tau={tau} rate={fit.rate:.6g} d0={ineq.d0_hat:.6g} "
+                      f"max_step_increase={max_step_increase(traj.step_energy):.3e} "
+                      f"dt={dt} {_policy_note(space)}"
                       + ("" if held else "; no scale gave d0 > 0"))
         epath = cfgmod.write_csv(out_dir / f"energy_{idx}.csv", ["t", "energy"],
                                  zip(traj.times, traj.total_energy))
@@ -197,6 +206,7 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
                          fit_limit_constants, history_envelopes)
 
     _check_fit_first(cfg, _comparison_stride, lambda t: _tail_start(t, cfg.sweep_t0))
+    _record_transport(manifest)
     points = []
     grid = cfg.parameter_grid()
     for idx, (sigma, tau, eps) in enumerate(grid):
@@ -208,13 +218,16 @@ def _cmd_limit_sweep(cfg, manifest, out_dir) -> None:
             sup_d = comp.sup_distance
         manifest.step(f"compare[{idx}]", "ok",
                       f"sigma={sigma} tau={tau} eps={eps} dt={dt} "
-                      f"supD={sup_d:.6g} {_policy_note(space)}")
+                      f"supD={sup_d:.6g} max_step_increase={comp.max_step_increase:.3e} "
+                      f"{_policy_note(space)}")
         if cfg.with_history:
             env = history_envelopes(comp)
             held = min(env.eta_margin, env.xi_margin) >= ENVELOPE_FLOOR
             manifest.step(f"envelope[{idx}]", "ok" if held else "failed",
                           f"k_eta={env.k_eta:.6g} k_xi={env.k_xi:.6g} "
-                          f"eta_margin={env.eta_margin:.3e} xi_margin={env.xi_margin:.3e}")
+                          f"eta_margin={env.eta_margin:.3e} xi_margin={env.xi_margin:.3e} "
+                          f"late_eta_margin={env.late_eta_margin:.3e} "
+                          f"late_xi_margin={env.late_xi_margin:.3e}")
     fits = fit_limit_constants(points)
     rows = []
     for comp, k_row, q_row in zip(points, fits["k_hat_rows"], fits["q_hat"]):

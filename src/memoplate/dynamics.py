@@ -18,10 +18,14 @@ blocks are lower bidiagonal and couple to the triplet by rank-one terms, so
 one triangular substitution per grid, the Cayley form of the midpoint map,
 plus a 3x3 map per mode advances the whole state exactly. The substitution
 runs on the old history alone and has a unit diagonal, because its
-right-hand side is scaled by the inverse diagonal beforehand. The rank-one
-drive terms are folded into the 3x3 map once, and enter the new history by
-one BLAS ger with the old and new drive summed, so a step makes five passes
-over each history array.
+right-hand side is scaled by the inverse diagonal. The rank-one drive terms
+are folded into the 3x3 map once, and enter the new history as one
+rank-one update with the old and new drive summed. The scaled substitution
+and the update each run as one pass of the compiled kernel in ctransport,
+so a step makes three passes over each history array: those two and the
+memory load's quadratures. Where the kernel is not in use, the reference
+it matches bitwise (an einsum scaling and LAPACK tbtrs, a subtraction and
+BLAS ger) makes five.
 
 A step allocates no state array. Each TransportStepper owns two history
 buffers and each MidpointStepper two triplet work arrays, allocated once,
@@ -39,9 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
-from .errors import DomainError, SingularStepError, UnsupportedOracleError
+from . import ctransport
+from .ctransport import arguments, reference_complete, reference_solve, strided
+from .errors import DomainError, ShapeError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
 from .modes import (ModeSet, Params, PhaseEnergy, PhaseSpace, PhaseVector, aligned_empty,
                     build_phase_space, lift_triplet, norm_powers)
@@ -116,57 +121,85 @@ class TransportStepper:
     Advances all modes at once, profiles stored (nodes, modes) in Fortran
     order, through the Cayley form 2 (I - aT)^-1 - I of the midpoint map
     (I - aT)^-1 (I + aT). With c = a/h, I - aT = D (I + N) for D = diag(1 + c)
-    and N strictly lower with subdiagonal -c_i/(1 + c_i): a right-hand side
-    scaled by D^-1 needs one unit-diagonal lower-bidiagonal substitution by
-    LAPACK tbtrs, which divides by nothing and writes only its right-hand
-    side. The drive terms are rank-one: partial() solves for the old
-    profile alone, and complete() adds the old and the new drive's share in
-    place by one BLAS ger. An absent block (grid None) has 0 nodes and never
-    reaches LAPACK or BLAS, where tbtrs on 0 rows corrupts the heap.
+    and N strictly lower with subdiagonal -c_i/(1 + c_i): a profile scaled by
+    2 D^-1 needs one unit-diagonal lower-bidiagonal substitution, which
+    divides by nothing. The drive terms are rank-one: partial() solves for
+    the old profile alone, and complete() subtracts the old profile and adds
+    the old and the new drive's share in place.
+
+    Both passes run in the compiled kernel of ctransport when it loads and
+    matches the reference bitwise on this host, and otherwise as that
+    reference: an einsum scaling and LAPACK tbtrs, a subtraction and BLAS
+    ger. Either way the results are the same bits. An absent block (grid
+    None) has 0 nodes and never reaches the kernel, LAPACK or BLAS, where
+    tbtrs on 0 rows corrupts the heap.
 
     The stepper owns two (nodes, modes) Fortran-order buffers for the whole
     run, and partial() writes into the one that does not hold its profile.
     A stepped profile is therefore valid until the step after next, which
-    writes into its buffer again.
+    writes into its buffer again. The kernel is handed the buffers' data
+    addresses taken once, here, and reads a caller's profile in place in
+    either memory order, through its strides.
     """
 
     def __init__(self, grid, dt: float, modes: int):
         self.a = 0.5 * dt
         c = self.a / (np.zeros(0) if grid is None else grid.spacing)
-        # D^-1, and 2 D^-1: partial() folds the Cayley factor 2 into its scaling
         dinv = 1.0 / (1.0 + c)
+        # 2 D^-1: solve() folds the Cayley factor 2 into its scaling
         self._two_dinv = 2.0 * dinv
         # lower band of I + N: the unit diagonal (never read), then the subdiagonal
         self._band = np.zeros((2, c.size), order="F")
         self._band[0] = 1.0
         self._band[1, :-1] = -c[1:] * dinv[1:]
-        self._tbtrs, = get_lapack_funcs(("tbtrs",), (self._band,))
-        self._ger, = get_blas_funcs(("ger",), (self._band,))
-        # response of the implicit half to a unit constant drive, called
-        # directly so that solve() runs once per active history block and step
-        self.unit_response = np.zeros(0) if not c.size else self._tbtrs(
-            self._band, dinv[:, None], uplo="L", diag="U")[0][:, 0]
+        # response of the implicit half to a unit constant drive, by the
+        # reference directly so that solve() runs once per active history
+        # block and step
+        self.unit_response = np.zeros(0) if not c.size else reference_solve(
+            self._band, dinv, np.ones((c.size, 1)), np.empty((c.size, 1), order="F"))[:, 0]
         self._buffers = tuple(aligned_empty((c.size, modes), order="F") for _ in range(2))
+        self._kernel = ctransport.kernel()[0] if c.size else None
+        if self._kernel is not None:
+            self._scaled_drive = np.empty(modes)
+            self._sizes = (c.size, modes)
+            self._views = tuple(strided(b) for b in self._buffers)
+            self._solve_args = arguments(c.size, modes, self._band, self._two_dinv)
+            self._complete_args = arguments(c.size, modes, self._scaled_drive,
+                                            self.unit_response)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(I - aT)^-1 D rhs = (I + N)^-1 rhs for rhs (nodes, modes) already
-        scaled by D^-1; overwrites a Fortran-order rhs."""
-        x, info = self._tbtrs(self._band, rhs, uplo="L", diag="U", overwrite_b=True)
-        if info != 0:
-            raise SingularStepError(f"triangular transport solve failed (info {info})")
-        return x
+    def _view(self, x: np.ndarray, write: bool = False) -> tuple:
+        """ctransport.strided(x) for a float64 (nodes, modes) array: taken
+        once for the stepper's buffers, checked for any other. An array the
+        kernel writes must be Fortran-ordered as well."""
+        for buf, view in zip(self._buffers, self._views):
+            if x is buf:
+                return view
+        if x.shape != self._sizes or x.dtype != np.float64 or not x.flags.aligned or (
+                write and not (x.flags.f_contiguous and x.flags.writeable)):
+            raise ShapeError(f"transport arrays must be aligned float64 of shape "
+                             f"{self._sizes}, and Fortran-ordered to be written; got "
+                             f"{x.dtype} {x.shape}")
+        return strided(x)
+
+    def solve(self, profile: np.ndarray) -> np.ndarray:
+        """2 (I - aT)^-1 profile = (I + N)^-1 (2 D^-1 profile) for a profile
+        (nodes, modes) with nodes, written into the buffer that does not
+        share memory with it and returned."""
+        out = self._buffers[np.may_share_memory(profile, self._buffers[0])]
+        if self._kernel is None:
+            return reference_solve(self._band, self._two_dinv, profile, out)
+        # read in place in either memory order; a converted array is held
+        # here until the kernel has read it
+        profile = np.asarray(profile, dtype=np.float64)
+        self._kernel.solve(*self._solve_args, *self._view(profile),
+                           self._view(out)[0])
+        return out
 
     def partial(self, profile: np.ndarray) -> np.ndarray:
-        """solve(2 D^-1 profile) = 2 (I - aT)^-1 profile, the undriven solve of
-        a midpoint step of profile' = T profile + drive, written into the
-        buffer that does not share memory with ``profile`` and returned. An
-        empty profile needs no solve."""
-        out = self._buffers[np.may_share_memory(profile, self._buffers[0])]
-        if out.size:
-            # einsum, not a broadcast multiply: NumPy's ufunc iterator
-            # allocates a buffer of up to 64 KB for the broadcast operand
-            self.solve(np.einsum("i,ij->ij", self._two_dinv, profile, out=out))
-        return out
+        """solve(profile) = 2 (I - aT)^-1 profile, the undriven solve of a
+        midpoint step of profile' = T profile + drive. An empty profile needs
+        no solve, and comes back as the stepper's empty buffer."""
+        return self.solve(profile) if profile.size else self._buffers[0]
 
     def complete(self, z: np.ndarray, profile: np.ndarray, drive_sum: np.ndarray) -> np.ndarray:
         """The stepped profile z - profile + a * unit_response * drive_sum from
@@ -174,8 +207,13 @@ class TransportStepper:
         drive, written into ``z`` in place and returned."""
         if not z.size:
             return z
-        np.subtract(z, profile, out=z)
-        return self._ger(self.a, self.unit_response, drive_sum, a=z, overwrite_a=True)
+        if self._kernel is None:
+            return reference_complete(self.a, self.unit_response, drive_sum, z, profile)
+        np.multiply(drive_sum, self.a, out=self._scaled_drive)
+        profile = np.asarray(profile, dtype=np.float64)
+        self._kernel.complete(*self._complete_args, *self._view(profile),
+                              self._view(z, write=True)[0])
+        return z
 
 
 class MidpointStepper:
@@ -306,6 +344,13 @@ class Trajectory:
     total_energy: np.ndarray
     step_energy: np.ndarray
     final_state: PhaseVector
+
+
+def max_step_increase(step_energy: np.ndarray) -> float:
+    """Largest rise of the energy over one step, relative to the energy
+    before it: nonpositive up to roundoff for a dissipative run."""
+    e = step_energy
+    return float(np.max((e[1:] - e[:-1]) / np.maximum(e[:-1], 1e-300)))
 
 
 def _step_count(dt: float, horizon: float) -> int:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from memoplate import ctransport
 from memoplate.cli import main
 from memoplate.dynamics import MidpointStepper
 
@@ -181,6 +182,21 @@ def test_simulate_writes_trajectory(small_ini, tmp_path):
     assert len(first) == 8
     man = read_manifest(out)
     assert man["outputs"] and man["wall_time_s"] is not None
+    assert man["versions"]["transport"] == ctransport.kernel()[1]
+
+
+@pytest.mark.parametrize("command, step", [("decay", "decay[0]"),
+                                           ("limit-sweep", "compare[0]")])
+def test_stepping_steps_report_max_step_increase(small_ini, tmp_path, command, step):
+    # the same per-step figure as simulate's energy-monotone step, over
+    # every step, not the stored ones only
+    out = str(tmp_path / "run")
+    assert main([command, "--config", small_ini, "--out", out]) == 0
+    man = read_manifest(out)
+    detail = {s["name"]: s["detail"] for s in man["steps"]}[step]
+    value = float(detail.split("max_step_increase=")[1].split()[0])
+    assert value <= 1e-12
+    assert man["versions"]["transport"] == ctransport.kernel()[1]
 
 
 def test_decay_rows_and_energy_files(small_ini, tmp_path):
@@ -252,6 +268,8 @@ def test_pruss_scan_preset(tmp_path):
     assert "18 of 20 scales with lam_h > 1" in span["detail"]
     max_lam_h = float(span["detail"].split("max_lam_h=")[1].split(",")[0])
     assert 600.0 < max_lam_h < 700.0
+    # the scan steps nothing, so it names no transport path
+    assert "transport" not in man["versions"]
 
 
 @pytest.mark.parametrize("preset", ["thm-a2", "thm-a3"])
@@ -303,7 +321,13 @@ def test_failed_envelope_exits_3(tmp_path):
     assert os.path.exists(os.path.join(out, "sweep.csv"))
     steps = {s["name"]: s for s in read_manifest(out)["steps"]}
     assert steps["envelope[0]"]["status"] == "failed"
-    assert "xi_margin=-" in steps["envelope[0]"]["detail"]
+    detail = steps["envelope[0]"]["detail"]
+    assert "xi_margin=-" in detail
+    # the late half is named apart, so a reader matching "xi_margin=" at a
+    # token's start still finds the whole-run margin
+    keys = [part.split("=")[0] for part in detail.split()]
+    assert keys == ["k_eta", "k_xi", "eta_margin", "xi_margin", "late_eta_margin",
+                    "late_xi_margin"]
 
 
 def test_csv_bit_identical_across_runs(small_ini, tmp_path):

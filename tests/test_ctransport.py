@@ -1,0 +1,214 @@
+"""The compiled history-transport kernel against its LAPACK/BLAS reference.
+
+The kernel must give the reference's bits: on every history grid of the
+stepping presets and the wide benchmark, for random and zero profiles in
+either memory order or as a strided view, and through whole runs. Building, caching and every
+fallback are checked in a temporary cache directory.
+"""
+import json
+import os
+import platform
+import shutil
+import stat
+import subprocess
+
+import numpy as np
+import pytest
+
+from memoplate import config as cfgmod
+from memoplate import ctransport
+from memoplate.cli import main
+from memoplate.dynamics import TransportStepper, evolve
+from memoplate.limits import compare_trajectories
+from memoplate.modes import Params, build_phase_space, initial_data_preset
+
+NO_CC = "no C compiler (cc) on PATH: the steppers run tbtrs"
+
+
+def same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@pytest.fixture()
+def compiled():
+    kernel, status = ctransport.kernel()
+    if kernel is None:
+        pytest.skip(f"compiled kernel unavailable ({status})")
+    return kernel
+
+
+def reference_stepper(monkeypatch, grid, dt, modes) -> TransportStepper:
+    with monkeypatch.context() as m:
+        m.setattr(ctransport, "kernel", lambda: (None, "tbtrs: the reference"))
+        return TransportStepper(grid, dt, modes)
+
+
+def preset_config(name):
+    if name != "wide-simulate":
+        return cfgmod.preset(name)
+    # the benchmark's wide-simulate point: 128 modes on a rectangle,
+    # 1600 + 1600 history nodes
+    cfg = cfgmod.default_config()
+    cfg.raw["domain"].update(kind="rectangle", lengths="3.141592653589793, 2.718281828459045",
+                             modes="128")
+    cfg.raw["parameters"].update(sigma="0.5", tau="0.25", eps="0.5")
+    cfg.raw["integrator"].update(dt="0.001", grid_size="1600")
+    return cfg
+
+
+@pytest.mark.parametrize("name", ["thm-edec", "thm-gp1", "wide-simulate"])
+def test_kernel_matches_tbtrs_and_ger_bitwise(compiled, monkeypatch, name):
+    cfg = preset_config(name)
+    rng = np.random.default_rng(7)
+    checked = 0
+    for point in cfg.parameter_grid():
+        space, _, dt = cfg.point(*point)
+        n = space.modes.count
+        for grid in (space.eta_grid, space.xi_grid):
+            if grid is None:
+                continue
+            ref = reference_stepper(monkeypatch, grid, dt, n)
+            fast = TransportStepper(grid, dt, n)
+            assert fast._kernel is compiled and ref._kernel is None
+            assert same_bits(fast.unit_response, ref.unit_response)
+            shape = (grid.spacing.size, n)
+            for layout in ("F", "C", "view"):
+                for profile in (rng.standard_normal(shape), np.zeros(shape)):
+                    if layout == "view":
+                        # every other column of a wider C-ordered array
+                        profile = np.repeat(profile, 2, axis=1)[:, ::2]
+                    else:
+                        profile = np.asarray(profile, order=layout)
+                    assert same_bits(fast.partial(profile), ref.partial(profile))
+                    for drive in (rng.standard_normal(n), np.zeros(n)):
+                        want = ref.complete(ref.partial(profile), profile, drive)
+                        got = fast.complete(fast.partial(profile), profile, drive)
+                        assert same_bits(got, want)
+            # consecutive steps through the steppers' own buffers
+            p_ref = p_fast = np.asfortranarray(rng.standard_normal(shape))
+            for _ in range(3):
+                drive = rng.standard_normal(n)
+                p_ref = ref.complete(ref.partial(p_ref), p_ref, drive)
+                p_fast = fast.complete(fast.partial(p_fast), p_fast, drive)
+                assert same_bits(p_fast, p_ref)
+            checked += 1
+    assert checked == 2 * len(cfg.parameter_grid())
+
+
+def test_empty_blocks_never_reach_the_kernel(compiled, monkeypatch, small_space):
+    sizes = []
+
+    class Recording:
+        def solve(self, n, *args):
+            sizes.append(n.value)
+            compiled.solve(n, *args)
+
+        def complete(self, n, *args):
+            sizes.append(n.value)
+            compiled.complete(n, *args)
+
+    monkeypatch.setattr(ctransport, "kernel", lambda: (Recording(), "compiled recording"))
+    for params, active in ((Params(0.5, 0.0, 0.0), 1), (Params(0.0, 0.5, 0.0), 1),
+                           (Params(0.0, 0.0, 0.0), 0)):
+        space = build_phase_space(small_space.modes, params, grid_size=40)
+        z0 = initial_data_preset("single-mode", space, 0)
+        sizes.clear()
+        evolve(space, z0, 1e-2, 0.1)
+        compare_trajectories(space, z0, 1e-2, 0.1)
+        # partial and complete per active block and step: in evolve, and in
+        # compare_trajectories for the system and its reconstructed histories
+        assert len(sizes) == 2 * 10 * (1 + 2) * active
+        assert all(size == 40 for size in sizes)
+
+
+def test_forced_fallback_is_bitwise_equal(compiled, monkeypatch, small_space):
+    z0 = initial_data_preset("spectral-decay 6", small_space, 0, with_history=True)
+    runs = []
+    for forced in (False, True):
+        with monkeypatch.context() as m:
+            if forced:
+                m.setattr(ctransport, "kernel", lambda: (None, "tbtrs: forced"))
+            traj = evolve(small_space, z0, 1e-2, 0.5)
+            comp = compare_trajectories(small_space, z0, 1e-2, 0.5, t0=0.1)
+        runs.append((traj.u, traj.v, traj.theta, traj.modal_energy, traj.history_energy,
+                     traj.imu, traj.ibe, traj.step_energy, traj.final_state.eta,
+                     traj.final_state.xi, comp.distance, comp.distance_proof,
+                     comp.energy_full, comp.energy_limit, comp.max_step_increase,
+                     comp.eta_mu_norm, comp.eta_nu_norm, comp.xi_norm))
+    assert all(same_bits(a, b) for a, b in zip(*runs))
+
+
+def test_second_load_does_not_compile(tmp_path, monkeypatch):
+    if shutil.which("cc") is None:
+        pytest.skip(NO_CC)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    first = ctransport.build()
+    directory = tmp_path / "memoplate"
+    assert first.parent == directory
+    assert stat.S_IMODE(directory.stat().st_mode) == 0o700
+    # the temporary build directory is gone, the library is in place
+    assert [p.name for p in directory.iterdir()] == [first.name]
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran again")
+
+    monkeypatch.setattr(subprocess, "run", no_compiler)
+    assert ctransport.build() == first
+    kernel, status = ctransport.load()
+    assert status == f"compiled {first.name}" or "differs" in status
+
+
+@pytest.mark.parametrize("case", ["no compiler", "build error", "cache is a file",
+                                  "cache writable by others", "cache of another user"])
+def test_unavailable_kernel_falls_back_and_says_why(tmp_path, monkeypatch, case):
+    if case != "no compiler" and shutil.which("cc") is None:
+        pytest.skip(NO_CC)
+    if case == "cache of another user" and os.getuid() != 0:
+        pytest.skip("only root can give the cache directory to another user")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    if case == "no compiler":
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        why = "tbtrs: no C compiler (cc) on PATH"
+    elif case == "build error":
+        monkeypatch.setattr(ctransport, "SOURCE", "#error not C\n")
+        why = "tbtrs: build failed"
+    elif case == "cache is a file":
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        why = f"tbtrs: cache directory {blocker / 'memoplate'}: "
+    elif case == "cache writable by others":
+        (tmp_path / "memoplate").mkdir()
+        (tmp_path / "memoplate").chmod(0o777)
+        why = f"tbtrs: cache directory {tmp_path / 'memoplate'} is writable by others"
+    else:
+        (tmp_path / "memoplate").mkdir(mode=0o700)
+        os.chown(tmp_path / "memoplate", 4321, -1)
+        why = f"tbtrs: cache directory {tmp_path / 'memoplate'} belongs to another user"
+    kernel, status = ctransport.load()
+    assert kernel is None and status.startswith(why), status
+    if (tmp_path / "memoplate").is_dir():
+        assert not any(p.suffix == ".so" for p in (tmp_path / "memoplate").iterdir())
+
+    # a run without the kernel names the reason in its manifest and steps
+    # through the reference
+    monkeypatch.setattr(ctransport, "kernel", ctransport.load)
+    ini = tmp_path / "run.ini"
+    ini.write_text("[domain]\nmodes = 2\n\n[integrator]\nhorizon = 0.05\ngrid_size = 40\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["versions"]["transport"] == status
+
+
+def test_compiled_path_is_active():
+    # a silent fallback would take the kernel's gain away unseen
+    if shutil.which("cc") is None:
+        pytest.skip(NO_CC)
+    if platform.machine() not in ("aarch64", "arm64") and "fma" not in \
+            ctransport.cpu_flags().split():
+        pytest.skip("the CPU reports no FMA: fma() would be a libm call, slower than tbtrs")
+    kernel, status = ctransport.kernel()
+    assert kernel is not None, status
+    assert status == f"compiled {kernel.name}"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memoplate.errors import DomainError, SingularStepError
-from memoplate.dynamics import default_time_step, evolve
+from memoplate.dynamics import default_time_step, evolve, max_step_increase
 from memoplate.limits import (
     compare_trajectories, fit_limit_constants, history_envelopes,
     pi_bounds, upsilon_coefficients, upsilon_series,
@@ -135,6 +135,9 @@ def test_one_energy_across_both_drivers(memory_space, order):
     traj = evolve(memory_space, z0, dt, horizon, store_stride=2)
     np.testing.assert_array_equal(traj.times, comp.times)
     np.testing.assert_allclose(comp.energy_full, traj.step_energy[stored], rtol=1e-14, atol=0)
+    # taken over every step, the odd ones this record does not store as well
+    assert comp.max_step_increase == pytest.approx(max_step_increase(traj.step_energy),
+                                                   rel=1e-9)
     final = traj.final_state.block_norms_sq()
     for norm, block, name in ((comp.eta_mu_norm, traj.history_energy[0], "eta_mu"),
                               (comp.eta_nu_norm, traj.history_energy[1], "eta_nu"),
@@ -152,6 +155,12 @@ def test_history_envelopes_hold(memory_space):
     assert env.eta_margin >= -1e-12
     assert env.xi_margin >= -1e-12
     assert env.k_eta >= 0.0 and env.k_xi >= 0.0
+    # the late-half margins are the whole-run ones taken past half the
+    # horizon, so never below them; the whole-run minimum touches 0 where
+    # the sup fit does
+    assert env.late_eta_margin >= env.eta_margin and env.late_xi_margin >= env.xi_margin
+    assert abs(env.eta_margin) <= 1e-12 and abs(env.xi_margin) <= 1e-12
+    assert env.late_eta_margin > 0.0 and env.late_xi_margin > 0.0
 
 
 def test_compare_contracts(memory_space):
