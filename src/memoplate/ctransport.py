@@ -9,6 +9,9 @@ ger. At this band width tbtrs is mostly call overhead: it costs about 4 ns
 per (mode x node) at every size. SOURCE does each pass in one
 loop nest, with the fused multiply-adds by which OpenBLAS's tbsv and ger
 apply the same updates, so its results are bitwise those of the reference.
+Its (nodes, modes) arrays are the two Fortran-order buffers of a stepper,
+one read and the other written, so the kernel takes no strides and its
+pointers are ``restrict``.
 
 The C source is compiled with the system ``cc`` on first use, into
 ``$XDG_CACHE_HOME/memoplate`` (``~/.cache/memoplate`` by default), a
@@ -47,66 +50,41 @@ SOURCE = r"""
    multiply-adds overlap, each read and written as a sequential stream. */
 #define BLOCK 8
 
-/* The (n, modes) input p is read at p[j * pj + m * pm] for node j and mode
-   m, so a profile in either memory order needs no copy; x and z are
-   column-major. */
+/* Every (n, modes) array is column-major, and no two of a call's arrays
+   overlap. */
 
 static inline void solve_block(ptrdiff_t n, ptrdiff_t w, const double *restrict band,
-                               const double *restrict s, const double *p,
-                               ptrdiff_t pj, ptrdiff_t pm, double *x)
+                               const double *restrict s, const double *restrict p,
+                               double *restrict x)
 {
     double prev[BLOCK];
     for (ptrdiff_t k = 0; k < w; k++)
-        prev[k] = x[k * n] = s[0] * p[k * pm];
+        prev[k] = x[k * n] = s[0] * p[k * n];
     for (ptrdiff_t j = 1; j < n; j++)
         for (ptrdiff_t k = 0; k < w; k++)
-            prev[k] = x[k * n + j] = fma(-prev[k], band[2 * j - 1],
-                                         s[j] * p[j * pj + k * pm]);
-}
-
-static inline void solve(ptrdiff_t n, ptrdiff_t modes, const double *restrict band,
-                         const double *restrict s, const double *p, ptrdiff_t pj,
-                         ptrdiff_t pm, double *x)
-{
-    ptrdiff_t m = 0;
-    for (; m + BLOCK <= modes; m += BLOCK)
-        solve_block(n, BLOCK, band, s, p + m * pm, pj, pm, x + m * n);
-    if (m < modes)
-        solve_block(n, modes - m, band, s, p + m * pm, pj, pm, x + m * n);
-}
-
-static inline void complete(ptrdiff_t n, ptrdiff_t modes, const double *restrict t,
-                            const double *restrict r, const double *p, ptrdiff_t pj,
-                            ptrdiff_t pm, double *z)
-{
-    for (ptrdiff_t m = 0; m < modes; m++)
-        for (ptrdiff_t j = 0; j < n; j++)
-            z[m * n + j] = fma(t[m], r[j], z[m * n + j] - p[j * pj + m * pm]);
+            prev[k] = x[k * n + j] = fma(-prev[k], band[2 * j - 1], s[j] * p[k * n + j]);
 }
 
 /* x = (I + N)^-1 (s * p), with I + N in LAPACK's lower band storage:
-   band[2 j + 1] is N's entry in row j + 1 and column j. The column-major
-   case is compiled on its own, with unit node stride. */
+   band[2 j + 1] is N's entry in row j + 1 and column j. */
 void transport_solve(ptrdiff_t n, ptrdiff_t modes, const double *restrict band,
-                     const double *restrict s, const double *p, ptrdiff_t pj,
-                     ptrdiff_t pm, double *x)
+                     const double *restrict s, const double *restrict p, double *restrict x)
 {
-    if (pj == 1)
-        solve(n, modes, band, s, p, 1, pm, x);
-    else
-        solve(n, modes, band, s, p, pj, pm, x);
+    ptrdiff_t m = 0;
+    for (; m + BLOCK <= modes; m += BLOCK)
+        solve_block(n, BLOCK, band, s, p + m * n, x + m * n);
+    if (m < modes)
+        solve_block(n, modes - m, band, s, p + m * n, x + m * n);
 }
 
 /* z = (z - p) + t[m] r in every column m, where t holds a times the
    summed drive of each mode. */
 void transport_complete(ptrdiff_t n, ptrdiff_t modes, const double *restrict t,
-                        const double *restrict r, const double *p, ptrdiff_t pj,
-                        ptrdiff_t pm, double *z)
+                        const double *restrict r, const double *restrict p, double *restrict z)
 {
-    if (pj == 1)
-        complete(n, modes, t, r, p, 1, pm, z);
-    else
-        complete(n, modes, t, r, p, pj, pm, z);
+    for (ptrdiff_t m = 0; m < modes; m++)
+        for (ptrdiff_t j = 0; j < n; j++)
+            z[m * n + j] = fma(t[m], r[j], z[m * n + j] - p[m * n + j]);
 }
 """
 
@@ -146,9 +124,10 @@ class KernelUnavailable(Exception):
 
 
 class Kernel:
-    """The loaded library: ``solve(n, modes, band, s, p, pj, pm, x)`` and
-    ``complete(n, modes, t, r, p, pj, pm, z)`` take sizes, data addresses
-    and p's strides in elements."""
+    """The loaded library: ``solve(n, modes, band, s, p, x)`` and
+    ``complete(n, modes, t, r, p, z)`` take the sizes and the data addresses
+    of their vectors and of Fortran-order (n, modes) arrays p and x or z,
+    which must not overlap."""
 
     def __init__(self, path: Path):
         try:
@@ -158,7 +137,7 @@ class Kernel:
         size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
         self.solve, self.complete = lib.transport_solve, lib.transport_complete
         for fn in (self.solve, self.complete):
-            fn.argtypes = (size, size, ptr, ptr, ptr, size, size, ptr)
+            fn.argtypes = (size, size, ptr, ptr, ptr, ptr)
             fn.restype = None
         self.name = path.name
         self._lib = lib
@@ -222,23 +201,13 @@ def build() -> Path:
     return path
 
 
-# ctypes converts its own argument objects faster than Python ints, by about
-# 0.05 us an argument, so a stepper builds the arguments that stay fixed
-# over its run once, with these two.
-
 def arguments(n: int, modes: int, *arrays: np.ndarray) -> tuple:
-    """The leading arguments of a call: n, modes and the data addresses of
-    ``arrays``, as ctypes objects."""
+    """The arguments of a call: n, modes and the data addresses of
+    ``arrays``, as ctypes objects. ctypes converts its own objects faster
+    than Python ints, by about 0.05 us an argument, so a stepper builds its
+    calls' arguments once."""
     return (ctypes.c_ssize_t(n), ctypes.c_ssize_t(modes),
             *(ctypes.c_void_p(a.ctypes.data) for a in arrays))
-
-
-def strided(p: np.ndarray) -> tuple:
-    """(data address, node stride, mode stride) of an aligned float64
-    (nodes, modes) array as ctypes objects, the strides in elements: the
-    kernels' view of their input p."""
-    return (ctypes.c_void_p(p.ctypes.data), ctypes.c_ssize_t(p.strides[0] // 8),
-            ctypes.c_ssize_t(p.strides[1] // 8))
 
 
 def _spread(count: int, seed: float) -> np.ndarray:
@@ -250,19 +219,20 @@ def _spread(count: int, seed: float) -> np.ndarray:
 def mismatch(kernel: Kernel) -> str | None:
     """None if the kernel's solve and complete equal reference_solve and
     reference_complete bitwise on irregular and zero inputs, both for a
-    block of eight modes and for a partial one; else which pass differed."""
+    block of eight modes and for a partial one, with every array in Fortran
+    order; else which pass differed."""
     bits = np.uint64
     for n, modes in ((1, 1), (37, 11), (64, 8)):
         band = np.ones((2, n), order="F")
         band[1] = -_spread(n, 0.1)
         scale, response = 0.5 + 1.5 * _spread(n, 0.2), _spread(n, 0.3)
         a = 0.0123456789
-        irregular = 4.0 * _spread(n * modes, 0.4).reshape(n, modes) - 2.0
-        for profile in (irregular, np.asfortranarray(irregular), np.zeros((n, modes))):
-            where = f"at {n} x {modes} in {'F' if profile.flags.f_contiguous else 'C'} order"
+        irregular = 4.0 * _spread(n * modes, 0.4).reshape((n, modes), order="F") - 2.0
+        for profile in (irregular, np.zeros((n, modes), order="F")):
+            where = f"at {n} x {modes}"
             ref = reference_solve(band, scale, profile, np.empty((n, modes), order="F"))
             got = np.empty((n, modes), order="F")
-            kernel.solve(n, modes, band.ctypes.data, scale.ctypes.data, *strided(profile),
+            kernel.solve(n, modes, band.ctypes.data, scale.ctypes.data, profile.ctypes.data,
                          got.ctypes.data)
             if not np.array_equal(got.view(bits), ref.view(bits)):
                 return f"solve differs from tbtrs {where}"
@@ -270,7 +240,7 @@ def mismatch(kernel: Kernel) -> str | None:
                 want = reference_complete(a, response, drive, ref.copy(order="F"), profile)
                 t, z = a * drive, got.copy(order="F")
                 kernel.complete(n, modes, t.ctypes.data, response.ctypes.data,
-                                *strided(profile), z.ctypes.data)
+                                profile.ctypes.data, z.ctypes.data)
                 if not np.array_equal(z.view(bits), want.view(bits)):
                     return f"complete differs from ger {where}"
     return None

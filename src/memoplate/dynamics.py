@@ -28,9 +28,11 @@ it matches bitwise (an einsum scaling and LAPACK tbtrs, a subtraction and
 BLAS ger) makes five.
 
 A step allocates no state array. Each TransportStepper owns two history
-buffers and each MidpointStepper two triplet work arrays, allocated once,
-and a step writes into the ones that do not hold its input. The arrays a step
-returns therefore belong to the stepper and stay valid until the step
+buffers and each MidpointStepper two triplet work arrays, allocated once.
+A step reads its input from one of them, copied there first when it is a
+caller's array such as the initial state, and writes into the other; the
+compiled kernel touches no array but the two history buffers. The arrays a
+step returns therefore belong to the stepper and stay valid until the step
 after next; a caller that keeps a state longer copies it. The stepping
 driver measures each state's energy with PhaseEnergy, whose eigenvalue
 powers and squared-history scratch are likewise taken once per run.
@@ -45,7 +47,7 @@ import numpy as np
 import scipy.linalg
 
 from . import ctransport
-from .ctransport import arguments, reference_complete, reference_solve, strided
+from .ctransport import arguments, reference_complete, reference_solve
 from .errors import DomainError, ShapeError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
 from .modes import (ModeSet, Params, PhaseEnergy, PhaseSpace, PhaseVector, aligned_empty,
@@ -135,11 +137,14 @@ class TransportStepper:
     tbtrs on 0 rows corrupts the heap.
 
     The stepper owns two (nodes, modes) Fortran-order buffers for the whole
-    run, and partial() writes into the one that does not hold its profile.
-    A stepped profile is therefore valid until the step after next, which
-    writes into its buffer again. The kernel is handed the buffers' data
-    addresses taken once, here, and reads a caller's profile in place in
-    either memory order, through its strides.
+    run, and both passes read and write only those. A profile that is one
+    of the buffers is read where it is; any other array of the same shape,
+    even a view of a buffer, is copied into buffer 1 first. partial() then
+    writes into the other buffer, and complete() reads the old profile back
+    from the buffer that partial() did not write. A stepped profile is
+    therefore valid until the step after next, which writes into its buffer
+    again. The kernel's arguments for both directions, read buffer k and
+    write buffer 1 - k, are built once, here.
     """
 
     def __init__(self, grid, dt: float, modes: int):
@@ -161,39 +166,29 @@ class TransportStepper:
         self._kernel = ctransport.kernel()[0] if c.size else None
         if self._kernel is not None:
             self._scaled_drive = np.empty(modes)
-            self._sizes = (c.size, modes)
-            self._views = tuple(strided(b) for b in self._buffers)
-            self._solve_args = arguments(c.size, modes, self._band, self._two_dinv)
-            self._complete_args = arguments(c.size, modes, self._scaled_drive,
-                                            self.unit_response)
-
-    def _view(self, x: np.ndarray, write: bool = False) -> tuple:
-        """ctransport.strided(x) for a float64 (nodes, modes) array: taken
-        once for the stepper's buffers, checked for any other. An array the
-        kernel writes must be Fortran-ordered as well."""
-        for buf, view in zip(self._buffers, self._views):
-            if x is buf:
-                return view
-        if x.shape != self._sizes or x.dtype != np.float64 or not x.flags.aligned or (
-                write and not (x.flags.f_contiguous and x.flags.writeable)):
-            raise ShapeError(f"transport arrays must be aligned float64 of shape "
-                             f"{self._sizes}, and Fortran-ordered to be written; got "
-                             f"{x.dtype} {x.shape}")
-        return strided(x)
+            # (read, written) pairs, indexed by the buffer read as the profile
+            pairs = (self._buffers, self._buffers[::-1])
+            self._solve_args = tuple(arguments(c.size, modes, self._band, self._two_dinv, *rw)
+                                     for rw in pairs)
+            self._complete_args = tuple(arguments(c.size, modes, self._scaled_drive,
+                                                  self.unit_response, *rw) for rw in pairs)
 
     def solve(self, profile: np.ndarray) -> np.ndarray:
         """2 (I - aT)^-1 profile = (I + N)^-1 (2 D^-1 profile) for a profile
         (nodes, modes) with nodes, written into the buffer that does not
-        share memory with it and returned."""
-        out = self._buffers[np.may_share_memory(profile, self._buffers[0])]
+        hold it and returned. ShapeError for any other shape."""
+        buffers = self._buffers
+        k = 0 if profile is buffers[0] else 1
+        if profile is not buffers[k]:
+            # np.copyto would broadcast a (nodes, 1) profile silently
+            if profile.shape != buffers[1].shape:
+                raise ShapeError(f"transport profile must have shape {buffers[1].shape}, "
+                                 f"got {profile.shape}")
+            np.copyto(buffers[1], profile)
         if self._kernel is None:
-            return reference_solve(self._band, self._two_dinv, profile, out)
-        # read in place in either memory order; a converted array is held
-        # here until the kernel has read it
-        profile = np.asarray(profile, dtype=np.float64)
-        self._kernel.solve(*self._solve_args, *self._view(profile),
-                           self._view(out)[0])
-        return out
+            return reference_solve(self._band, self._two_dinv, buffers[k], buffers[1 - k])
+        self._kernel.solve(*self._solve_args[k])
+        return buffers[1 - k]
 
     def partial(self, profile: np.ndarray) -> np.ndarray:
         """solve(profile) = 2 (I - aT)^-1 profile, the undriven solve of a
@@ -201,18 +196,24 @@ class TransportStepper:
         no solve, and comes back as the stepper's empty buffer."""
         return self.solve(profile) if profile.size else self._buffers[0]
 
-    def complete(self, z: np.ndarray, profile: np.ndarray, drive_sum: np.ndarray) -> np.ndarray:
+    def complete(self, z: np.ndarray, drive_sum: np.ndarray) -> np.ndarray:
         """The stepped profile z - profile + a * unit_response * drive_sum from
         z = partial(profile) and the sum (modes,) of the old and the new
-        drive, written into ``z`` in place and returned."""
+        drive, written into ``z`` in place and returned. The old profile is
+        read from the stepper's other buffer, where partial() left it;
+        ShapeError if ``z`` is not one of the stepper's buffers."""
         if not z.size:
             return z
+        # k: the buffer that holds the old profile
+        k = 0 if z is self._buffers[1] else 1
+        if z is not self._buffers[1 - k]:
+            raise ShapeError("complete() takes the buffer that partial() returned, "
+                             "not another array")
         if self._kernel is None:
-            return reference_complete(self.a, self.unit_response, drive_sum, z, profile)
+            return reference_complete(self.a, self.unit_response, drive_sum, z,
+                                      self._buffers[k])
         np.multiply(drive_sum, self.a, out=self._scaled_drive)
-        profile = np.asarray(profile, dtype=np.float64)
-        self._kernel.complete(*self._complete_args, *self._view(profile),
-                              self._view(z, write=True)[0])
+        self._kernel.complete(*self._complete_args[k])
         return z
 
 
@@ -316,8 +317,8 @@ class MidpointStepper:
         if not active:
             return u1, v1, th1, eta, xi
         drive = np.add(x[1:3], x1[1:3], out=self._drive_sum)
-        return (u1, v1, th1, self.eta_t.complete(z_eta, eta, drive[1]),
-                self.xi_t.complete(z_xi, xi, drive[0]))
+        return (u1, v1, th1, self.eta_t.complete(z_eta, drive[1]),
+                self.xi_t.complete(z_xi, drive[0]))
 
 
 @dataclass
@@ -518,9 +519,11 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
     For purely exponential kernels the memory integrals satisfy scalar
     closure equations with continuum constants, so each mode reduces to the
     linear system closure_matrix, advanced by its matrix exponential.
-    initial_integrals holds each present kernel's integrals per mode by name;
-    without it the histories must be zero. Grid weights never enter, which
-    keeps this route independent of the sampled-history discretization.
+    initial_integrals holds each present kernel's integrals per mode by name,
+    and no other name (UnsupportedOracleError, or ShapeError for an array of
+    another length); without it the histories must be zero. Grid weights
+    never enter, which keeps this route independent of the sampled-history
+    discretization.
     """
     kernels = _closure_kernels(space)
     n = space.modes.count
@@ -529,6 +532,13 @@ def closure_oracle_evolve(space: PhaseSpace, initial: PhaseVector, dt: float,
             raise UnsupportedOracleError(
                 "nonzero initial histories need explicit initial_integrals")
         initial_integrals = dict.fromkeys(kernels, np.zeros(n))
+    if initial_integrals.keys() != kernels.keys():
+        raise UnsupportedOracleError(f"initial_integrals must name the present kernels "
+                                     f"{list(kernels)}, got {list(initial_integrals)}")
+    for name in kernels:
+        if np.shape(initial_integrals[name]) != (n,):
+            raise ShapeError(f"initial_integrals[{name!r}] must have shape ({n},), "
+                             f"got {np.shape(initial_integrals[name])}")
     z0 = np.stack([initial.u, initial.v, initial.theta]
                   + [initial_integrals[name] for name in kernels], axis=1)
 

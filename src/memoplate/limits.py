@@ -153,8 +153,8 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
         np.add(lv, lv1, out=drive_v)
         np.add(lth, lth1, out=drive_th)
         lu, lv, lth = lu1, lv1, lth1
-        eta_hat = rec_eta.complete(rec_eta.partial(eta_hat), eta_hat, drive_th)
-        xi_hat = rec_xi.complete(rec_xi.partial(xi_hat), xi_hat, drive_v)
+        eta_hat = rec_eta.complete(rec_eta.partial(eta_hat), drive_th)
+        xi_hat = rec_xi.complete(rec_xi.partial(xi_hat), drive_v)
 
     gap = PhaseEnergy(space, m)
     gap_eta = aligned_empty(initial.eta.shape, order="F")

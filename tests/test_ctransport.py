@@ -2,8 +2,10 @@
 
 The kernel must give the reference's bits: on every history grid of the
 stepping presets and the wide benchmark, for random and zero profiles in
-either memory order or as a strided view, and through whole runs. Building, caching and every
-fallback are checked in a temporary cache directory.
+either memory order, as a strided view or as a view of the stepper's own
+buffer, and through whole runs. The C source must compile warning-free under
+flags that keep every rounding. Building, caching and every fallback are
+checked in a temporary cache directory.
 """
 import json
 import os
@@ -82,18 +84,57 @@ def test_kernel_matches_tbtrs_and_ger_bitwise(compiled, monkeypatch, name):
                         profile = np.asarray(profile, order=layout)
                     assert same_bits(fast.partial(profile), ref.partial(profile))
                     for drive in (rng.standard_normal(n), np.zeros(n)):
-                        want = ref.complete(ref.partial(profile), profile, drive)
-                        got = fast.complete(fast.partial(profile), profile, drive)
+                        want = ref.complete(ref.partial(profile), drive)
+                        got = fast.complete(fast.partial(profile), drive)
                         assert same_bits(got, want)
             # consecutive steps through the steppers' own buffers
             p_ref = p_fast = np.asfortranarray(rng.standard_normal(shape))
             for _ in range(3):
                 drive = rng.standard_normal(n)
-                p_ref = ref.complete(ref.partial(p_ref), p_ref, drive)
-                p_fast = fast.complete(fast.partial(p_fast), p_fast, drive)
+                p_ref = ref.complete(ref.partial(p_ref), drive)
+                p_fast = fast.complete(fast.partial(p_fast), drive)
                 assert same_bits(p_fast, p_ref)
             checked += 1
     assert checked == 2 * len(cfg.parameter_grid())
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["kernel", "reference"])
+def test_view_of_own_buffer_gives_the_bits_of_its_copy(monkeypatch, small_space, forced):
+    # a view is not the buffer object, so it is copied into buffer 1 before
+    # the solve writes buffer 0, whichever buffer it views
+    if not forced and ctransport.kernel()[0] is None:
+        pytest.skip(f"compiled kernel unavailable ({ctransport.kernel()[1]})")
+    grid, n = small_space.eta_grid, small_space.modes.count
+
+    def stepper():
+        if forced:
+            return reference_stepper(monkeypatch, grid, 1e-3, n)
+        return TransportStepper(grid, 1e-3, n)
+
+    rng = np.random.default_rng(11)
+    tr, drive = stepper(), rng.standard_normal(n)
+    p0 = tr.complete(tr.partial(rng.standard_normal((grid.size, n))), drive)
+    p1 = tr.complete(tr.partial(p0), drive)
+    assert p0 is not p1
+    for view in (p0[:], p1[:], p0[::-1], p1[:, ::-1]):
+        copy = view.copy()
+        fresh = stepper()
+        want = fresh.complete(fresh.partial(copy), drive)
+        got = tr.complete(tr.partial(view), drive)
+        assert same_bits(got, want)
+
+
+def test_source_compiles_warning_free_under_exact_flags(tmp_path):
+    # bitwise equality with the reference rests on the compiler rounding
+    # every operation as written
+    assert "-ffp-contract=off" in ctransport.FLAGS
+    assert not {"-ffast-math", "-Ofast"} & set(ctransport.FLAGS)
+    if shutil.which("cc") is None:
+        pytest.skip(NO_CC)
+    run = subprocess.run(["cc", *ctransport.FLAGS, "-std=c11", "-Wall", "-Wextra", "-Werror",
+                          "-fsyntax-only", "-x", "c", "-"], input=ctransport.SOURCE,
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_empty_blocks_never_reach_the_kernel(compiled, monkeypatch, small_space):

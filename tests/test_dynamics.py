@@ -12,7 +12,8 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from memoplate.errors import DomainError, SingularStepError, UnsupportedOracleError
+from memoplate.errors import (DomainError, ShapeError, SingularStepError,
+                              UnsupportedOracleError)
 from memoplate.dynamics import (
     MidpointStepper, TransportStepper, assemble_mode_operator, closure_matrix,
     closure_oracle_evolve, default_time_step, evolve, evolve_limit,
@@ -121,6 +122,48 @@ def test_steps_allocate_less_than_one_history():
     assert peak - base < history_bytes
 
 
+@pytest.mark.parametrize("layout", ["C", "strided"])
+def test_first_step_allocates_less_than_one_history(layout):
+    # a caller's history is copied into a buffer the stepper already owns,
+    # so even the first step of a fresh stepper from a C-ordered or strided
+    # initial state allocates no history-sized temporary
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), 4),
+                              Params(0.5, 0.25, 0.5), grid_size=400)
+    vec = random_state(space, 23)
+    if layout == "C":
+        eta, xi = (np.ascontiguousarray(h) for h in (vec.eta, vec.xi))
+    else:
+        # every other column of a wider C-ordered array
+        eta, xi = (np.repeat(h, 2, axis=1)[:, ::2] for h in (vec.eta, vec.xi))
+    assert not eta.flags.f_contiguous and not xi.flags.f_contiguous
+    stepper = MidpointStepper(space, 1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        stepper.step(vec.u, vec.v, vec.theta, eta, xi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < vec.eta.nbytes
+
+
+def test_transport_stepper_takes_only_its_buffers(small_space):
+    # a profile of another shape is refused, also one np.copyto would
+    # broadcast, and complete() takes no array but the one partial() returned
+    n = small_space.modes.count
+    nodes = small_space.eta_grid.size
+    tr = TransportStepper(small_space.eta_grid, 1e-3, n)
+    for shape in ((nodes, 1), (nodes, n - 1), (nodes - 1, n), (n, nodes), (nodes * n,)):
+        with pytest.raises(ShapeError):
+            tr.partial(np.ones(shape))
+    z = tr.partial(np.ones((nodes, n)))
+    for other in (z[:], z.copy(order="F"), np.ones((nodes, n))):
+        with pytest.raises(ShapeError):
+            tr.complete(other, np.ones(n))
+    assert tr.complete(z, np.ones(n)) is z
+
+
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_step_leaves_its_inputs_unchanged(interval_modes, params, layout):
@@ -138,7 +181,7 @@ def test_step_leaves_its_inputs_unchanged(interval_modes, params, layout):
     for tr, profile, drive in ((stepper.eta_t, state[3], vec.theta),
                                (stepper.xi_t, state[4], vec.v)):
         z = tr.partial(profile)
-        assert z.flags.f_contiguous and tr.complete(z, profile, drive) is z
+        assert z.flags.f_contiguous and tr.complete(z, drive) is z
     assert [x.tobytes() for x in state] == before
 
 
@@ -338,6 +381,14 @@ def test_closure_oracle_contracts(interval_modes):
     for dt, horizon in ((0.0, 1.0), (-1e-3, 1.0), (1e-3, 0.0)):
         with pytest.raises(DomainError):
             closure_oracle_evolve(space, z_rest, dt, horizon)
+    # the space has mu and beta: each integral is named and sized per kernel
+    ints = saturating_profile_integrals(space, np.ones(4))
+    for bad, error, name in (({"mu": ints["mu"]}, UnsupportedOracleError, "beta"),
+                             ({**ints, "nu": np.zeros(4)}, UnsupportedOracleError, "nu"),
+                             ({**ints, "beta": np.zeros(3)}, ShapeError, "beta"),
+                             ({**ints, "mu": np.zeros((4, 1))}, ShapeError, "mu")):
+        with pytest.raises(error, match=name):
+            closure_oracle_evolve(space, z0, 1e-3, 1.0, initial_integrals=bad)
 
 
 def test_closure_oracle_rejects_zero_stride(interval_modes):
