@@ -1,4 +1,4 @@
-"""The compiled history-transport kernel and the LAPACK/BLAS reference it
+"""The compiled stepping kernel and the NumPy, LAPACK and BLAS reference it
 must match.
 
 A step of TransportStepper makes two passes over each history: the solve,
@@ -13,6 +13,15 @@ Its (nodes, modes) arrays are the two Fortran-order buffers of a stepper,
 one read and the other written, so the kernel takes no strides and its
 pointers are ``restrict``.
 
+A third entry, midpoint_finish, is the triplet half of a MidpointStepper
+step, once the step's quadratures are in: the memory load, the per-mode
+3x3 map, the drive sums and the completion of both histories, in one call
+where reference_finish makes five small NumPy calls and two
+completions. It sums the map in numpy.einsum's order, which is in sequence
+over the five entries for two or more modes and pairwise-interleaved for
+one. A NumPy that sums otherwise fails the self-check below, by name, and
+the steppers fall back to the reference.
+
 The C source is compiled with the system ``cc`` on first use, into
 ``$XDG_CACHE_HOME/memoplate`` (``~/.cache/memoplate`` by default), a
 directory of mode 0700. The file name hashes the source, the compiler
@@ -20,10 +29,12 @@ command and the CPU's feature flags, because ``-march=native`` code must not
 run on another CPU that shares the home directory. The library is built
 under a temporary name and moved into place, so concurrent first runs never
 load a partial file, and later runs load it without invoking the compiler.
-``load`` then runs the kernel against the reference on irregular and zero
-inputs and keeps it only if every result is bitwise equal. Without a
-compiler, on a build error, with an unusable cache directory or on a
-mismatch, the steppers run the reference, and the reason is reported.
+``load`` then runs each entry against its reference on irregular and zero
+inputs, the finish at 1, 2, 8 and 11 modes with both histories, one or
+none, and keeps the kernel only if every result is bitwise equal. Without
+a compiler, on a build error, with an unusable cache directory or on a
+mismatch, the steppers run the reference, and the reason, naming the entry
+that differed, is reported.
 """
 from __future__ import annotations
 
@@ -77,14 +88,58 @@ void transport_solve(ptrdiff_t n, ptrdiff_t modes, const double *restrict band,
         solve_block(n, modes - m, band, s, p + m * n, x + m * n);
 }
 
+/* One column of the completion: z = (z - p) + t r, with ger's rounding. */
+static inline void complete_column(ptrdiff_t n, double t, const double *restrict r,
+                                   const double *restrict p, double *restrict z)
+{
+    for (ptrdiff_t j = 0; j < n; j++)
+        z[j] = fma(t, r[j], z[j] - p[j]);
+}
+
 /* z = (z - p) + t[m] r in every column m, where t holds a times the
    summed drive of each mode. */
 void transport_complete(ptrdiff_t n, ptrdiff_t modes, const double *restrict t,
                         const double *restrict r, const double *restrict p, double *restrict z)
 {
     for (ptrdiff_t m = 0; m < modes; m++)
-        for (ptrdiff_t j = 0; j < n; j++)
-            z[m * n + j] = fma(t[m], r[j], z[m * n + j] - p[m * n + j]);
+        complete_column(n, t[m], r, p + m * n, z + m * n);
+}
+
+/* The triplet half of a midpoint step, once the quadratures are in rows
+   5-7 of the row-major (8, modes) work array x:
+   - the load rows x[3] = g2 q_beta and x[4] = g q_mu + q_nu;
+   - the new triplet x1[0:3], the map [P | -Q] (modes, 3, 5) applied to
+     x[0:5], summed in numpy.einsum's order: in sequence for two or more
+     modes, and by two interleaved partial sums for one;
+   - the completion of each history with nodes, eta (ne nodes) by the
+     drive sum a (theta + theta1) and xi (nx nodes) by a (v + v1), each
+     with 0 nodes skipped. */
+void midpoint_finish(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, double a,
+                     const double *restrict map, const double *restrict g,
+                     const double *restrict g2, double *restrict x, double *restrict x1,
+                     const double *restrict re, const double *restrict pe, double *restrict ze,
+                     const double *restrict rx, const double *restrict px, double *restrict zx)
+{
+    for (ptrdiff_t m = 0; m < modes; m++) {
+        x[3 * modes + m] = g2[m] * x[7 * modes + m];
+        x[4 * modes + m] = g[m] * x[5 * modes + m] + x[6 * modes + m];
+    }
+    for (ptrdiff_t m = 0; m < modes; m++)
+        for (ptrdiff_t i = 0; i < 3; i++) {
+            const double *row = map + 15 * m + 5 * i;
+            double t[5];
+            for (ptrdiff_t j = 0; j < 5; j++)
+                t[j] = row[j] * x[j * modes + m];
+            /* einsum adds into a zeroed output, which turns a sum of -0
+               terms into +0 */
+            x1[i * modes + m] = modes == 1 ? 0.0 + (((t[0] + t[2]) + t[4]) + (t[1] + t[3]))
+                                           : ((((0.0 + t[0]) + t[1]) + t[2]) + t[3]) + t[4];
+        }
+    for (ptrdiff_t m = 0; m < modes; m++) {
+        complete_column(ne, a * (x[2 * modes + m] + x1[2 * modes + m]), re,
+                        pe + m * ne, ze + m * ne);
+        complete_column(nx, a * (x[modes + m] + x1[modes + m]), rx, px + m * nx, zx + m * nx);
+    }
 }
 """
 
@@ -119,15 +174,44 @@ def reference_complete(a: float, response: np.ndarray, drive: np.ndarray, z: np.
     return _GER(a, response, drive, a=z, overwrite_a=True)
 
 
+def memory_load(g: np.ndarray, g2: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The nonzero entries (g2 q_beta, g q_mu + q_nu) of the memory load of
+    quadratures q = (q_mu, q_nu, q_beta), written into the rows of ``out``
+    (2, modes) and returned."""
+    np.multiply(g2, q[2], out=out[0])
+    np.add(np.multiply(g, q[0], out=out[1]), q[1], out=out[1])
+    return out
+
+
+def reference_finish(modes: int, ne: int, nx: int, a: float, map: np.ndarray, g: np.ndarray,
+                     g2: np.ndarray, x: np.ndarray, x1: np.ndarray,
+                     re: np.ndarray, pe: np.ndarray, ze: np.ndarray,
+                     rx: np.ndarray, px: np.ndarray, zx: np.ndarray,
+                     drive: np.ndarray) -> None:
+    """midpoint_finish by NumPy, on its arguments as numbers and arrays, with
+    ``drive`` (2, modes) the scratch of the drive sums: memory_load into
+    x[3:5], the einsum of ``map`` and x[:5] into x1[:3], and
+    reference_complete of each block with nodes."""
+    memory_load(g, g2, x[5:8], x[3:5])
+    np.einsum("nij,jn->in", map, x[:5], out=x1[:3])
+    np.add(x[1:3], x1[1:3], out=drive)
+    if ne:
+        reference_complete(a, re, drive[1], ze, pe)
+    if nx:
+        reference_complete(a, rx, drive[0], zx, px)
+
+
 class KernelUnavailable(Exception):
     """The compiled kernel cannot be built or loaded; the message says why."""
 
 
 class Kernel:
-    """The loaded library: ``solve(n, modes, band, s, p, x)`` and
+    """The loaded library. ``solve(n, modes, band, s, p, x)`` and
     ``complete(n, modes, t, r, p, z)`` take the sizes and the data addresses
     of their vectors and of Fortran-order (n, modes) arrays p and x or z,
-    which must not overlap."""
+    which must not overlap. ``finish(modes, ne, nx, a, map, g, g2, x, x1,
+    re, pe, ze, rx, px, zx)`` takes the sizes, the scalar a and the data
+    addresses of reference_finish's arrays."""
 
     def __init__(self, path: Path):
         try:
@@ -139,6 +223,9 @@ class Kernel:
         for fn in (self.solve, self.complete):
             fn.argtypes = (size, size, ptr, ptr, ptr, ptr)
             fn.restype = None
+        self.finish = lib.midpoint_finish
+        self.finish.argtypes = (size, size, size, ctypes.c_double) + (ptr,) * 11
+        self.finish.restype = None
         self.name = path.name
         self._lib = lib
 
@@ -201,13 +288,14 @@ def build() -> Path:
     return path
 
 
-def arguments(n: int, modes: int, *arrays: np.ndarray) -> tuple:
-    """The arguments of a call: n, modes and the data addresses of
-    ``arrays``, as ctypes objects. ctypes converts its own objects faster
-    than Python ints, by about 0.05 us an argument, so a stepper builds its
-    calls' arguments once."""
-    return (ctypes.c_ssize_t(n), ctypes.c_ssize_t(modes),
-            *(ctypes.c_void_p(a.ctypes.data) for a in arrays))
+def arguments(*values) -> tuple:
+    """The arguments of a call as ctypes objects: an array as its data
+    address, a float as a double and an int as a size. ctypes converts its
+    own objects faster than Python numbers, by about 0.05 us an argument, so
+    a stepper builds its calls' arguments once."""
+    return tuple(ctypes.c_void_p(v.ctypes.data) if isinstance(v, np.ndarray)
+                 else ctypes.c_double(v) if isinstance(v, float) else ctypes.c_ssize_t(v)
+                 for v in values)
 
 
 def _spread(count: int, seed: float) -> np.ndarray:
@@ -243,6 +331,42 @@ def mismatch(kernel: Kernel) -> str | None:
                                 profile.ctypes.data, z.ctypes.data)
                 if not np.array_equal(z.view(bits), want.view(bits)):
                     return f"complete differs from ger {where}"
+    return _finish_mismatch(kernel)
+
+
+def _data(shape: tuple, seed: float, zero: bool, order: str = "C") -> np.ndarray:
+    """Zeros, or irregular values in (-2, 2), of the given shape and order."""
+    y = np.zeros(shape, order=order)
+    if not zero:
+        y[...] = 4.0 * _spread(y.size, seed).reshape(shape) - 2.0
+    return y
+
+
+def _finish_mismatch(kernel: Kernel) -> str | None:
+    """None if the kernel's finish equals reference_finish bitwise at 1, 2,
+    8 and 11 modes, with both histories, one or none, on irregular inputs
+    and on zero ones under a negative map; else where it differed."""
+    bits = np.uint64
+    for modes in (1, 2, 8, 11):
+        g = 1.0 + 40.0 * _spread(modes, 0.6)
+        signed = 2.0 * _spread(15 * modes, 0.7).reshape(modes, 3, 5) - 1.0
+        for ne, nx in ((37, 5), (37, 0), (0, 5), (0, 0)):
+            for zero in (False, True):
+                # every product is -0 in the zero case, and the sums read +0
+                # only from a zeroed start, as einsum's do
+                values = (modes, ne, nx, 0.0123456789, -np.abs(signed) if zero else signed,
+                          g, g * g, _data((8, modes), 0.8, zero), np.ones((8, modes)),
+                          _spread(ne, 0.9), _data((ne, modes), 0.1, zero, "F"),
+                          _data((ne, modes), 0.2, zero, "F"), _spread(nx, 0.3),
+                          _data((nx, modes), 0.4, zero, "F"), _data((nx, modes), 0.5, zero, "F"))
+                mine = tuple(v.copy(order="K") if isinstance(v, np.ndarray) else v
+                             for v in values)
+                reference_finish(*values, np.empty((2, modes)))
+                kernel.finish(*arguments(*mine))
+                if not all(np.array_equal(v.view(bits), w.view(bits))
+                           for v, w in zip(values, mine) if isinstance(v, np.ndarray)):
+                    return (f"finish differs from einsum at modes = {modes}, "
+                            f"{ne} + {nx} history nodes")
     return None
 
 

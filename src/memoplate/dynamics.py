@@ -20,20 +20,27 @@ plus a 3x3 map per mode advances the whole state exactly. The substitution
 runs on the old history alone and has a unit diagonal, because its
 right-hand side is scaled by the inverse diagonal. The rank-one drive terms
 are folded into the 3x3 map once, and enter the new history as one
-rank-one update with the old and new drive summed. The scaled substitution
-and the update each run as one pass of the compiled kernel in ctransport,
-so a step makes three passes over each history array: those two and the
-memory load's quadratures. Where the kernel is not in use, the reference
-it matches bitwise (an einsum scaling and LAPACK tbtrs, a subtraction and
-BLAS ger) makes five.
+rank-one update with the old and new drive summed.
+
+A step with both histories makes five foreign calls, each one pass over a
+history array or less: the compiled kernel of ctransport solves each
+history (two calls, the scaled substitution); np.matmul takes the memory
+load's quadratures of the solves (two BLAS calls); and one last compiled
+call does the triplet half, from the quadratures to the load, the 3x3 map
+of every mode, the drive sums and the update of each history in place. So
+a step makes three passes over each history array. The quadratures stay in
+BLAS, whose summation order the stepped states' bits rest on. Where the
+kernel is not in use, the reference it matches bitwise (an einsum scaling
+and LAPACK tbtrs, NumPy's load, map and sums, a subtraction and BLAS ger)
+makes five passes.
 
 A step allocates no state array. Each TransportStepper owns two history
 buffers and each MidpointStepper two triplet work arrays, allocated once.
 A step reads its input from one of them, copied there first when it is a
 caller's array such as the initial state, and writes into the other; the
-compiled kernel touches no array but the two history buffers. The arrays a
-step returns therefore belong to the stepper and stay valid until the step
-after next; a caller that keeps a state longer copies it. The stepping
+compiled kernel touches no array but the steppers' own. The arrays a step
+returns therefore belong to the stepper and stay valid until the step after
+next; a caller that keeps a state longer copies it. The stepping
 driver measures each state's energy with PhaseEnergy, whose eigenvalue
 powers and squared-history scratch are likewise taken once per run.
 """
@@ -47,7 +54,8 @@ import numpy as np
 import scipy.linalg
 
 from . import ctransport
-from .ctransport import arguments, reference_complete, reference_solve
+from .ctransport import (arguments, memory_load, reference_complete, reference_finish,
+                         reference_solve)
 from .errors import DomainError, ShapeError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
 from .modes import (ModeSet, Params, PhaseEnergy, PhaseSpace, PhaseVector, aligned_empty,
@@ -162,6 +170,7 @@ class TransportStepper:
         # block and step
         self.unit_response = np.zeros(0) if not c.size else reference_solve(
             self._band, dinv, np.ones((c.size, 1)), np.empty((c.size, 1), order="F"))[:, 0]
+        self.nodes = c.size
         self._buffers = tuple(aligned_empty((c.size, modes), order="F") for _ in range(2))
         self._kernel = ctransport.kernel()[0] if c.size else None
         if self._kernel is not None:
@@ -192,9 +201,12 @@ class TransportStepper:
 
     def partial(self, profile: np.ndarray) -> np.ndarray:
         """solve(profile) = 2 (I - aT)^-1 profile, the undriven solve of a
-        midpoint step of profile' = T profile + drive. An empty profile needs
-        no solve, and comes back as the stepper's empty buffer."""
-        return self.solve(profile) if profile.size else self._buffers[0]
+        midpoint step of profile' = T profile + drive. A stepper of 0 nodes
+        solves nothing and returns its empty buffer for a (0, modes) profile;
+        solve() rejects every other shape."""
+        if self.nodes or profile.shape != self._buffers[0].shape:
+            return self.solve(profile)
+        return self._buffers[0]
 
     def complete(self, z: np.ndarray, drive_sum: np.ndarray) -> np.ndarray:
         """The stepped profile z - profile + a * unit_response * drive_sum from
@@ -245,6 +257,19 @@ class MidpointStepper:
     returns is the stepper's own and is valid until the step after next,
     which writes into it again; step() never writes into the arrays it is
     given.
+
+    Calls: a step with histories solves each one (TransportStepper.partial,
+    one compiled call each) and writes the quadratures of the solves into
+    rows 5-7 (np.matmul, one BLAS call per history). One call of the
+    kernel's midpoint_finish then does the rest: the load rows 3-4, the new
+    triplet by the map, summed in numpy.einsum's order, the drive sums
+    a (theta + theta1) and a (v + v1), and the completion of each history
+    with nodes, in the buffer its solve wrote. ctransport.reference_finish
+    is the same call by NumPy and runs where the kernel does not. The
+    call's arguments are built once, for each work array read and each
+    pair of buffers the solves can write. With both blocks collapsed a step
+    checks the histories' shapes and makes that one call, with a zero load
+    and no completion.
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
@@ -253,7 +278,7 @@ class MidpointStepper:
         self.space = space
         self.dt = dt
         a = 0.5 * dt
-        g = space.modes.eigenvalues
+        g = np.ascontiguousarray(space.modes.eigenvalues, dtype=float)
         n = g.size
         self.eta_t = TransportStepper(space.eta_grid, dt, n)
         self.xi_t = TransportStepper(space.xi_grid, dt, n)
@@ -268,12 +293,14 @@ class MidpointStepper:
             T[:, 1, 1] -= g ** 2        # Kelvin-Voigt friction in place of viscous memory
         if space.mu is None:
             T[:, 2, 2] -= g             # Fourier term in place of thermal memory
-        self._g, self._g2 = g, g ** 2
+        g2 = g ** 2
+        # kept, since the kernel's arguments hold only their addresses
+        self._g, self._g2 = g, g2
         # the drives' share of the history load acts on the triplet as a
         # damping a * s per mode
-        s = self._memory_load(np.append(space.w_eta @ self.eta_t.unit_response,
-                                        space.w_beta @ self.xi_t.unit_response),
-                              np.empty((2, n)))
+        s = memory_load(g, g2, np.append(space.w_eta @ self.eta_t.unit_response,
+                                         space.w_beta @ self.xi_t.unit_response),
+                        np.empty((2, n)))
         T[:, 1, 1] -= a * s[0]
         T[:, 2, 2] -= a * s[1]
         eye = np.eye(3)
@@ -282,15 +309,23 @@ class MidpointStepper:
         self.map = np.concatenate([Ainv @ (eye + a * T), -a * Ainv[:, :, 1:]], axis=2)
         self._work = (np.zeros((8, n)), np.zeros((8, n)))
         self._rows = tuple(tuple(w[:3]) for w in self._work)
-        self._drive_sum = np.empty((2, n))
+        self._active = bool(self.eta_t.nodes or self.xi_t.nodes)
 
-    def _memory_load(self, q, out: np.ndarray) -> np.ndarray:
-        """The nonzero entries (g^2 q_beta, g q_mu + q_nu) of the memory load
-        M of quadratures q = (q_mu, q_nu, q_beta), written into the rows of
-        ``out`` (2, modes)."""
-        np.multiply(self._g2, q[2], out=out[0])
-        np.add(np.multiply(self._g, q[0], out=out[1]), q[1], out=out[1])
-        return out
+        # the finish's arguments, indexed by the work array read and the eta
+        # and xi buffers the solves wrote
+        kernel = ctransport.kernel()[0]
+        self._finish = reference_finish if kernel is None else kernel.finish
+        drive = np.empty((2, n))
+
+        def finish_args(k, ie, ix):
+            eb, xb = self.eta_t._buffers, self.xi_t._buffers
+            values = (n, self.eta_t.nodes, self.xi_t.nodes, a, self.map, g, g2, self._work[k],
+                      self._work[1 - k], self.eta_t.unit_response, eb[1 - ie], eb[ie],
+                      self.xi_t.unit_response, xb[1 - ix], xb[ix])
+            return values + (drive,) if kernel is None else arguments(*values)
+
+        self._finish_args = tuple(tuple(tuple(finish_args(k, ie, ix) for ix in (0, 1))
+                                        for ie in (0, 1)) for k in (0, 1))
 
     def _triplet_index(self, u, v, th) -> int:
         """Index of the work array whose rows are (u, v, th); a triplet of
@@ -304,21 +339,16 @@ class MidpointStepper:
 
     def step(self, u, v, th, eta, xi):
         k = self._triplet_index(u, v, th)
-        x, x1 = self._work[k], self._work[1 - k]
-        active = eta.size or xi.size
-        if active:
-            z_eta = self.eta_t.partial(eta)
-            z_xi = self.xi_t.partial(xi)
-            np.matmul(self.space.w_eta, z_eta, out=x[5:7])
-            np.matmul(self.space.w_beta, z_xi, out=x[7])
-            self._memory_load(x[5:8], x[3:5])
-        np.einsum("nij,jn->in", self.map, x[:5], out=x1[:3])
-        u1, v1, th1 = self._rows[1 - k]
-        if not active:
-            return u1, v1, th1, eta, xi
-        drive = np.add(x[1:3], x1[1:3], out=self._drive_sum)
-        return (u1, v1, th1, self.eta_t.complete(z_eta, drive[1]),
-                self.xi_t.complete(z_xi, drive[0]))
+        x = self._work[k]
+        # on a block of 0 nodes, partial() only checks the shape
+        eta = self.eta_t.partial(eta)
+        xi = self.xi_t.partial(xi)
+        if self._active:
+            np.matmul(self.space.w_eta, eta, out=x[5:7])
+            np.matmul(self.space.w_beta, xi, out=x[7])
+        self._finish(*self._finish_args[k][eta is self.eta_t._buffers[1]]
+                     [xi is self.xi_t._buffers[1]])
+        return (*self._rows[1 - k], eta, xi)
 
 
 @dataclass

@@ -20,9 +20,10 @@ import pytest
 from memoplate import config as cfgmod
 from memoplate import ctransport
 from memoplate.cli import main
-from memoplate.dynamics import TransportStepper, evolve
+from memoplate.dynamics import MidpointStepper, TransportStepper, evolve
 from memoplate.limits import compare_trajectories
-from memoplate.modes import Params, build_phase_space, initial_data_preset
+from memoplate.modes import (Domain, Params, build_phase_space, dirichlet_eigenvalues,
+                             initial_data_preset)
 
 NO_CC = "no C compiler (cc) on PATH: the steppers run tbtrs"
 
@@ -138,7 +139,7 @@ def test_source_compiles_warning_free_under_exact_flags(tmp_path):
 
 
 def test_empty_blocks_never_reach_the_kernel(compiled, monkeypatch, small_space):
-    sizes = []
+    sizes, finishes = [], []
 
     class Recording:
         def solve(self, n, *args):
@@ -149,35 +150,96 @@ def test_empty_blocks_never_reach_the_kernel(compiled, monkeypatch, small_space)
             sizes.append(n.value)
             compiled.complete(n, *args)
 
+        def finish(self, modes, ne, nx, *args):
+            # the node counts of the histories the finish completes
+            finishes.append(1)
+            sizes.extend(n.value for n in (ne, nx) if n.value)
+            compiled.finish(modes, ne, nx, *args)
+
     monkeypatch.setattr(ctransport, "kernel", lambda: (Recording(), "compiled recording"))
     for params, active in ((Params(0.5, 0.0, 0.0), 1), (Params(0.0, 0.5, 0.0), 1),
                            (Params(0.0, 0.0, 0.0), 0)):
         space = build_phase_space(small_space.modes, params, grid_size=40)
         z0 = initial_data_preset("single-mode", space, 0)
         sizes.clear()
+        finishes.clear()
         evolve(space, z0, 1e-2, 0.1)
         compare_trajectories(space, z0, 1e-2, 0.1)
-        # partial and complete per active block and step: in evolve, and in
-        # compare_trajectories for the system and its reconstructed histories
+        # a solve and a completion per active block and step: in evolve, and
+        # in compare_trajectories for the system and its reconstructed
+        # histories
         assert len(sizes) == 2 * 10 * (1 + 2) * active
         assert all(size == 40 for size in sizes)
+        # one finish per step of evolve's stepper and of compare_trajectories'
+        # system and collapsed steppers, with or without histories
+        assert len(finishes) == 10 * 3
+
+
+def one_mode_space():
+    modes = dirichlet_eigenvalues(Domain("interval", (np.pi,)), 1)
+    return build_phase_space(modes, Params(0.5, 0.25, 0.5), grid_size=80)
 
 
 def test_forced_fallback_is_bitwise_equal(compiled, monkeypatch, small_space):
-    z0 = initial_data_preset("spectral-decay 6", small_space, 0, with_history=True)
-    runs = []
-    for forced in (False, True):
-        with monkeypatch.context() as m:
-            if forced:
-                m.setattr(ctransport, "kernel", lambda: (None, "tbtrs: forced"))
-            traj = evolve(small_space, z0, 1e-2, 0.5)
-            comp = compare_trajectories(small_space, z0, 1e-2, 0.5, t0=0.1)
-        runs.append((traj.u, traj.v, traj.theta, traj.modal_energy, traj.history_energy,
-                     traj.imu, traj.ibe, traj.step_energy, traj.final_state.eta,
-                     traj.final_state.xi, comp.distance, comp.distance_proof,
-                     comp.energy_full, comp.energy_limit, comp.max_step_increase,
-                     comp.eta_mu_norm, comp.eta_nu_norm, comp.xi_norm))
-    assert all(same_bits(a, b) for a, b in zip(*runs))
+    # one mode too, where einsum, and so the kernel, sums in another order
+    for space in (small_space, one_mode_space()):
+        z0 = initial_data_preset("spectral-decay 6", space, 0, with_history=True)
+        runs = []
+        for forced in (False, True):
+            with monkeypatch.context() as m:
+                if forced:
+                    m.setattr(ctransport, "kernel", lambda: (None, "tbtrs: forced"))
+                traj = evolve(space, z0, 1e-2, 0.5)
+                comp = compare_trajectories(space, z0, 1e-2, 0.5, t0=0.1)
+            runs.append((traj.u, traj.v, traj.theta, traj.modal_energy, traj.history_energy,
+                         traj.imu, traj.ibe, traj.step_energy, traj.final_state.eta,
+                         traj.final_state.xi, comp.distance, comp.distance_proof,
+                         comp.energy_full, comp.energy_limit, comp.max_step_increase,
+                         comp.eta_mu_norm, comp.eta_nu_norm, comp.xi_norm))
+        assert all(same_bits(a, b) for a, b in zip(*runs))
+
+
+# (sigma, tau, eps): eta carries mu and nu, xi carries beta
+BLOCK_LAYOUTS = {"eta+xi": Params(0.5, 0.25, 0.5), "eta": Params(0.0, 0.25, 0.5),
+                 "xi": Params(0.5, 0.0, 0.0), "none": Params(0.0, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("layout", list(BLOCK_LAYOUTS))
+@pytest.mark.parametrize("modes", [1, 2, 8, 11])
+def test_step_matches_forced_reference_bitwise(compiled, monkeypatch, modes, layout):
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), modes),
+                              BLOCK_LAYOUTS[layout], grid_size=40)
+    fast = MidpointStepper(space, 1e-2)
+    with monkeypatch.context() as m:
+        m.setattr(ctransport, "kernel", lambda: (None, "tbtrs: the reference"))
+        ref = MidpointStepper(space, 1e-2)
+    assert fast._finish is compiled.finish and ref._finish is ctransport.reference_finish
+    rng = np.random.default_rng(modes)
+    start = tuple(rng.standard_normal(shape) for shape in
+                  ((modes,),) * 3 + ((space.eta_size, modes), (space.xi_size, modes)))
+    for own in (False, True):
+        # the stepper's own work rows and buffers, or a caller's copies
+        s_fast = s_ref = start
+        for _ in range(3):
+            s_fast, s_ref = fast.step(*s_fast), ref.step(*s_ref)
+            assert all(same_bits(a, b) for a, b in zip(s_fast, s_ref))
+            if not own:
+                s_fast, s_ref = (tuple(a.copy() for a in s) for s in (s_fast, s_ref))
+
+
+def test_finish_that_rounds_otherwise_falls_back_by_name(compiled, monkeypatch):
+    # a NumPy whose einsum sums in another order must not pass silently
+    reference = ctransport.reference_finish
+
+    def nudged(*args):
+        reference(*args)
+        x1 = args[8]
+        x1[0] = np.nextafter(x1[0], np.inf)
+
+    monkeypatch.setattr(ctransport, "reference_finish", nudged)
+    kernel, status = ctransport.load()
+    assert kernel is None
+    assert status == "tbtrs: finish differs from einsum at modes = 1, 37 + 5 history nodes"
 
 
 def test_second_load_does_not_compile(tmp_path, monkeypatch):
@@ -253,3 +315,7 @@ def test_compiled_path_is_active():
     kernel, status = ctransport.kernel()
     assert kernel is not None, status
     assert status == f"compiled {kernel.name}"
+    # and so does the triplet half of a step on a space with histories
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), 2),
+                              Params(0.5, 0.25, 0.5), grid_size=40)
+    assert MidpointStepper(space, 1e-3)._finish is kernel.finish

@@ -164,6 +164,29 @@ def test_transport_stepper_takes_only_its_buffers(small_space):
     assert tr.complete(z, np.ones(n)) is z
 
 
+def test_partial_checks_profiles_against_its_own_node_count(interval_modes):
+    # an empty profile is no excuse on a stepper with nodes: it would get
+    # back an uninitialised buffer; a stepper of 0 nodes returns its empty one
+    grid = build_phase_space(interval_modes, Params(0.5, 0.25, 0.5), grid_size=40).eta_grid
+    tr = TransportStepper(grid, 1e-3, 4)
+    assert tr.nodes == 40
+    for k in (0, 1, 4, 5):
+        with pytest.raises(ShapeError):
+            tr.partial(np.zeros((0, k)))
+    empty = TransportStepper(None, 1e-3, 4)
+    assert empty.nodes == 0
+    for shape in ((0, 3), (5, 4)):
+        with pytest.raises(ShapeError):
+            empty.partial(np.zeros(shape))
+    z = empty.partial(np.zeros((0, 4)))
+    assert z.shape == (0, 4) and empty.complete(z, np.ones(4)) is z
+    # and so does a step on a space whose blocks are both collapsed
+    space = build_phase_space(interval_modes, Params(0.0, 0.0, 0.0), grid_size=40)
+    ones = np.ones(4)
+    with pytest.raises(ShapeError):
+        MidpointStepper(space, 1e-3).step(ones, ones, ones, np.ones((7, 4)), np.ones((0, 4)))
+
+
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_step_leaves_its_inputs_unchanged(interval_modes, params, layout):
