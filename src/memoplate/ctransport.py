@@ -1,26 +1,33 @@
-"""The compiled stepping kernel and the NumPy, LAPACK and BLAS reference it
-must match.
+"""The steppers' history-transport backend: a compiled kernel, or the NumPy,
+LAPACK and BLAS reference it must match bitwise, behind one interface.
 
 A step of TransportStepper makes two passes over each history: the solve,
 (I + N)^-1 applied to the profile scaled by 2 D^-1, and the completion, which
-subtracts the old profile and adds the rank-one drive terms. The reference
-runs them as NumPy einsum plus LAPACK tbtrs and as a subtraction plus BLAS
-ger. At this band width tbtrs is mostly call overhead: it costs about 4 ns
-per (mode x node) at every size. SOURCE does each pass in one
-loop nest, with the fused multiply-adds by which OpenBLAS's tbsv and ger
-apply the same updates, so its results are bitwise those of the reference.
-Its (nodes, modes) arrays are the two Fortran-order buffers of a stepper,
-one read and the other written, so the kernel takes no strides and its
-pointers are ``restrict``.
+subtracts the old profile and adds the rank-one drive terms. The finish is
+the triplet half of a MidpointStepper step, once the step's quadratures are
+in: the memory load, the per-mode 3x3 map, the drive sums and the completion
+of both histories.
 
-A third entry, midpoint_finish, is the triplet half of a MidpointStepper
-step, once the step's quadratures are in: the memory load, the per-mode
-3x3 map, the drive sums and the completion of both histories, in one call
-where reference_finish makes five small NumPy calls and two
-completions. It sums the map in numpy.einsum's order, which is in sequence
-over the five entries for two or more modes and pairwise-interleaved for
-one. A NumPy that sums otherwise fails the self-check below, by name, and
-the steppers fall back to the reference.
+Both backends have these three entries, ``solve(n, modes, band, s, p, x)``,
+``complete(n, modes, t, r, p, z)`` and ``finish(modes, ne, nx, a, map, g,
+g2, x, x1, re, pe, ze, rx, px, zx)``, plus ``arguments(*values)``, which
+turns a call's numbers and arrays into what the entries take. A stepper
+builds its calls' arguments once and calls the entries of ``kernel()[0]``
+without asking which backend it is: ``kernel()`` decides that once per
+process.
+
+Reference runs the entries as an einsum scaling plus LAPACK tbtrs, a
+subtraction plus BLAS ger, and five small NumPy calls plus two completions.
+At this band width tbtrs is mostly call overhead: it costs about 4 ns per
+(mode x node) at every size. Kernel is the library built from SOURCE, which
+does each entry in one loop nest, with the fused multiply-adds by which
+OpenBLAS's tbsv and ger apply the same updates, so its results are bitwise
+those of Reference. Its (nodes, modes) arrays are the two Fortran-order
+buffers of a stepper, one read and the other written, so the kernel takes no
+strides and its pointers are ``restrict``. The finish sums the map in
+numpy.einsum's order, which is in sequence over the five entries for two or
+more modes and pairwise-interleaved for one. A NumPy that sums otherwise
+fails the self-check below, by name, and the steppers run Reference.
 
 The C source is compiled with the system ``cc`` on first use, into
 ``$XDG_CACHE_HOME/memoplate`` (``~/.cache/memoplate`` by default), a
@@ -29,12 +36,12 @@ command and the CPU's feature flags, because ``-march=native`` code must not
 run on another CPU that shares the home directory. The library is built
 under a temporary name and moved into place, so concurrent first runs never
 load a partial file, and later runs load it without invoking the compiler.
-``load`` then runs each entry against its reference on irregular and zero
-inputs, the finish at 1, 2, 8 and 11 modes with both histories, one or
-none, and keeps the kernel only if every result is bitwise equal. Without
-a compiler, on a build error, with an unusable cache directory or on a
-mismatch, the steppers run the reference, and the reason, naming the entry
-that differed, is reported.
+``load`` then makes every call of ``cases`` on both backends (irregular and
+zero inputs, the finish at 1, 2, 8 and 11 modes with both histories, one or
+none) and keeps the kernel only if every array the calls leave behind is
+bitwise equal. Without a compiler, on a build error, with an unusable cache
+directory or on a mismatch, the steppers run Reference, and the reason,
+naming the entry that differed, is reported.
 """
 from __future__ import annotations
 
@@ -152,28 +159,6 @@ _TBTRS, = get_lapack_funcs(("tbtrs",), dtype=np.float64)
 _GER, = get_blas_funcs(("ger",), dtype=np.float64)
 
 
-def reference_solve(band: np.ndarray, scale: np.ndarray, profile: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """(I + N)^-1 (scale * profile), with I + N unit lower bidiagonal in
-    LAPACK band storage ``band`` (2, nodes): the scaling by einsum into the
-    Fortran-order ``out``, then tbtrs in place. Returns the solution."""
-    # einsum, not a broadcast multiply: NumPy's ufunc iterator allocates a
-    # buffer of up to 64 KB for the broadcast operand
-    x, info = _TBTRS(band, np.einsum("i,ij->ij", scale, profile, out=out),
-                     uplo="L", diag="U", overwrite_b=True)
-    if info != 0:
-        raise SingularStepError(f"triangular transport solve failed (info {info})")
-    return x
-
-
-def reference_complete(a: float, response: np.ndarray, drive: np.ndarray, z: np.ndarray,
-                       profile: np.ndarray) -> np.ndarray:
-    """z - profile + a * response * drive (modes,) by a subtraction and BLAS
-    ger, both in place in the Fortran-order ``z``, which is returned."""
-    np.subtract(z, profile, out=z)
-    return _GER(a, response, drive, a=z, overwrite_a=True)
-
-
 def memory_load(g: np.ndarray, g2: np.ndarray, q: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The nonzero entries (g2 q_beta, g q_mu + q_nu) of the memory load of
     quadratures q = (q_mu, q_nu, q_beta), written into the rows of ``out``
@@ -183,51 +168,89 @@ def memory_load(g: np.ndarray, g2: np.ndarray, q: np.ndarray, out: np.ndarray) -
     return out
 
 
-def reference_finish(modes: int, ne: int, nx: int, a: float, map: np.ndarray, g: np.ndarray,
-                     g2: np.ndarray, x: np.ndarray, x1: np.ndarray,
-                     re: np.ndarray, pe: np.ndarray, ze: np.ndarray,
-                     rx: np.ndarray, px: np.ndarray, zx: np.ndarray,
-                     drive: np.ndarray) -> None:
-    """midpoint_finish by NumPy, on its arguments as numbers and arrays, with
-    ``drive`` (2, modes) the scratch of the drive sums: memory_load into
-    x[3:5], the einsum of ``map`` and x[:5] into x1[:3], and
-    reference_complete of each block with nodes."""
-    memory_load(g, g2, x[5:8], x[3:5])
-    np.einsum("nij,jn->in", map, x[:5], out=x1[:3])
-    np.add(x[1:3], x1[1:3], out=drive)
-    if ne:
-        reference_complete(a, re, drive[1], ze, pe)
-    if nx:
-        reference_complete(a, rx, drive[0], zx, px)
+class Reference:
+    """The entries by NumPy, LAPACK and BLAS, on their arguments as numbers
+    and arrays, each (n, modes) array in Fortran order as the kernel's are.
+    Like the kernel's, they write into their output arrays and return
+    nothing."""
+
+    @staticmethod
+    def arguments(*values) -> tuple:
+        """The values unchanged: the entries take numbers and arrays."""
+        return values
+
+    @staticmethod
+    def solve(n, modes, band, s, p, x) -> None:
+        """x = (I + N)^-1 (s * p), with I + N unit lower bidiagonal in LAPACK
+        band storage ``band`` (2, n): the scaling by einsum into x, then tbtrs
+        in place. Needs n > 0, since tbtrs on 0 rows corrupts the heap."""
+        # einsum, not a broadcast multiply: NumPy's ufunc iterator allocates a
+        # buffer of up to 64 KB for the broadcast operand
+        info = _TBTRS(band, np.einsum("i,ij->ij", s, p, out=x), uplo="L", diag="U",
+                      overwrite_b=True)[1]
+        if info != 0:
+            raise SingularStepError(f"triangular transport solve failed (info {info})")
+
+    @staticmethod
+    def complete(n, modes, t, r, p, z) -> None:
+        """z = (z - p) + r t^T, for t (modes,), by a subtraction and BLAS ger
+        with alpha 1, both in place. ger forms alpha t_m first, so for
+        t = a drive this is ger(a, r, drive) to the bit."""
+        np.subtract(z, p, out=z)
+        _GER(1.0, r, t, a=z, overwrite_a=True)
+
+    @staticmethod
+    def finish(modes, ne, nx, a, map, g, g2, x, x1, re, pe, ze, rx, px, zx) -> None:
+        """The triplet half of a step in NumPy: memory_load into x[3:5], the
+        einsum of ``map`` and x[:5] into x1[:3], and the completion of each
+        block with nodes by a times its drive sum, eta by x[2] + x1[2] and xi
+        by x[1] + x1[1]."""
+        memory_load(g, g2, x[5:8], x[3:5])
+        np.einsum("nij,jn->in", map, x[:5], out=x1[:3])
+        t = a * (x[1:3] + x1[1:3])
+        if ne:
+            Reference.complete(ne, modes, t[1], re, pe, ze)
+        if nx:
+            Reference.complete(nx, modes, t[0], rx, px, zx)
 
 
 class KernelUnavailable(Exception):
     """The compiled kernel cannot be built or loaded; the message says why."""
 
 
+_SIZE, _PTR = ctypes.c_ssize_t, ctypes.c_void_p
+# entry: (C function, argument types)
+ENTRIES = {"solve": ("transport_solve", (_SIZE,) * 2 + (_PTR,) * 4),
+           "complete": ("transport_complete", (_SIZE,) * 2 + (_PTR,) * 4),
+           "finish": ("midpoint_finish", (_SIZE,) * 3 + (ctypes.c_double,) + (_PTR,) * 11)}
+
+
 class Kernel:
-    """The loaded library. ``solve(n, modes, band, s, p, x)`` and
-    ``complete(n, modes, t, r, p, z)`` take the sizes and the data addresses
-    of their vectors and of Fortran-order (n, modes) arrays p and x or z,
-    which must not overlap. ``finish(modes, ne, nx, a, map, g, g2, x, x1,
-    re, pe, ze, rx, px, zx)`` takes the sizes, the scalar a and the data
-    addresses of reference_finish's arrays."""
+    """The loaded library. Its entries take Reference's arguments as
+    ctypes objects: the sizes, the scalar a and the data addresses of the
+    arrays, of which no two overlap."""
 
     def __init__(self, path: Path):
         try:
             lib = ctypes.CDLL(str(path))
         except OSError as exc:
             raise KernelUnavailable(f"cannot load {path.name}: {exc}") from None
-        size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
-        self.solve, self.complete = lib.transport_solve, lib.transport_complete
-        for fn in (self.solve, self.complete):
-            fn.argtypes = (size, size, ptr, ptr, ptr, ptr)
-            fn.restype = None
-        self.finish = lib.midpoint_finish
-        self.finish.argtypes = (size, size, size, ctypes.c_double) + (ptr,) * 11
-        self.finish.restype = None
+        for entry, (symbol, types) in ENTRIES.items():
+            fn = getattr(lib, symbol)
+            fn.argtypes, fn.restype = types, None
+            setattr(self, entry, fn)
         self.name = path.name
         self._lib = lib
+
+    @staticmethod
+    def arguments(*values) -> tuple:
+        """The arguments of a call as ctypes objects: an array as its data
+        address, a float as a double and an int as a size. ctypes converts
+        its own objects faster than Python numbers, by about 0.05 us an
+        argument, so a stepper builds its calls' arguments once."""
+        return tuple(ctypes.c_void_p(v.ctypes.data) if isinstance(v, np.ndarray)
+                     else ctypes.c_double(v) if isinstance(v, float) else ctypes.c_ssize_t(v)
+                     for v in values)
 
 
 def cpu_flags() -> str:
@@ -288,50 +311,10 @@ def build() -> Path:
     return path
 
 
-def arguments(*values) -> tuple:
-    """The arguments of a call as ctypes objects: an array as its data
-    address, a float as a double and an int as a size. ctypes converts its
-    own objects faster than Python numbers, by about 0.05 us an argument, so
-    a stepper builds its calls' arguments once."""
-    return tuple(ctypes.c_void_p(v.ctypes.data) if isinstance(v, np.ndarray)
-                 else ctypes.c_double(v) if isinstance(v, float) else ctypes.c_ssize_t(v)
-                 for v in values)
-
-
 def _spread(count: int, seed: float) -> np.ndarray:
     """``count`` irregular values in (0, 1) with full mantissas, the same in
     every process: the fractional parts of seed + k times the golden ratio."""
     return np.modf(seed + 0.6180339887498949 * np.arange(1, count + 1))[0]
-
-
-def mismatch(kernel: Kernel) -> str | None:
-    """None if the kernel's solve and complete equal reference_solve and
-    reference_complete bitwise on irregular and zero inputs, both for a
-    block of eight modes and for a partial one, with every array in Fortran
-    order; else which pass differed."""
-    bits = np.uint64
-    for n, modes in ((1, 1), (37, 11), (64, 8)):
-        band = np.ones((2, n), order="F")
-        band[1] = -_spread(n, 0.1)
-        scale, response = 0.5 + 1.5 * _spread(n, 0.2), _spread(n, 0.3)
-        a = 0.0123456789
-        irregular = 4.0 * _spread(n * modes, 0.4).reshape((n, modes), order="F") - 2.0
-        for profile in (irregular, np.zeros((n, modes), order="F")):
-            where = f"at {n} x {modes}"
-            ref = reference_solve(band, scale, profile, np.empty((n, modes), order="F"))
-            got = np.empty((n, modes), order="F")
-            kernel.solve(n, modes, band.ctypes.data, scale.ctypes.data, profile.ctypes.data,
-                         got.ctypes.data)
-            if not np.array_equal(got.view(bits), ref.view(bits)):
-                return f"solve differs from tbtrs {where}"
-            for drive in (2.0 * _spread(modes, 0.5) - 1.0, np.zeros(modes)):
-                want = reference_complete(a, response, drive, ref.copy(order="F"), profile)
-                t, z = a * drive, got.copy(order="F")
-                kernel.complete(n, modes, t.ctypes.data, response.ctypes.data,
-                                profile.ctypes.data, z.ctypes.data)
-                if not np.array_equal(z.view(bits), want.view(bits)):
-                    return f"complete differs from ger {where}"
-    return _finish_mismatch(kernel)
 
 
 def _data(shape: tuple, seed: float, zero: bool, order: str = "C") -> np.ndarray:
@@ -342,11 +325,24 @@ def _data(shape: tuple, seed: float, zero: bool, order: str = "C") -> np.ndarray
     return y
 
 
-def _finish_mismatch(kernel: Kernel) -> str | None:
-    """None if the kernel's finish equals reference_finish bitwise at 1, 2,
-    8 and 11 modes, with both histories, one or none, on irregular inputs
-    and on zero ones under a negative map; else where it differed."""
-    bits = np.uint64
+def cases():
+    """The self-check's calls (entry, where, values), each on irregular and
+    on zero inputs: the solve and the completion at n x modes = 1 x 1,
+    37 x 11 and 64 x 8, so for a block of eight modes and for partial ones,
+    and the finish at 1, 2, 8 and 11 modes with 37 + 5, 37 + 0, 0 + 5 and
+    0 + 0 history nodes. ``where`` names the reference's call and the size."""
+    a = 0.0123456789
+    for n, modes in ((1, 1), (37, 11), (64, 8)):
+        band = np.ones((2, n), order="F")
+        band[1] = -_spread(n, 0.1)
+        scale, response = 0.5 + 1.5 * _spread(n, 0.2), _spread(n, 0.3)
+        for zero in (False, True):
+            profile = _data((n, modes), 0.4, zero, "F")
+            yield ("solve", f"tbtrs at {n} x {modes}",
+                   (n, modes, band, scale, profile, np.zeros((n, modes), order="F")))
+            for drive in (2.0 * _spread(modes, 0.5) - 1.0, np.zeros(modes)):
+                yield ("complete", f"ger at {n} x {modes}",
+                       (n, modes, a * drive, response, profile, _data((n, modes), 0.6, zero, "F")))
     for modes in (1, 2, 8, 11):
         g = 1.0 + 40.0 * _spread(modes, 0.6)
         signed = 2.0 * _spread(15 * modes, 0.7).reshape(modes, 3, 5) - 1.0
@@ -354,37 +350,41 @@ def _finish_mismatch(kernel: Kernel) -> str | None:
             for zero in (False, True):
                 # every product is -0 in the zero case, and the sums read +0
                 # only from a zeroed start, as einsum's do
-                values = (modes, ne, nx, 0.0123456789, -np.abs(signed) if zero else signed,
-                          g, g * g, _data((8, modes), 0.8, zero), np.ones((8, modes)),
-                          _spread(ne, 0.9), _data((ne, modes), 0.1, zero, "F"),
-                          _data((ne, modes), 0.2, zero, "F"), _spread(nx, 0.3),
-                          _data((nx, modes), 0.4, zero, "F"), _data((nx, modes), 0.5, zero, "F"))
-                mine = tuple(v.copy(order="K") if isinstance(v, np.ndarray) else v
-                             for v in values)
-                reference_finish(*values, np.empty((2, modes)))
-                kernel.finish(*arguments(*mine))
-                if not all(np.array_equal(v.view(bits), w.view(bits))
-                           for v, w in zip(values, mine) if isinstance(v, np.ndarray)):
-                    return (f"finish differs from einsum at modes = {modes}, "
-                            f"{ne} + {nx} history nodes")
+                yield ("finish", f"einsum at modes = {modes}, {ne} + {nx} history nodes",
+                       (modes, ne, nx, a, -np.abs(signed) if zero else signed, g, g * g,
+                        _data((8, modes), 0.8, zero), np.ones((8, modes)), _spread(ne, 0.9),
+                        _data((ne, modes), 0.1, zero, "F"), _data((ne, modes), 0.2, zero, "F"),
+                        _spread(nx, 0.3), _data((nx, modes), 0.4, zero, "F"),
+                        _data((nx, modes), 0.5, zero, "F")))
+
+
+def mismatch(kernel: Kernel) -> str | None:
+    """None if every call of ``cases`` leaves each of its arrays bitwise the
+    same in the kernel as in Reference; else which entry differed, from
+    what and where."""
+    for entry, where, values in cases():
+        mine = tuple(v.copy(order="K") if isinstance(v, np.ndarray) else v for v in values)
+        getattr(Reference, entry)(*values)
+        getattr(kernel, entry)(*kernel.arguments(*mine))
+        if not all(v.tobytes() == w.tobytes()
+                   for v, w in zip(values, mine) if isinstance(v, np.ndarray)):
+            return f"{entry} differs from {where}"
     return None
 
 
-def load() -> tuple[Kernel | None, str]:
+def load() -> tuple[Kernel | type[Reference], str]:
     """(kernel, "compiled <file>") when the kernel builds, loads and passes
-    ``mismatch``; else (None, "tbtrs: <reason>")."""
+    ``mismatch``; else (Reference, "tbtrs: <reason>")."""
     try:
         kernel = Kernel(build())
     except KernelUnavailable as exc:
-        return None, f"tbtrs: {exc}"
+        return Reference, f"tbtrs: {exc}"
     differs = mismatch(kernel)
-    if differs:
-        return None, f"tbtrs: {differs}"
-    return kernel, f"compiled {kernel.name}"
+    return (Reference, f"tbtrs: {differs}") if differs else (kernel, f"compiled {kernel.name}")
 
 
 @functools.cache
-def kernel() -> tuple[Kernel | None, str]:
-    """``load()``, once per process: what every TransportStepper with nodes
-    runs, and the manifest's ``versions.transport``."""
+def kernel() -> tuple[Kernel | type[Reference], str]:
+    """``load()``, once per process: the backend the steppers run, and the
+    manifest's ``versions.transport``."""
     return load()

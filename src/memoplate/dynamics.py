@@ -23,22 +23,22 @@ are folded into the 3x3 map once, and enter the new history as one
 rank-one update with the old and new drive summed.
 
 A step with both histories makes five foreign calls, each one pass over a
-history array or less: the compiled kernel of ctransport solves each
+history array or less: the transport backend of ctransport solves each
 history (two calls, the scaled substitution); np.matmul takes the memory
-load's quadratures of the solves (two BLAS calls); and one last compiled
-call does the triplet half, from the quadratures to the load, the 3x3 map
-of every mode, the drive sums and the update of each history in place. So
-a step makes three passes over each history array. The quadratures stay in
-BLAS, whose summation order the stepped states' bits rest on. Where the
-kernel is not in use, the reference it matches bitwise (an einsum scaling
-and LAPACK tbtrs, NumPy's load, map and sums, a subtraction and BLAS ger)
-makes five passes.
+load's quadratures of the solves (two BLAS calls); and the backend's finish
+does the triplet half, from the quadratures to the load, the 3x3 map of
+every mode, the drive sums and the update of each history in place. The
+quadratures stay in BLAS, whose summation order the stepped states' bits
+rest on. The steppers do not know which backend runs: ctransport.kernel()
+gives the compiled kernel, which makes three passes over each history
+array a step, or its bitwise reference, which makes five, and the steppers
+build its calls' arguments once and call its entries.
 
 A step allocates no state array. Each TransportStepper owns two history
 buffers and each MidpointStepper two triplet work arrays, allocated once.
 A step reads its input from one of them, copied there first when it is a
 caller's array such as the initial state, and writes into the other; the
-compiled kernel touches no array but the steppers' own. The arrays a step
+backend touches no array but the steppers' own. The arrays a step
 returns therefore belong to the stepper and stay valid until the step after
 next; a caller that keeps a state longer copies it. The stepping
 driver measures each state's energy with PhaseEnergy, whose eigenvalue
@@ -54,8 +54,7 @@ import numpy as np
 import scipy.linalg
 
 from . import ctransport
-from .ctransport import (arguments, memory_load, reference_complete, reference_finish,
-                         reference_solve)
+from .ctransport import Reference, memory_load
 from .errors import DomainError, ShapeError, SingularStepError, UnsupportedOracleError
 from .kernels import kernel_moment
 from .modes import (ModeSet, Params, PhaseEnergy, PhaseSpace, PhaseVector, aligned_empty,
@@ -137,12 +136,10 @@ class TransportStepper:
     the old profile alone, and complete() subtracts the old profile and adds
     the old and the new drive's share in place.
 
-    Both passes run in the compiled kernel of ctransport when it loads and
-    matches the reference bitwise on this host, and otherwise as that
-    reference: an einsum scaling and LAPACK tbtrs, a subtraction and BLAS
-    ger. Either way the results are the same bits. An absent block (grid
-    None) has 0 nodes and never reaches the kernel, LAPACK or BLAS, where
-    tbtrs on 0 rows corrupts the heap.
+    Both passes are calls of the backend ctransport.kernel() gives, the
+    compiled kernel or its reference, with the same bits either way. An
+    absent block (grid None) has 0 nodes and never reaches the backend,
+    where tbtrs on 0 rows corrupts the heap.
 
     The stepper owns two (nodes, modes) Fortran-order buffers for the whole
     run, and both passes read and write only those. A profile that is one
@@ -151,7 +148,7 @@ class TransportStepper:
     writes into the other buffer, and complete() reads the old profile back
     from the buffer that partial() did not write. A stepped profile is
     therefore valid until the step after next, which writes into its buffer
-    again. The kernel's arguments for both directions, read buffer k and
+    again. The backend's arguments for both directions, read buffer k and
     write buffer 1 - k, are built once, here.
     """
 
@@ -165,27 +162,31 @@ class TransportStepper:
         self._band = np.zeros((2, c.size), order="F")
         self._band[0] = 1.0
         self._band[1, :-1] = -c[1:] * dinv[1:]
+        self.nodes = c.size
+        self._buffers = tuple(aligned_empty((c.size, modes), order="F") for _ in range(2))
         # response of the implicit half to a unit constant drive, by the
         # reference directly so that solve() runs once per active history
         # block and step
-        self.unit_response = np.zeros(0) if not c.size else reference_solve(
-            self._band, dinv, np.ones((c.size, 1)), np.empty((c.size, 1), order="F"))[:, 0]
-        self.nodes = c.size
-        self._buffers = tuple(aligned_empty((c.size, modes), order="F") for _ in range(2))
-        self._kernel = ctransport.kernel()[0] if c.size else None
-        if self._kernel is not None:
-            self._scaled_drive = np.empty(modes)
-            # (read, written) pairs, indexed by the buffer read as the profile
-            pairs = (self._buffers, self._buffers[::-1])
-            self._solve_args = tuple(arguments(c.size, modes, self._band, self._two_dinv, *rw)
-                                     for rw in pairs)
-            self._complete_args = tuple(arguments(c.size, modes, self._scaled_drive,
-                                                  self.unit_response, *rw) for rw in pairs)
+        response = np.zeros((c.size, 1), order="F")
+        self.unit_response = response[:, 0]
+        if not c.size:
+            # a stepper of 0 nodes never calls a backend
+            return
+        Reference.solve(c.size, 1, self._band, dinv, np.ones((c.size, 1)), response)
+        self._scaled_drive = np.empty(modes)
+        self._backend = backend = ctransport.kernel()[0]
+        # (read, written) pairs, indexed by the buffer read as the profile
+        pairs = (self._buffers, self._buffers[::-1])
+        self._solve_args = tuple(backend.arguments(c.size, modes, self._band, self._two_dinv, *rw)
+                                 for rw in pairs)
+        self._complete_args = tuple(backend.arguments(c.size, modes, self._scaled_drive,
+                                                      self.unit_response, *rw) for rw in pairs)
 
     def solve(self, profile: np.ndarray) -> np.ndarray:
         """2 (I - aT)^-1 profile = (I + N)^-1 (2 D^-1 profile) for a profile
-        (nodes, modes) with nodes, written into the buffer that does not
-        hold it and returned. ShapeError for any other shape."""
+        (nodes, modes), written into the buffer that does not hold it and
+        returned; with 0 nodes there is nothing to solve. ShapeError for any
+        other shape."""
         buffers = self._buffers
         k = 0 if profile is buffers[0] else 1
         if profile is not buffers[k]:
@@ -194,9 +195,8 @@ class TransportStepper:
                 raise ShapeError(f"transport profile must have shape {buffers[1].shape}, "
                                  f"got {profile.shape}")
             np.copyto(buffers[1], profile)
-        if self._kernel is None:
-            return reference_solve(self._band, self._two_dinv, buffers[k], buffers[1 - k])
-        self._kernel.solve(*self._solve_args[k])
+        if self.nodes:
+            self._backend.solve(*self._solve_args[k])
         return buffers[1 - k]
 
     def partial(self, profile: np.ndarray) -> np.ndarray:
@@ -221,11 +221,8 @@ class TransportStepper:
         if z is not self._buffers[1 - k]:
             raise ShapeError("complete() takes the buffer that partial() returned, "
                              "not another array")
-        if self._kernel is None:
-            return reference_complete(self.a, self.unit_response, drive_sum, z,
-                                      self._buffers[k])
         np.multiply(drive_sum, self.a, out=self._scaled_drive)
-        self._kernel.complete(*self._complete_args[k])
+        self._backend.complete(*self._complete_args[k])
         return z
 
 
@@ -259,17 +256,16 @@ class MidpointStepper:
     given.
 
     Calls: a step with histories solves each one (TransportStepper.partial,
-    one compiled call each) and writes the quadratures of the solves into
+    one backend call each) and writes the quadratures of the solves into
     rows 5-7 (np.matmul, one BLAS call per history). One call of the
-    kernel's midpoint_finish then does the rest: the load rows 3-4, the new
-    triplet by the map, summed in numpy.einsum's order, the drive sums
+    backend's finish then does the rest: the load rows 3-4, the new triplet
+    by the map, summed in numpy.einsum's order, the drive sums
     a (theta + theta1) and a (v + v1), and the completion of each history
-    with nodes, in the buffer its solve wrote. ctransport.reference_finish
-    is the same call by NumPy and runs where the kernel does not. The
-    call's arguments are built once, for each work array read and each
-    pair of buffers the solves can write. With both blocks collapsed a step
-    checks the histories' shapes and makes that one call, with a zero load
-    and no completion.
+    with nodes, in the buffer its solve wrote. The call's arguments are
+    built once, for each work array read and each pair of buffers the
+    solves can write. With both blocks collapsed a step checks the
+    histories' shapes and makes that one call, with a zero load and no
+    completion.
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
@@ -313,16 +309,15 @@ class MidpointStepper:
 
         # the finish's arguments, indexed by the work array read and the eta
         # and xi buffers the solves wrote
-        kernel = ctransport.kernel()[0]
-        self._finish = reference_finish if kernel is None else kernel.finish
-        drive = np.empty((2, n))
+        backend = ctransport.kernel()[0]
+        self._finish = backend.finish
 
         def finish_args(k, ie, ix):
             eb, xb = self.eta_t._buffers, self.xi_t._buffers
-            values = (n, self.eta_t.nodes, self.xi_t.nodes, a, self.map, g, g2, self._work[k],
-                      self._work[1 - k], self.eta_t.unit_response, eb[1 - ie], eb[ie],
-                      self.xi_t.unit_response, xb[1 - ix], xb[ix])
-            return values + (drive,) if kernel is None else arguments(*values)
+            return backend.arguments(n, self.eta_t.nodes, self.xi_t.nodes, a, self.map, g, g2,
+                                     self._work[k], self._work[1 - k], self.eta_t.unit_response,
+                                     eb[1 - ie], eb[ie], self.xi_t.unit_response, xb[1 - ix],
+                                     xb[ix])
 
         self._finish_args = tuple(tuple(tuple(finish_args(k, ie, ix) for ix in (0, 1))
                                         for ie in (0, 1)) for k in (0, 1))

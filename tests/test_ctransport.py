@@ -7,12 +7,16 @@ buffer, and through whole runs. The C source must compile warning-free under
 flags that keep every rounding. Building, caching and every fallback are
 checked in a temporary cache directory.
 """
+import ctypes
+import inspect
 import json
 import os
 import platform
+import re
 import shutil
 import stat
 import subprocess
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,14 +40,14 @@ def same_bits(x, y) -> bool:
 @pytest.fixture()
 def compiled():
     kernel, status = ctransport.kernel()
-    if kernel is None:
+    if kernel is ctransport.Reference:
         pytest.skip(f"compiled kernel unavailable ({status})")
     return kernel
 
 
 def reference_stepper(monkeypatch, grid, dt, modes) -> TransportStepper:
     with monkeypatch.context() as m:
-        m.setattr(ctransport, "kernel", lambda: (None, "tbtrs: the reference"))
+        m.setattr(ctransport, "kernel", lambda: (ctransport.Reference, "tbtrs: the reference"))
         return TransportStepper(grid, dt, modes)
 
 
@@ -73,7 +77,7 @@ def test_kernel_matches_tbtrs_and_ger_bitwise(compiled, monkeypatch, name):
                 continue
             ref = reference_stepper(monkeypatch, grid, dt, n)
             fast = TransportStepper(grid, dt, n)
-            assert fast._kernel is compiled and ref._kernel is None
+            assert fast._backend is compiled and ref._backend is ctransport.Reference
             assert same_bits(fast.unit_response, ref.unit_response)
             shape = (grid.spacing.size, n)
             for layout in ("F", "C", "view"):
@@ -103,7 +107,7 @@ def test_kernel_matches_tbtrs_and_ger_bitwise(compiled, monkeypatch, name):
 def test_view_of_own_buffer_gives_the_bits_of_its_copy(monkeypatch, small_space, forced):
     # a view is not the buffer object, so it is copied into buffer 1 before
     # the solve writes buffer 0, whichever buffer it views
-    if not forced and ctransport.kernel()[0] is None:
+    if not forced and ctransport.kernel()[0] is ctransport.Reference:
         pytest.skip(f"compiled kernel unavailable ({ctransport.kernel()[1]})")
     grid, n = small_space.eta_grid, small_space.modes.count
 
@@ -142,6 +146,8 @@ def test_empty_blocks_never_reach_the_kernel(compiled, monkeypatch, small_space)
     sizes, finishes = [], []
 
     class Recording:
+        arguments = staticmethod(compiled.arguments)
+
         def solve(self, n, *args):
             sizes.append(n.value)
             compiled.solve(n, *args)
@@ -188,7 +194,7 @@ def test_forced_fallback_is_bitwise_equal(compiled, monkeypatch, small_space):
         for forced in (False, True):
             with monkeypatch.context() as m:
                 if forced:
-                    m.setattr(ctransport, "kernel", lambda: (None, "tbtrs: forced"))
+                    m.setattr(ctransport, "kernel", lambda: (ctransport.Reference, "tbtrs: forced"))
                 traj = evolve(space, z0, 1e-2, 0.5)
                 comp = compare_trajectories(space, z0, 1e-2, 0.5, t0=0.1)
             runs.append((traj.u, traj.v, traj.theta, traj.modal_energy, traj.history_energy,
@@ -211,9 +217,9 @@ def test_step_matches_forced_reference_bitwise(compiled, monkeypatch, modes, lay
                               BLOCK_LAYOUTS[layout], grid_size=40)
     fast = MidpointStepper(space, 1e-2)
     with monkeypatch.context() as m:
-        m.setattr(ctransport, "kernel", lambda: (None, "tbtrs: the reference"))
+        m.setattr(ctransport, "kernel", lambda: (ctransport.Reference, "tbtrs: the reference"))
         ref = MidpointStepper(space, 1e-2)
-    assert fast._finish is compiled.finish and ref._finish is ctransport.reference_finish
+    assert fast._finish is compiled.finish and ref._finish is ctransport.Reference.finish
     rng = np.random.default_rng(modes)
     start = tuple(rng.standard_normal(shape) for shape in
                   ((modes,),) * 3 + ((space.eta_size, modes), (space.xi_size, modes)))
@@ -227,19 +233,84 @@ def test_step_matches_forced_reference_bitwise(compiled, monkeypatch, modes, lay
                 s_fast, s_ref = (tuple(a.copy() for a in s) for s in (s_fast, s_ref))
 
 
-def test_finish_that_rounds_otherwise_falls_back_by_name(compiled, monkeypatch):
-    # a NumPy whose einsum sums in another order must not pass silently
-    reference = ctransport.reference_finish
+# entry: (index of an array it writes, the status of its first self-check case)
+FIRST_CASES = {"solve": (5, "solve differs from tbtrs at 1 x 1"),
+               "complete": (5, "complete differs from ger at 1 x 1"),
+               "finish": (8, "finish differs from einsum at modes = 1, 37 + 5 history nodes")}
+
+
+@pytest.mark.parametrize("entry", list(FIRST_CASES))
+def test_entry_that_rounds_otherwise_falls_back_by_name(compiled, monkeypatch, entry):
+    # a LAPACK, BLAS or NumPy that rounds otherwise, such as an einsum that
+    # sums in another order, must not pass silently
+    reference = getattr(ctransport.Reference, entry)
+    written, why = FIRST_CASES[entry]
 
     def nudged(*args):
         reference(*args)
-        x1 = args[8]
-        x1[0] = np.nextafter(x1[0], np.inf)
+        out = args[written]
+        out.flat[0] = np.nextafter(out.flat[0], np.inf)
 
-    monkeypatch.setattr(ctransport, "reference_finish", nudged)
-    kernel, status = ctransport.load()
-    assert kernel is None
-    assert status == "tbtrs: finish differs from einsum at modes = 1, 37 + 5 history nodes"
+    monkeypatch.setattr(ctransport.Reference, entry, nudged)
+    backend, status = ctransport.load()
+    assert backend is ctransport.Reference
+    assert status == f"tbtrs: {why}"
+
+
+@pytest.mark.parametrize("entry", list(FIRST_CASES))
+def test_kernel_that_writes_an_input_fails_the_check(compiled, entry):
+    # the self-check compares every array a call leaves behind, its inputs
+    # too: here the band, the scaled drive or the map
+    first = ctransport.ENTRIES[entry][1].index(ctypes.c_void_p)
+
+    def scribbling(*args):
+        getattr(compiled, entry)(*args)
+        ctypes.c_double.from_address(args[first].value).value += 1.0
+
+    kernel = SimpleNamespace(arguments=compiled.arguments,
+                             **{e: getattr(compiled, e) for e in ctransport.ENTRIES})
+    setattr(kernel, entry, scribbling)
+    assert ctransport.mismatch(kernel) == FIRST_CASES[entry][1]
+
+
+def test_every_entry_has_a_reference_and_a_check():
+    # a C entry added without a reference of its arity or a self-check case
+    # fails here
+    exported = set(re.findall(r"^void (\w+)\(", ctransport.SOURCE, re.MULTILINE))
+    assert exported == {symbol for symbol, _ in ctransport.ENTRIES.values()}
+    for entry, (_, types) in ctransport.ENTRIES.items():
+        assert len(inspect.signature(getattr(ctransport.Reference, entry)).parameters) \
+            == len(types)
+    checked = set()
+    for entry, _, values in ctransport.cases():
+        assert len(values) == len(ctransport.ENTRIES[entry][1])
+        checked.add(entry)
+    assert checked == set(ctransport.ENTRIES)
+
+
+def test_zero_node_stepper_calls_no_backend(monkeypatch):
+    # an absent block must not reach tbtrs, where 0 rows corrupt the heap,
+    # nor the compiled solve, which reads the first scale
+    calls = []
+
+    def recorded(name):
+        return lambda *args, **kwargs: calls.append(name) or (None, 0)
+
+    # a backend class, as ctransport.Reference is
+    class Recording:
+        def arguments(*values):
+            return values
+
+        solve, complete, finish = recorded("solve"), recorded("complete"), recorded("finish")
+
+    monkeypatch.setattr(ctransport, "_TBTRS", recorded("tbtrs"))
+    monkeypatch.setattr(ctransport, "_GER", recorded("ger"))
+    monkeypatch.setattr(ctransport, "kernel", lambda: (Recording, "compiled recording"))
+    empty = TransportStepper(None, 1e-3, 4)
+    solved = empty.solve(np.zeros((0, 4)))
+    completed = empty.complete(empty.partial(np.zeros((0, 4))), np.ones(4))
+    assert calls == []
+    assert solved.shape == completed.shape == (0, 4)
 
 
 def test_second_load_does_not_compile(tmp_path, monkeypatch):
@@ -289,8 +360,8 @@ def test_unavailable_kernel_falls_back_and_says_why(tmp_path, monkeypatch, case)
         (tmp_path / "memoplate").mkdir(mode=0o700)
         os.chown(tmp_path / "memoplate", 4321, -1)
         why = f"tbtrs: cache directory {tmp_path / 'memoplate'} belongs to another user"
-    kernel, status = ctransport.load()
-    assert kernel is None and status.startswith(why), status
+    backend, status = ctransport.load()
+    assert backend is ctransport.Reference and status.startswith(why), status
     if (tmp_path / "memoplate").is_dir():
         assert not any(p.suffix == ".so" for p in (tmp_path / "memoplate").iterdir())
 
@@ -313,7 +384,7 @@ def test_compiled_path_is_active():
             ctransport.cpu_flags().split():
         pytest.skip("the CPU reports no FMA: fma() would be a libm call, slower than tbtrs")
     kernel, status = ctransport.kernel()
-    assert kernel is not None, status
+    assert kernel is not ctransport.Reference, status
     assert status == f"compiled {kernel.name}"
     # and so does the triplet half of a step on a space with histories
     space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), 2),
