@@ -17,17 +17,19 @@ without asking which backend it is: ``kernel()`` decides that once per
 process.
 
 Reference runs the entries as an einsum scaling plus LAPACK tbtrs, a
-subtraction plus BLAS ger, and five small NumPy calls plus two completions.
-At this band width tbtrs is mostly call overhead: it costs about 4 ns per
-(mode x node) at every size. Kernel is the library built from SOURCE, which
-does each entry in one loop nest, with the fused multiply-adds by which
-OpenBLAS's tbsv and ger apply the same updates, so its results are bitwise
-those of Reference. Its (nodes, modes) arrays are the two Fortran-order
-buffers of a stepper, one read and the other written, so the kernel takes no
-strides and its pointers are ``restrict``. The finish sums the map in
-numpy.einsum's order, which is in sequence over the five entries for two or
-more modes and pairwise-interleaved for one. A NumPy that sums otherwise
-fails the self-check below, by name, and the steppers run Reference.
+subtraction plus BLAS ger, and small elementwise NumPy calls plus two
+completions. At this band width tbtrs is mostly call overhead: it costs
+about 4 ns per (mode x node) at every size. Kernel is the library built
+from SOURCE, which does each entry in one loop nest, with the fused
+multiply-adds by which OpenBLAS's tbsv and ger apply the same updates, so
+its results are bitwise those of Reference. Its (nodes, modes) arrays are
+the two Fortran-order buffers of a stepper, one read and the other
+written, so the kernel takes no strides and its pointers are ``restrict``.
+The finish sums the map's five products in sequence from +0, written out
+as elementwise IEEE operations in both backends, so neither depends on a
+NumPy loop order. The +0 start makes a sum of -0 products +0, as einsum's
+sum into a zeroed output did, so states stepped at two or more modes kept
+their bits when the einsum went.
 
 The C source is compiled with the system ``cc`` on first use, into
 ``$XDG_CACHE_HOME/memoplate`` (``~/.cache/memoplate`` by default), a
@@ -116,8 +118,7 @@ void transport_complete(ptrdiff_t n, ptrdiff_t modes, const double *restrict t,
    5-7 of the row-major (8, modes) work array x:
    - the load rows x[3] = g2 q_beta and x[4] = g q_mu + q_nu;
    - the new triplet x1[0:3], the map [P | -Q] (modes, 3, 5) applied to
-     x[0:5], summed in numpy.einsum's order: in sequence for two or more
-     modes, and by two interleaved partial sums for one;
+     x[0:5], its five products summed in sequence from +0;
    - the completion of each history with nodes, eta (ne nodes) by the
      drive sum a (theta + theta1) and xi (nx nodes) by a (v + v1), each
      with 0 nodes skipped. */
@@ -137,10 +138,10 @@ void midpoint_finish(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, double a,
             double t[5];
             for (ptrdiff_t j = 0; j < 5; j++)
                 t[j] = row[j] * x[j * modes + m];
-            /* einsum adds into a zeroed output, which turns a sum of -0
-               terms into +0 */
-            x1[i * modes + m] = modes == 1 ? 0.0 + (((t[0] + t[2]) + t[4]) + (t[1] + t[3]))
-                                           : ((((0.0 + t[0]) + t[1]) + t[2]) + t[3]) + t[4];
+            /* the +0 start, as of a sum into a zeroed output, turns a sum
+               of -0 terms into +0: the bits of the numpy.einsum this sum
+               replaced, at two or more modes */
+            x1[i * modes + m] = ((((0.0 + t[0]) + t[1]) + t[2]) + t[3]) + t[4];
         }
     for (ptrdiff_t m = 0; m < modes; m++) {
         complete_column(ne, a * (x[2 * modes + m] + x1[2 * modes + m]), re,
@@ -202,11 +203,13 @@ class Reference:
     @staticmethod
     def finish(modes, ne, nx, a, map, g, g2, x, x1, re, pe, ze, rx, px, zx) -> None:
         """The triplet half of a step in NumPy: memory_load into x[3:5], the
-        einsum of ``map`` and x[:5] into x1[:3], and the completion of each
-        block with nodes by a times its drive sum, eta by x[2] + x1[2] and xi
-        by x[1] + x1[1]."""
+        map applied to x[:5] into x1[:3] as ((((0 + m0 x0) + m1 x1) + m2 x2)
+        + m3 x3) + m4 x4 with m = map.transpose(2, 1, 0), and the completion
+        of each block with nodes by a times its drive sum, eta by
+        x[2] + x1[2] and xi by x[1] + x1[1]."""
         memory_load(g, g2, x[5:8], x[3:5])
-        np.einsum("nij,jn->in", map, x[:5], out=x1[:3])
+        m = map.transpose(2, 1, 0)
+        x1[:3] = ((((0.0 + m[0] * x[0]) + m[1] * x[1]) + m[2] * x[2]) + m[3] * x[3]) + m[4] * x[4]
         t = a * (x[1:3] + x1[1:3])
         if ne:
             Reference.complete(ne, modes, t[1], re, pe, ze)
@@ -349,8 +352,8 @@ def cases():
         for ne, nx in ((37, 5), (37, 0), (0, 5), (0, 0)):
             for zero in (False, True):
                 # every product is -0 in the zero case, and the sums read +0
-                # only from a zeroed start, as einsum's do
-                yield ("finish", f"einsum at modes = {modes}, {ne} + {nx} history nodes",
+                # only from the +0 start
+                yield ("finish", f"the reference at modes = {modes}, {ne} + {nx} nodes",
                        (modes, ne, nx, a, -np.abs(signed) if zero else signed, g, g * g,
                         _data((8, modes), 0.8, zero), np.ones((8, modes)), _spread(ne, 0.9),
                         _data((ne, modes), 0.1, zero, "F"), _data((ne, modes), 0.2, zero, "F"),

@@ -34,11 +34,12 @@ gives the compiled kernel, which makes three passes over each history
 array a step, or its bitwise reference, which makes five, and the steppers
 build its calls' arguments once and call its entries.
 
-A step allocates no state array. Each TransportStepper owns two history
-buffers and each MidpointStepper two triplet work arrays, allocated once.
-A step reads its input from one of them, copied there first when it is a
-caller's array such as the initial state, and writes into the other; the
-backend touches no array but the steppers' own. The arrays a step
+A step allocates no state array. A MidpointStepper owns two state sets,
+allocated once: set k is the triplet rows of its work array k and buffer k
+of each history's TransportStepper. A step given exactly one set reads it
+in place; any other state, such as the initial one, is shape-checked and
+copied into set 0 first. The step writes the other set and returns it, and
+the backend touches no array but the steppers' own. The arrays a step
 returns therefore belong to the stepper and stay valid until the step after
 next; a caller that keeps a state longer copies it. The stepping
 driver measures each state's energy with PhaseEnergy, whose eigenvalue
@@ -244,27 +245,30 @@ class MidpointStepper:
     one (modes, 3, 5) map [P | -Q] to x and M's other two entries. With both
     blocks collapsed M is zero and a step is P x alone.
 
-    Buffers: besides its transport steppers' two history buffers per block,
-    the stepper owns two (8, modes) work arrays, allocated once. Rows 0-2
-    hold a triplet, rows 3-4 the nonzero load entries of the step that
-    reads it and rows 5-7 the quadratures (w_mu.z_eta, w_nu.z_eta,
-    w_beta.z_xi) they are formed from. A step reads its triplet from one
-    work array, copied there first unless the caller's arrays are that
-    array's rows, and returns the other one's rows. Every array a step
-    returns is the stepper's own and is valid until the step after next,
-    which writes into it again; step() never writes into the arrays it is
-    given.
+    State sets: the stepper owns two (8, modes) work arrays, allocated once.
+    Rows 0-2 hold a triplet, rows 3-4 the nonzero load entries of the step
+    that reads it and rows 5-7 the quadratures (w_mu.z_eta, w_nu.z_eta,
+    w_beta.z_xi) they are formed from. State set k is rows 0-2 of work
+    array k with buffer k of the eta and of the xi transport stepper. If
+    the five arrays given to step() are exactly set k, the step reads them
+    in place; otherwise check() compares their shapes with the state's,
+    raising ShapeError, and they are copied into set 0, which the step then
+    reads. The step writes set 1 - k and returns it. So step() never writes
+    an array it is given, unless the given state mixes arrays from both of
+    the stepper's sets or views set 1's arrays without being set 1; and
+    when each step is given the previous step's output, the arrays a step
+    returns stay valid until the step after next, which writes into them
+    again.
 
     Calls: a step with histories solves each one (TransportStepper.partial,
     one backend call each) and writes the quadratures of the solves into
     rows 5-7 (np.matmul, one BLAS call per history). One call of the
     backend's finish then does the rest: the load rows 3-4, the new triplet
-    by the map, summed in numpy.einsum's order, the drive sums
-    a (theta + theta1) and a (v + v1), and the completion of each history
-    with nodes, in the buffer its solve wrote. The call's arguments are
-    built once, for each work array read and each pair of buffers the
-    solves can write. With both blocks collapsed a step checks the
-    histories' shapes and makes that one call, with a zero load and no
+    by the map, each entry's five products summed in sequence from +0, the
+    drive sums a (theta + theta1) and a (v + v1), and the completion of each
+    history with nodes, in the buffer its solve wrote. The call's arguments
+    are built once for each of the two sets read. With both blocks
+    collapsed a step makes that one call, with a zero load and no
     completion.
     """
 
@@ -304,46 +308,47 @@ class MidpointStepper:
         # [P | -Q] without Q's first column, which meets M's zero entry
         self.map = np.concatenate([Ainv @ (eye + a * T), -a * Ainv[:, :, 1:]], axis=2)
         self._work = (np.zeros((8, n)), np.zeros((8, n)))
-        self._rows = tuple(tuple(w[:3]) for w in self._work)
+        # state set k: work array k's triplet rows and history buffers k
+        self._sets = tuple((*w[:3], self.eta_t._buffers[k], self.xi_t._buffers[k])
+                           for k, w in enumerate(self._work))
         self._active = bool(self.eta_t.nodes or self.xi_t.nodes)
 
-        # the finish's arguments, indexed by the work array read and the eta
-        # and xi buffers the solves wrote
+        # the finish's arguments, indexed by the set read
         backend = ctransport.kernel()[0]
         self._finish = backend.finish
+        self._finish_args = tuple(
+            backend.arguments(n, self.eta_t.nodes, self.xi_t.nodes, a, self.map, g, g2,
+                              self._work[k], self._work[1 - k], self.eta_t.unit_response,
+                              old[3], new[3], self.xi_t.unit_response, old[4], new[4])
+            for k, (old, new) in enumerate((self._sets, self._sets[::-1])))
 
-        def finish_args(k, ie, ix):
-            eb, xb = self.eta_t._buffers, self.xi_t._buffers
-            return backend.arguments(n, self.eta_t.nodes, self.xi_t.nodes, a, self.map, g, g2,
-                                     self._work[k], self._work[1 - k], self.eta_t.unit_response,
-                                     eb[1 - ie], eb[ie], self.xi_t.unit_response, xb[1 - ix],
-                                     xb[ix])
-
-        self._finish_args = tuple(tuple(tuple(finish_args(k, ie, ix) for ix in (0, 1))
-                                        for ie in (0, 1)) for k in (0, 1))
-
-    def _triplet_index(self, u, v, th) -> int:
-        """Index of the work array whose rows are (u, v, th); a triplet of
-        other arrays is copied into work array 0 first."""
-        for k, rows in enumerate(self._rows):
-            if u is rows[0] and v is rows[1] and th is rows[2]:
-                return k
-        for row, x in zip(self._rows[0], (u, v, th)):
-            np.copyto(row, x)
-        return 0
+    def check(self, *state) -> tuple:
+        """``state``, the five arrays u, v, theta, eta and xi, if they have
+        the shapes of the stepper's state; else ShapeError, naming the array."""
+        for name, x, own in zip(("u", "v", "theta", "eta", "xi"), state, self._sets[0]):
+            # np.copyto would broadcast a scalar or a (1,) array silently
+            if np.shape(x) != own.shape:
+                raise ShapeError(f"{name} must have shape {own.shape}, got {np.shape(x)}")
+        return state
 
     def step(self, u, v, th, eta, xi):
-        k = self._triplet_index(u, v, th)
-        x = self._work[k]
-        # on a block of 0 nodes, partial() only checks the shape
-        eta = self.eta_t.partial(eta)
-        xi = self.xi_t.partial(xi)
+        # explicit is tests: a generator over the five costs about 1 us a step
+        for k in (1, 0):
+            old = self._sets[k]
+            if u is old[0] and v is old[1] and th is old[2] and eta is old[3] and xi is old[4]:
+                break
+        else:
+            # not a set of the stepper's: read set 0, which k and old now name
+            for own, x in zip(old, self.check(u, v, th, eta, xi)):
+                np.copyto(own, x)
         if self._active:
-            np.matmul(self.space.w_eta, eta, out=x[5:7])
-            np.matmul(self.space.w_beta, xi, out=x[7])
-        self._finish(*self._finish_args[k][eta is self.eta_t._buffers[1]]
-                     [xi is self.xi_t._buffers[1]])
-        return (*self._rows[1 - k], eta, xi)
+            # each solve writes set 1 - k's history; on a block of 0 nodes
+            # partial() solves nothing and returns an empty buffer
+            x = self._work[k]
+            np.matmul(self.space.w_eta, self.eta_t.partial(old[3]), out=x[5:7])
+            np.matmul(self.space.w_beta, self.xi_t.partial(old[4]), out=x[7])
+        self._finish(*self._finish_args[k])
+        return self._sets[1 - k]
 
 
 @dataclass
@@ -425,7 +430,7 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     energy = PhaseEnergy(space, initial.order)
     columns = None
     k = 0
-    state = (initial.u, initial.v, initial.theta, initial.eta, initial.xi)
+    state = stepper.check(initial.u, initial.v, initial.theta, initial.eta, initial.xi)
     for step in range(nsteps + 1):
         if step:
             state = stepper.step(*state)

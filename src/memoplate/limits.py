@@ -131,7 +131,7 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     """
     stride = _comparison_stride(_step_count(dt, horizon))
     m = initial.order
-    n = initial.u.size
+    n = space.modes.count
 
     stepper = MidpointStepper(space, dt)
     # the collapsed system has no histories, so its step is the midpoint map
@@ -142,17 +142,16 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
     rec_xi = TransportStepper(space.xi_grid, dt, n)
     drive_v, drive_th = np.empty((2, n))
 
-    lu, lv, lth = initial.u, initial.v, initial.theta
+    limit = (initial.u, initial.v, initial.theta, empty, empty)
     eta_hat, xi_hat = np.zeros_like(initial.eta), np.zeros_like(initial.xi)
 
     def advance():
-        nonlocal lu, lv, lth, eta_hat, xi_hat
-        # the step writes into lim's other work array, so the old triplet is
-        # still there for the drive sums
-        lu1, lv1, lth1, *_ = lim.step(lu, lv, lth, empty, empty)
-        np.add(lv, lv1, out=drive_v)
-        np.add(lth, lth1, out=drive_th)
-        lu, lv, lth = lu1, lv1, lth1
+        nonlocal limit, eta_hat, xi_hat
+        # the step writes lim's other state set, so the old triplet is still
+        # there for the drive sums, and the next step reads the new set in place
+        old, limit = limit, lim.step(*limit)
+        np.add(old[1], limit[1], out=drive_v)
+        np.add(old[2], limit[2], out=drive_th)
         eta_hat = rec_eta.complete(rec_eta.partial(eta_hat), drive_th)
         xi_hat = rec_xi.complete(rec_xi.partial(xi_hat), drive_v)
 
@@ -166,10 +165,11 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
         hmu, hnu, hxi = energy.blocks[3:].sum(axis=1).tolist()
         # distance to the limit state with the reconstructed histories; its
         # triplet part is also the triplet part of the zero-padded distance
-        diff = gap(u - lu, v - lv, th - lth, np.subtract(eta, eta_hat, out=gap_eta),
+        diff = gap(u - limit[0], v - limit[1], th - limit[2],
+                   np.subtract(eta, eta_hat, out=gap_eta),
                    np.subtract(xi, xi_hat, out=gap_xi)).sum(axis=1).tolist()
         trip = diff[0] + diff[1] + diff[2]
-        limit_energy(lu, lv, lth, empty, empty)
+        limit_energy(*limit)
         return (math.sqrt(trip + hmu + hnu + hxi),
                 math.sqrt(trip + diff[3] + diff[4] + diff[5]),
                 limit_energy.total(), math.sqrt(hmu), math.sqrt(hnu), math.sqrt(hxi))

@@ -269,7 +269,10 @@ class PhaseVector:
         return dict(zip(names, blocks.sum(axis=1).tolist()))
 
     def norm_sq(self) -> float:
-        return sum(self.block_norms_sq().values())
+        """The squared norm, as PhaseEnergy.total() sums it."""
+        energy = PhaseEnergy(self.space, self.order)
+        energy(self.u, self.v, self.theta, self.eta, self.xi)
+        return energy.total()
 
 
 def zero_phase_vector(space: PhaseSpace, order: int = 0) -> PhaseVector:

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memoplate import config as cfgmod
 from memoplate import ctransport
@@ -187,7 +188,8 @@ def one_mode_space():
 
 
 def test_forced_fallback_is_bitwise_equal(compiled, monkeypatch, small_space):
-    # one mode too, where einsum, and so the kernel, sums in another order
+    # one mode too, where the einsum the reference once used summed in
+    # another order
     for space in (small_space, one_mode_space()):
         z0 = initial_data_preset("spectral-decay 6", space, 0, with_history=True)
         runs = []
@@ -233,16 +235,41 @@ def test_step_matches_forced_reference_bitwise(compiled, monkeypatch, modes, lay
                 s_fast, s_ref = (tuple(a.copy() for a in s) for s in (s_fast, s_ref))
 
 
+@given(modes=st.integers(1, 300), ne=st.sampled_from([0, 1, 37]),
+       nx=st.sampled_from([0, 1, 37]), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_finish_matches_the_reference_bitwise(modes, ne, nx, seed):
+    # every mode count, not only the self-check's four, with inputs of both
+    # signs spanning e-20 to e20
+    kernel = ctransport.kernel()[0]
+    if kernel is ctransport.Reference:
+        pytest.skip(f"compiled kernel unavailable ({ctransport.kernel()[1]})")
+    rng = np.random.default_rng(seed)
+
+    def data(shape, order="C"):
+        x = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-20, 20, shape)
+        return np.asarray(x, order=order)
+
+    g = 10.0 ** rng.uniform(0, 3, modes)
+    values = (modes, ne, nx, float(10.0 ** rng.uniform(-20, 0)), data((modes, 3, 5)), g,
+              g * g, data((8, modes)), np.zeros((8, modes)), data(ne), data((ne, modes), "F"),
+              data((ne, modes), "F"), data(nx), data((nx, modes), "F"), data((nx, modes), "F"))
+    mine = tuple(v.copy(order="K") if isinstance(v, np.ndarray) else v for v in values)
+    ctransport.Reference.finish(*values)
+    kernel.finish(*kernel.arguments(*mine))
+    assert all(same_bits(v, w) for v, w in zip(values, mine) if isinstance(v, np.ndarray))
+
+
 # entry: (index of an array it writes, the status of its first self-check case)
 FIRST_CASES = {"solve": (5, "solve differs from tbtrs at 1 x 1"),
                "complete": (5, "complete differs from ger at 1 x 1"),
-               "finish": (8, "finish differs from einsum at modes = 1, 37 + 5 history nodes")}
+               "finish": (8, "finish differs from the reference at modes = 1, 37 + 5 nodes")}
 
 
 @pytest.mark.parametrize("entry", list(FIRST_CASES))
 def test_entry_that_rounds_otherwise_falls_back_by_name(compiled, monkeypatch, entry):
-    # a LAPACK, BLAS or NumPy that rounds otherwise, such as an einsum that
-    # sums in another order, must not pass silently
+    # a LAPACK, BLAS or NumPy that rounds otherwise than the kernel must not
+    # pass silently
     reference = getattr(ctransport.Reference, entry)
     written, why = FIRST_CASES[entry]
 

@@ -5,6 +5,7 @@ against the algebraic energy-balance identity of the midpoint rule, and
 against the matrix exponential of the memory-integral closure for
 exponential kernels, whose kernel-free case is the collapsed 3x3 system.
 """
+import re
 import tracemalloc
 
 import numpy as np
@@ -187,6 +188,39 @@ def test_partial_checks_profiles_against_its_own_node_count(interval_modes):
         MidpointStepper(space, 1e-3).step(ones, ones, ones, np.ones((7, 4)), np.ones((0, 4)))
 
 
+def test_step_takes_only_the_state_shapes(small_space):
+    # np.copyto would broadcast a scalar, a (1,) or an (n - 1,) array into
+    # every mode of the stepper's own set
+    n = small_space.modes.count
+    stepper = MidpointStepper(small_space, 1e-3)
+    vec = random_state(small_space, 17)
+    state = (vec.u, vec.v, vec.theta, vec.eta, vec.xi)
+    for i, name in enumerate(("u", "v", "theta")):
+        for bad in (1.0, np.ones(1), np.ones(n - 1)):
+            with pytest.raises(ShapeError, match=f"^{name} must"):
+                stepper.step(*state[:i], bad, *state[i + 1:])
+    for i, name in ((3, "eta"), (4, "xi")):
+        with pytest.raises(ShapeError, match=f"^{name} must"):
+            stepper.step(*state[:i], state[i][:-1], *state[i + 1:])
+    new = stepper.step(*state)
+    assert all(a.shape == b.shape for a, b in zip(new, state))
+
+
+@pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
+def test_steps_read_their_own_state_set_in_place(interval_modes, params):
+    # a step given the previous step's output reads it where it is and writes
+    # the other set; the state it was given stays valid until the step after
+    space = build_phase_space(interval_modes, params, grid_size=50)
+    stepper = MidpointStepper(space, 1e-3)
+    vec = random_state(space, 29)
+    s1 = stepper.step(vec.u, vec.v, vec.theta, vec.eta, vec.xi)
+    before = [x.tobytes() for x in s1]
+    s2 = stepper.step(*s1)
+    assert [x.tobytes() for x in s1] == before
+    assert not any(np.shares_memory(a, b) for a, b in zip(s1, s2))
+    assert all(a is b for a, b in zip(stepper.step(*s2), s1))
+
+
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_step_leaves_its_inputs_unchanged(interval_modes, params, layout):
@@ -258,7 +292,7 @@ def test_phase_norm_agrees_across_layouts(small_space, order, modes):
     traj = evolve(small_space, z0, 1e-2, 0.05)
     final = traj.final_state.norm_sq()
     assert final < z0.norm_sq()
-    assert traj.step_energy[0] == pytest.approx(z0.norm_sq(), rel=1e-12)
+    assert traj.step_energy[0] == z0.norm_sq()
     assert traj.step_energy[-1] == pytest.approx(final, rel=1e-12)
     assert traj.total_energy[-1] == pytest.approx(final, rel=1e-12)
     x1 = mode_blocks(traj.final_state)
@@ -443,6 +477,22 @@ def test_transport_solves_per_step(small_space, monkeypatch):
     calls.clear()
     evolve_limit(small_space.modes, np.ones((4, 3)), 1e-2, 0.1)
     assert calls == []
+
+
+@pytest.mark.parametrize("array, shape", [("u", (1,)), ("v", (3,)), ("theta", ()),
+                                          ("eta", "one node short"), ("xi", "one node short")],
+                         ids=["u", "v", "theta", "eta", "xi"])
+def test_drivers_check_the_initial_shapes(small_space, array, shape):
+    # a wrong initial array is refused before step 0, by name, in evolve and
+    # in compare_trajectories alike
+    z0 = random_state(small_space, 37)
+    x = getattr(z0, array)
+    setattr(z0, array, x[:-1] if shape == "one node short" else np.ones(shape))
+    want = f"{array} must have shape {x.shape}"
+    with pytest.raises(ShapeError, match=re.escape(want)):
+        evolve(small_space, z0, 1e-2, 0.05)
+    with pytest.raises(ShapeError, match=re.escape(want)):
+        compare_trajectories(small_space, z0, 1e-2, 0.05)
 
 
 def test_default_time_step_rules():
