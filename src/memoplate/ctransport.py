@@ -5,31 +5,39 @@ A step of TransportStepper makes two passes over each history: the solve,
 (I + N)^-1 applied to the profile scaled by 2 D^-1, and the completion, which
 subtracts the old profile and adds the rank-one drive terms. The finish is
 the triplet half of a MidpointStepper step, once the step's quadratures are
-in: the memory load, the per-mode 3x3 map, the drive sums and the completion
-of both histories.
+in: the memory load, the per-mode 3x3 map, the drive sums, the completion
+of both histories and the new state's history sums, which PhaseEnergy and
+the trajectory's memory integrals read. The sums are sum w_mu eta^2,
+sum w_nu eta^2, sum w_beta xi^2, sum w_mu eta and sum w_beta xi per mode,
+each summed in node order from +0 with each square formed as (w z) z.
 
-Both backends have these three entries, ``solve(n, modes, band, s, p, x)``,
-``complete(n, modes, t, r, p, z)`` and ``finish(modes, ne, nx, a, map, g,
-g2, x, x1, re, pe, ze, rx, px, zx)``, plus ``arguments(*values)``, which
-turns a call's numbers and arrays into what the entries take. A stepper
-builds its calls' arguments once and calls the entries of ``kernel()[0]``
-without asking which backend it is: ``kernel()`` decides that once per
-process.
+Both backends have these four entries, ``solve(n, modes, band, s, p, x)``,
+``complete(n, modes, t, r, p, z)``, ``finish(modes, ne, nx, a, map, g, g2,
+x, x1, re, pe, ze, we, rx, px, zx, wx)`` and ``sums(modes, ne, nx, ze, we,
+zx, wx, s)``, which takes the same sums of a state that no step made, plus
+``arguments(*values)``, which turns a call's numbers and arrays into what
+the entries take. A stepper builds its calls' arguments once and calls the
+entries of ``kernel()[0]`` without asking which backend it is: ``kernel()``
+decides that once per process.
 
 Reference runs the entries as an einsum scaling plus LAPACK tbtrs, a
 subtraction plus BLAS ger, and small elementwise NumPy calls plus two
-completions. At this band width tbtrs is mostly call overhead: it costs
-about 4 ns per (mode x node) at every size. Kernel is the library built
-from SOURCE, which does each entry in one loop nest, with the fused
-multiply-adds by which OpenBLAS's tbsv and ger apply the same updates, so
-its results are bitwise those of Reference. Its (nodes, modes) arrays are
-the two Fortran-order buffers of a stepper, one read and the other
-written, so the kernel takes no strides and its pointers are ``restrict``.
-The finish sums the map's five products in sequence from +0, written out
-as elementwise IEEE operations in both backends, so neither depends on a
-NumPy loop order. The +0 start makes a sum of -0 products +0, as einsum's
-sum into a zeroed output did, so states stepped at two or more modes kept
-their bits when the einsum went.
+completions and the sums, whose node-order sums are np.add.accumulate.
+At this band width tbtrs is mostly call overhead: it costs about 4 ns per
+(mode x node) at every size. Kernel is the library built from SOURCE,
+which does each entry in one loop nest, with the fused multiply-adds by
+which OpenBLAS's tbsv and ger apply the same updates, so its results are
+bitwise those of Reference. Its (nodes, modes) arrays are the two
+Fortran-order buffers of a stepper, one read and the other written, or a
+state's histories in Fortran order, so the kernel takes no strides and its
+pointers are ``restrict``. The finish sums the map's five products in
+sequence from +0, written out as elementwise IEEE operations in both
+backends, so neither depends on a NumPy loop order. The +0 start makes a
+sum of -0 products +0, as einsum's sum into a zeroed output did, so states
+stepped at two or more modes kept their bits when the einsum went. The
+history sums start from +0 too, and the kernel's finish and sums entry
+share one C function for them, so a stepped state's energy has the same
+bits from its step as from the sums entry.
 
 The C source is compiled with the system ``cc`` on first use, into
 ``$XDG_CACHE_HOME/memoplate`` (``~/.cache/memoplate`` by default), a
@@ -39,11 +47,12 @@ run on another CPU that shares the home directory. The library is built
 under a temporary name and moved into place, so concurrent first runs never
 load a partial file, and later runs load it without invoking the compiler.
 ``load`` then makes every call of ``cases`` on both backends (irregular and
-zero inputs, the finish at 1, 2, 8 and 11 modes with both histories, one or
-none) and keeps the kernel only if every array the calls leave behind is
-bitwise equal. Without a compiler, on a build error, with an unusable cache
-directory or on a mismatch, the steppers run Reference, and the reason,
-naming the entry that differed, is reported.
+zero inputs; the finish at 1, 2, 8 and 11 modes with both histories, one or
+none; the sums at the same modes with both) and keeps the kernel only if
+every array the calls leave behind is bitwise equal. Without a compiler,
+on a build error, with an unusable cache directory or on a mismatch, the
+steppers run Reference, and the reason, naming the entry that differed, is
+reported.
 """
 from __future__ import annotations
 
@@ -66,8 +75,9 @@ SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
 
-/* Columns per block of the solve: independent recurrences whose
-   multiply-adds overlap, each read and written as a sequential stream. */
+/* Columns per block of the solve and of the history sums: independent
+   recurrences or sums whose operations overlap, each column read and
+   written as a sequential stream. */
 #define BLOCK 8
 
 /* Every (n, modes) array is column-major, and no two of a call's arrays
@@ -114,19 +124,109 @@ void transport_complete(ptrdiff_t n, ptrdiff_t modes, const double *restrict t,
         complete_column(n, t[m], r, p + m * n, z + m * n);
 }
 
+/* BLOCK doubles, one node of a block's columns, in GCC's and clang's
+   vector extension: elementwise IEEE operations, with no contraction under
+   -ffp-contract=off. The shuffles below are written for BLOCK 8. */
+typedef double lanes __attribute__((vector_size(BLOCK * sizeof(double))));
+#ifdef __clang__
+#define SHUFFLE(x, y, ...) __builtin_shufflevector(x, y, __VA_ARGS__)
+#else
+typedef long long picks __attribute__((vector_size(BLOCK * sizeof(long long))));
+#define SHUFFLE(x, y, ...) __builtin_shuffle(x, y, (picks){__VA_ARGS__})
+#endif
+
+/* The sums of a block of w <= BLOCK columns z of a history with n nodes,
+   each column's in node order from +0: qa[k] = sum (wa z) z, ia[k] =
+   sum wa z and, unless wb is NULL, qb[k] = sum (wb z) z, each product
+   formed as written. A full block reads 8 nodes of its 8 columns at a time
+   and transposes them in registers into one vector per node, so that each
+   column's sum is one lane of a vector sum; the nodes past the last 8 and
+   a partial block fill the lanes one by one, the unused ones with 0. */
+static inline void sum_block(ptrdiff_t n, ptrdiff_t w, const double *restrict z,
+                             const double *restrict wa, const double *restrict wb,
+                             double *restrict qa, double *restrict qb, double *restrict ia)
+{
+    lanes sa = {0.0}, sb = {0.0}, si = {0.0}, node[BLOCK];
+    ptrdiff_t j0 = 0;
+    for (; w == BLOCK && j0 + BLOCK <= n; j0 += BLOCK) {
+        lanes c[BLOCK], x[BLOCK];
+        for (int k = 0; k < BLOCK; k++)
+            __builtin_memcpy(&c[k], z + k * n + j0, sizeof c[k]);
+        /* three rounds of pairs: odd and even nodes, then pairs of nodes,
+           then halves, so that node[i] holds node j0 + i of every column */
+        for (int k = 0; k < BLOCK; k += 2) {
+            x[k] = SHUFFLE(c[k], c[k + 1], 0, 8, 2, 10, 4, 12, 6, 14);
+            x[k + 1] = SHUFFLE(c[k], c[k + 1], 1, 9, 3, 11, 5, 13, 7, 15);
+        }
+        for (int k = 0; k < BLOCK; k += 4)
+            for (int i = k; i < k + 2; i++) {
+                c[i] = SHUFFLE(x[i], x[i + 2], 0, 1, 8, 9, 4, 5, 12, 13);
+                c[i + 2] = SHUFFLE(x[i], x[i + 2], 2, 3, 10, 11, 6, 7, 14, 15);
+            }
+        for (int i = 0; i < 4; i++) {
+            node[i] = SHUFFLE(c[i], c[i + 4], 0, 1, 2, 3, 8, 9, 10, 11);
+            node[i + 4] = SHUFFLE(c[i], c[i + 4], 4, 5, 6, 7, 12, 13, 14, 15);
+        }
+        for (int i = 0; i < BLOCK; i++) {
+            lanes u = wa[j0 + i] * node[i];
+            sa += u * node[i];
+            si += u;
+            if (wb)
+                sb += (wb[j0 + i] * node[i]) * node[i];
+        }
+    }
+    for (ptrdiff_t j = j0; j < n; j++) {
+        lanes y = {0.0};
+        for (ptrdiff_t k = 0; k < w; k++)
+            y[k] = z[k * n + j];
+        lanes u = wa[j] * y;
+        sa += u * y;
+        si += u;
+        if (wb)
+            sb += (wb[j] * y) * y;
+    }
+    for (ptrdiff_t k = 0; k < w; k++) {
+        qa[k] = sa[k];
+        ia[k] = si[k];
+        if (wb)
+            qb[k] = sb[k];
+    }
+}
+
+/* The sums of a state's histories, eta (ne nodes) under w_mu = we[0:ne]
+   and w_nu = we[ne:2 ne] and xi (nx nodes) under w_beta = wx, into the
+   rows of the row-major (5, modes) array s: sum w_mu eta^2, sum w_nu eta^2,
+   sum w_beta xi^2, sum w_mu eta and sum w_beta xi, each in node order from
+   +0, as midpoint_finish sums the state it makes. A history of 0 nodes
+   sums to +0. */
+void history_sums(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, const double *restrict ze,
+                  const double *restrict we, const double *restrict zx,
+                  const double *restrict wx, double *restrict s)
+{
+    for (ptrdiff_t m = 0; m < modes; m += BLOCK) {
+        ptrdiff_t w = modes - m < BLOCK ? modes - m : BLOCK;
+        sum_block(ne, w, ze + m * ne, we, we + ne, s + m, s + modes + m, s + 3 * modes + m);
+        sum_block(nx, w, zx + m * nx, wx, NULL, s + 2 * modes + m, NULL, s + 4 * modes + m);
+    }
+}
+
 /* The triplet half of a midpoint step, once the quadratures are in rows
-   5-7 of the row-major (8, modes) work array x:
+   5-7 of the row-major (13, modes) work array x:
    - the load rows x[3] = g2 q_beta and x[4] = g q_mu + q_nu;
    - the new triplet x1[0:3], the map [P | -Q] (modes, 3, 5) applied to
      x[0:5], its five products summed in sequence from +0;
-   - the completion of each history with nodes, eta (ne nodes) by the
-     drive sum a (theta + theta1) and xi (nx nodes) by a (v + v1), each
-     with 0 nodes skipped. */
+   - the completion of each history, eta (ne nodes) by the drive sum
+     a (theta + theta1) and xi (nx nodes) by a (v + v1), a block of 8
+     modes at a time, each block summed by sum_block while it is still in
+     cache: the new state's sums, into rows 8-12 of x1 in history_sums'
+     layout and order. */
 void midpoint_finish(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, double a,
                      const double *restrict map, const double *restrict g,
                      const double *restrict g2, double *restrict x, double *restrict x1,
                      const double *restrict re, const double *restrict pe, double *restrict ze,
-                     const double *restrict rx, const double *restrict px, double *restrict zx)
+                     const double *restrict we, const double *restrict rx,
+                     const double *restrict px, double *restrict zx,
+                     const double *restrict wx)
 {
     for (ptrdiff_t m = 0; m < modes; m++) {
         x[3 * modes + m] = g2[m] * x[7 * modes + m];
@@ -143,10 +243,17 @@ void midpoint_finish(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, double a,
                replaced, at two or more modes */
             x1[i * modes + m] = ((((0.0 + t[0]) + t[1]) + t[2]) + t[3]) + t[4];
         }
-    for (ptrdiff_t m = 0; m < modes; m++) {
-        complete_column(ne, a * (x[2 * modes + m] + x1[2 * modes + m]), re,
-                        pe + m * ne, ze + m * ne);
-        complete_column(nx, a * (x[modes + m] + x1[modes + m]), rx, px + m * nx, zx + m * nx);
+    double *s = x1 + 8 * modes;
+    for (ptrdiff_t m = 0; m < modes; m += BLOCK) {
+        ptrdiff_t w = modes - m < BLOCK ? modes - m : BLOCK;
+        for (ptrdiff_t k = m; k < m + w; k++)
+            complete_column(ne, a * (x[2 * modes + k] + x1[2 * modes + k]), re, pe + k * ne,
+                            ze + k * ne);
+        sum_block(ne, w, ze + m * ne, we, we + ne, s + m, s + modes + m, s + 3 * modes + m);
+        for (ptrdiff_t k = m; k < m + w; k++)
+            complete_column(nx, a * (x[modes + k] + x1[modes + k]), rx, px + k * nx,
+                            zx + k * nx);
+        sum_block(nx, w, zx + m * nx, wx, NULL, s + 2 * modes + m, NULL, s + 4 * modes + m);
     }
 }
 """
@@ -201,20 +308,64 @@ class Reference:
         _GER(1.0, r, t, a=z, overwrite_a=True)
 
     @staticmethod
-    def finish(modes, ne, nx, a, map, g, g2, x, x1, re, pe, ze, rx, px, zx) -> None:
+    def sums(modes, ne, nx, ze, we, zx, wx, s) -> None:
+        """The kernel's history_sums: into the rows of ``s`` (5, modes), the
+        sums of eta ``ze`` under the rows w_mu and w_nu of ``we`` (2, ne)
+        and of xi ``zx`` under ``wx``, each column summed in node order from
+        +0 as the kernel sums it."""
+        _state_sums(ne, nx, ze, we, zx, wx, s)
+
+    @staticmethod
+    def finish(modes, ne, nx, a, map, g, g2, x, x1, re, pe, ze, we, rx, px, zx, wx) -> None:
         """The triplet half of a step in NumPy: memory_load into x[3:5], the
         map applied to x[:5] into x1[:3] as ((((0 + m0 x0) + m1 x1) + m2 x2)
-        + m3 x3) + m4 x4 with m = map.transpose(2, 1, 0), and the completion
-        of each block with nodes by a times its drive sum, eta by
-        x[2] + x1[2] and xi by x[1] + x1[1]."""
+        + m3 x3) + m4 x4 with m = map.transpose(2, 1, 0), which _fold sums
+        to the bit, the completion of each block with nodes by a times its
+        drive sum, eta by x[2] + x1[2] and xi by x[1] + x1[1], and the new
+        histories' sums into x1[8:13] in sums' layout. Every intermediate
+        goes into a workspace array."""
         memory_load(g, g2, x[5:8], x[3:5])
-        m = map.transpose(2, 1, 0)
-        x1[:3] = ((((0.0 + m[0] * x[0]) + m[1] * x[1]) + m[2] * x[2]) + m[3] * x[3]) + m[4] * x[4]
-        t = a * (x[1:3] + x1[1:3])
+        products = _workspace("map", (5, 3, modes))
+        _fold(np.multiply(map.transpose(2, 1, 0), x[:5, None], out=products), x1[:3])
+        t = np.add(x[1:3], x1[1:3], out=_workspace("drive", (2, modes)))
+        np.multiply(a, t, out=t)
         if ne:
             Reference.complete(ne, modes, t[1], re, pe, ze)
         if nx:
             Reference.complete(nx, modes, t[0], rx, px, zx)
+        _state_sums(ne, nx, ze, we, zx, wx, x1[8:])
+
+
+@functools.lru_cache(maxsize=16)
+def _workspace(name: str, shape: tuple, order: str = "C") -> np.ndarray:
+    """Reference's scratch array ``name`` of this shape, one for the
+    process. Every entry overwrites its workspace before reading it, and no
+    entry runs inside another, so the entries can share them."""
+    return np.empty(shape, order=order)
+
+
+def _fold(terms: np.ndarray, out: np.ndarray) -> None:
+    """out = ``terms`` summed along its first axis in order from +0, with
+    ``terms`` overwritten: accumulated in place, then +0 added. The +0 turns
+    the -0 of a sum of -0 terms into +0, the sum from +0, and changes no
+    other sum."""
+    np.add(0.0, np.add.accumulate(terms, axis=0, out=terms)[-1], out=out)
+
+
+def _state_sums(ne, nx, ze, we, zx, wx, s) -> None:
+    """Reference.sums into ``s``, 0 for a history of 0 nodes."""
+    s.fill(0.0)
+    for n, z, wa, wb, qa, qb, ia in ((ne, ze, we[0], we[1], s[0], s[1], s[3]),
+                                    (nx, zx, wx, None, s[2], None, s[4])):
+        if n:
+            # the kernel's sum_block: (wa z) z, wa z and (wb z) z per node
+            u = np.multiply(wa[:, None], z, out=_workspace("u", z.shape, "F"))
+            q = np.multiply(u, z, out=_workspace("q", z.shape, "F"))
+            _fold(q, qa)
+            _fold(u, ia)
+            if wb is not None:
+                np.multiply(wb[:, None], z, out=q)
+                _fold(np.multiply(q, z, out=q), qb)
 
 
 class KernelUnavailable(Exception):
@@ -225,7 +376,8 @@ _SIZE, _PTR = ctypes.c_ssize_t, ctypes.c_void_p
 # entry: (C function, argument types)
 ENTRIES = {"solve": ("transport_solve", (_SIZE,) * 2 + (_PTR,) * 4),
            "complete": ("transport_complete", (_SIZE,) * 2 + (_PTR,) * 4),
-           "finish": ("midpoint_finish", (_SIZE,) * 3 + (ctypes.c_double,) + (_PTR,) * 11)}
+           "finish": ("midpoint_finish", (_SIZE,) * 3 + (ctypes.c_double,) + (_PTR,) * 13),
+           "sums": ("history_sums", (_SIZE,) * 3 + (_PTR,) * 5)}
 
 
 class Kernel:
@@ -329,11 +481,13 @@ def _data(shape: tuple, seed: float, zero: bool, order: str = "C") -> np.ndarray
 
 
 def cases():
-    """The self-check's calls (entry, where, values), each on irregular and
-    on zero inputs: the solve and the completion at n x modes = 1 x 1,
-    37 x 11 and 64 x 8, so for a block of eight modes and for partial ones,
-    and the finish at 1, 2, 8 and 11 modes with 37 + 5, 37 + 0, 0 + 5 and
-    0 + 0 history nodes. ``where`` names the reference's call and the size."""
+    """The self-check's calls (entry, where, values), on irregular and on
+    zero inputs: the solve and the completion at n x modes = 1 x 1,
+    37 x 11 and 64 x 8, so for a block of eight modes and for partial ones;
+    the finish at 1, 2, 8 and 11 modes with 37 + 5, 37 + 0, 0 + 5 and
+    0 + 0 history nodes, on zero inputs with 37 + 5 and 0 + 0 only; and
+    the sums at the same modes with 37 + 5 nodes. ``where`` names the
+    reference's call and the size."""
     a = 0.0123456789
     for n, modes in ((1, 1), (37, 11), (64, 8)):
         band = np.ones((2, n), order="F")
@@ -350,15 +504,24 @@ def cases():
         g = 1.0 + 40.0 * _spread(modes, 0.6)
         signed = 2.0 * _spread(15 * modes, 0.7).reshape(modes, 3, 5) - 1.0
         for ne, nx in ((37, 5), (37, 0), (0, 5), (0, 0)):
-            for zero in (False, True):
+            we, wx = _spread(2 * ne, 0.8).reshape(2, ne), _spread(nx, 0.9)
+            # zero inputs with both histories and with none: the completions
+            # and sums of one history run the same code as with both
+            for zero in (False, True) if ne == nx or ne and nx else (False,):
                 # every product is -0 in the zero case, and the sums read +0
                 # only from the +0 start
                 yield ("finish", f"the reference at modes = {modes}, {ne} + {nx} nodes",
                        (modes, ne, nx, a, -np.abs(signed) if zero else signed, g, g * g,
-                        _data((8, modes), 0.8, zero), np.ones((8, modes)), _spread(ne, 0.9),
+                        _data((13, modes), 0.8, zero), np.ones((13, modes)), _spread(ne, 0.9),
                         _data((ne, modes), 0.1, zero, "F"), _data((ne, modes), 0.2, zero, "F"),
-                        _spread(nx, 0.3), _data((nx, modes), 0.4, zero, "F"),
-                        _data((nx, modes), 0.5, zero, "F")))
+                        we, _spread(nx, 0.3), _data((nx, modes), 0.4, zero, "F"),
+                        _data((nx, modes), 0.5, zero, "F"), wx))
+                if ne and nx:
+                    # negated, the zero histories are -0, whose integrals
+                    # read +0 only from the +0 start
+                    yield ("sums", f"the reference at modes = {modes}, {ne} + {nx} nodes",
+                           (modes, ne, nx, -_data((ne, modes), 0.3, zero, "F"), we,
+                            -_data((nx, modes), 0.4, zero, "F"), wx, np.ones((5, modes))))
 
 
 def mismatch(kernel: Kernel) -> str | None:

@@ -27,23 +27,30 @@ history array or less: the transport backend of ctransport solves each
 history (two calls, the scaled substitution); np.matmul takes the memory
 load's quadratures of the solves (two BLAS calls); and the backend's finish
 does the triplet half, from the quadratures to the load, the 3x3 map of
-every mode, the drive sums and the update of each history in place. The
-quadratures stay in BLAS, whose summation order the stepped states' bits
-rest on. The steppers do not know which backend runs: ctransport.kernel()
-gives the compiled kernel, which makes three passes over each history
-array a step, or its bitwise reference, which makes five, and the steppers
-build its calls' arguments once and call its entries.
+every mode, the drive sums, the update of each history in place and the
+new state's history sums. The quadratures stay in BLAS, whose summation
+order the stepped states' bits rest on. The history sums, sum w z^2 of
+each history under each of its kernels and the memory integrals
+sum w_mu eta and sum w_beta xi, are what the stepping driver records: so
+the energy record reads no history array, and a stepped state's energy is
+ready when its step returns. The steppers do not know which backend runs:
+ctransport.kernel() gives the compiled kernel, which makes three passes
+over each history array a step, or its bitwise reference, which makes
+more, and the steppers build its calls' arguments once and call its
+entries.
 
 A step allocates no state array. A MidpointStepper owns two state sets,
 allocated once: set k is the triplet rows of its work array k and buffer k
-of each history's TransportStepper. A step given exactly one set reads it
-in place; any other state, such as the initial one, is shape-checked and
-copied into set 0 first. The step writes the other set and returns it, and
+of each history's TransportStepper, and the history sums of set k's state
+are rows 8-12 of work array k. A step given exactly one set reads it in
+place; any other state, such as the initial one, is shape-checked and
+copied into a set first. The step writes the other set and returns it, and
 the backend touches no array but the steppers' own. The arrays a step
 returns therefore belong to the stepper and stay valid until the step after
-next; a caller that keeps a state longer copies it. The stepping
-driver measures each state's energy with PhaseEnergy, whose eigenvalue
-powers and squared-history scratch are likewise taken once per run.
+next; a caller that keeps a state longer copies it. The stepping driver
+measures each state's energy with PhaseEnergy, whose eigenvalue powers are
+taken once per run, from the step's sums, and the initial state's from the
+backend's sums entry.
 """
 from __future__ import annotations
 
@@ -245,31 +252,35 @@ class MidpointStepper:
     one (modes, 3, 5) map [P | -Q] to x and M's other two entries. With both
     blocks collapsed M is zero and a step is P x alone.
 
-    State sets: the stepper owns two (8, modes) work arrays, allocated once.
-    Rows 0-2 hold a triplet, rows 3-4 the nonzero load entries of the step
-    that reads it and rows 5-7 the quadratures (w_mu.z_eta, w_nu.z_eta,
-    w_beta.z_xi) they are formed from. State set k is rows 0-2 of work
-    array k with buffer k of the eta and of the xi transport stepper. If
-    the five arrays given to step() are exactly set k, the step reads them
-    in place; otherwise check() compares their shapes with the state's,
-    raising ShapeError, and they are copied into set 0, which the step then
-    reads. The step writes set 1 - k and returns it. So step() never writes
-    an array it is given, unless the given state mixes arrays from both of
-    the stepper's sets or views set 1's arrays without being set 1; and
+    State sets: the stepper owns two (13, modes) work arrays, allocated
+    once. Rows 0-2 hold a triplet, rows 3-4 the nonzero load entries of the
+    step that reads it, rows 5-7 the quadratures (w_mu.z_eta, w_nu.z_eta,
+    w_beta.z_xi) they are formed from, and rows 8-12 the history sums of the
+    state, as PhaseEnergy reads them: sum w_mu eta^2, sum w_nu eta^2,
+    sum w_beta xi^2, sum w_mu eta and sum w_beta xi. State set k is rows 0-2
+    of work array k with buffer k of the eta and of the xi transport
+    stepper. If the five arrays given to step() are exactly set k, the step
+    reads them in place; otherwise check() compares their shapes with the
+    state's, raising ShapeError, and they are copied into set 1 if any of
+    them views set 1's memory, into set 0 if not, and the step reads that
+    set. The step writes the other set, with its sums, returns it, and
+    points ``sums`` at its sums rows. So step() never writes an array it is
+    given that views no set, or views one set's arrays as they are; and
     when each step is given the previous step's output, the arrays a step
     returns stay valid until the step after next, which writes into them
-    again.
+    again. The one exception: arrays that view both sets, or view a set's
+    memory in a layout other than its arrays', may be written.
 
     Calls: a step with histories solves each one (TransportStepper.partial,
     one backend call each) and writes the quadratures of the solves into
     rows 5-7 (np.matmul, one BLAS call per history). One call of the
     backend's finish then does the rest: the load rows 3-4, the new triplet
     by the map, each entry's five products summed in sequence from +0, the
-    drive sums a (theta + theta1) and a (v + v1), and the completion of each
-    history with nodes, in the buffer its solve wrote. The call's arguments
-    are built once for each of the two sets read. With both blocks
-    collapsed a step makes that one call, with a zero load and no
-    completion.
+    drive sums a (theta + theta1) and a (v + v1), the completion of each
+    history with nodes, in the buffer its solve wrote, and the new
+    histories' sums. The call's arguments are built once for each of the
+    two sets read. With both blocks collapsed a step makes that one call,
+    with a zero load, no completion and zero sums.
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
@@ -307,19 +318,25 @@ class MidpointStepper:
         Ainv = np.linalg.inv(eye - a * T)
         # [P | -Q] without Q's first column, which meets M's zero entry
         self.map = np.concatenate([Ainv @ (eye + a * T), -a * Ainv[:, :, 1:]], axis=2)
-        self._work = (np.zeros((8, n)), np.zeros((8, n)))
+        self._work = (np.zeros((13, n)), np.zeros((13, n)))
         # state set k: work array k's triplet rows and history buffers k
         self._sets = tuple((*w[:3], self.eta_t._buffers[k], self.xi_t._buffers[k])
                            for k, w in enumerate(self._work))
+        self._sums = tuple(w[8:] for w in self._work)
+        self.sums = None
         self._active = bool(self.eta_t.nodes or self.xi_t.nodes)
 
         # the finish's arguments, indexed by the set read
         backend = ctransport.kernel()[0]
         self._finish = backend.finish
+        # kept, like g and g2
+        self._weights = w_eta, w_beta = tuple(np.ascontiguousarray(w, dtype=float)
+                                              for w in (space.w_eta, space.w_beta))
         self._finish_args = tuple(
             backend.arguments(n, self.eta_t.nodes, self.xi_t.nodes, a, self.map, g, g2,
                               self._work[k], self._work[1 - k], self.eta_t.unit_response,
-                              old[3], new[3], self.xi_t.unit_response, old[4], new[4])
+                              old[3], new[3], w_eta, self.xi_t.unit_response, old[4], new[4],
+                              w_beta)
             for k, (old, new) in enumerate((self._sets, self._sets[::-1])))
 
     def check(self, *state) -> tuple:
@@ -338,8 +355,14 @@ class MidpointStepper:
             if u is old[0] and v is old[1] and th is old[2] and eta is old[3] and xi is old[4]:
                 break
         else:
-            # not a set of the stepper's: read set 0, which k and old now name
-            for own, x in zip(old, self.check(u, v, th, eta, xi)):
+            # not a set of the stepper's: copied into set 0, which k and old
+            # now name, or into set 1 if it views set 1's memory, so that the
+            # step, which writes the other set, writes none of its arrays
+            state = self.check(u, v, th, eta, xi)
+            memory = self._work[1], self.eta_t._buffers[1], self.xi_t._buffers[1]
+            if any(np.may_share_memory(x, own) for x in state for own in memory):
+                k, old = 1, self._sets[1]
+            for own, x in zip(old, state):
                 np.copyto(own, x)
         if self._active:
             # each solve writes set 1 - k's history; on a block of 0 nodes
@@ -348,6 +371,7 @@ class MidpointStepper:
             np.matmul(self.space.w_eta, self.eta_t.partial(old[3]), out=x[5:7])
             np.matmul(self.space.w_beta, self.xi_t.partial(old[4]), out=x[7])
         self._finish(*self._finish_args[k])
+        self.sums = self._sums[1 - k]
         return self._sets[1 - k]
 
 
@@ -360,7 +384,10 @@ class Trajectory:
     sums ``modal_energy``, the rows ``history_energy`` (3, modes, samples) of
     eta under mu and nu and of xi, and ``total_energy``: step_energy, the
     squared phase norm after every step, at the stored steps. imu and ibe
-    are the plain memory integrals per mode.
+    are the plain memory integrals sum w_mu eta and sum w_beta xi per mode.
+    All of them read the history sums the step wrote for its state (the
+    backend's sums entry for the initial state), each summed in node order
+    from +0.
     """
 
     space: PhaseSpace
@@ -410,10 +437,12 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
 
     Advances ``initial`` to the horizon; ``advance()``, if given, moves any
     companion system after each step. The block energies at the initial
-    order are taken at step 0 and after every step, and a non-finite total
-    raises SingularStepError. At every ``stride``-th step and the last,
-    ``sample(state, energy)`` returns a tuple of values, which come back
-    stacked along a trailing sample axis.
+    order are taken at step 0, from the backend's history sums of
+    ``initial``, and after every step, from the sums the step wrote
+    (MidpointStepper.sums); a non-finite total raises SingularStepError.
+    At every ``stride``-th step and the last, ``sample(state, energy)``
+    returns a tuple of values, which come back stacked along a trailing
+    sample axis.
 
     Returns (stored step indices, per-step energy, sampled columns, final
     state arrays). The state starts from ``initial``'s own arrays, which
@@ -428,15 +457,16 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     stored = _stored_steps(nsteps, stride)
     step_energy = np.zeros(nsteps + 1)
     energy = PhaseEnergy(space, initial.order)
-    columns = None
+    columns = sums = None
     k = 0
     state = stepper.check(initial.u, initial.v, initial.theta, initial.eta, initial.xi)
     for step in range(nsteps + 1):
         if step:
             state = stepper.step(*state)
+            sums = stepper.sums
             if advance is not None:
                 advance()
-        energy(*state)
+        energy(*state, sums=sums)
         e = energy.total()
         if not math.isfinite(e):
             raise SingularStepError(f"state left the finite range at step {step} "
@@ -461,8 +491,8 @@ def evolve(space: PhaseSpace, initial: PhaseVector, dt: float, horizon: float,
     stepper = MidpointStepper(space, dt)
 
     def sample(state, energy):
-        u, v, th, eta, xi = state
-        return u, v, th, energy.modal, energy.blocks[3:], space.w_mu @ eta, space.w_beta @ xi
+        u, v, th, _, _ = state
+        return u, v, th, energy.modal, energy.blocks[3:], energy.sums[3], energy.sums[4]
 
     stored, step_energy, cols, state = _drive(stepper, initial, horizon, store_stride, sample)
     # not copied: the final state is the last step's buffers, and no step

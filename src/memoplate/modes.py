@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ctransport
 from .errors import DomainError, ShapeError
 from .history import (DEFAULT_RATIO, DEFAULT_TAIL, HistoryGrid, history_cutoff,
                       kernel_weights, resolving_grid)
@@ -205,10 +206,17 @@ def aligned_empty(shape: tuple[int, ...], order: str = "C") -> np.ndarray:
 class PhaseEnergy:
     """The one evaluator of the order-m phase norm. Row k of its (6, modes)
     array ``blocks`` is norm_powers' row k times u^2, v^2, theta^2, or the
-    quadrature sum_j w_j f_j^2 of eta under mu or nu or of xi under beta.
-    The powers are taken once, the histories are squared into scratch
-    allocated once, and each call overwrites ``blocks``; total() writes the
-    per-mode sums into ``modal``."""
+    history sum sum_j w_j f_j^2 of eta under mu or nu or of xi under beta.
+    A call reads the history sums of the state it is given, (5, modes) rows
+    sum w_mu eta^2, sum w_nu eta^2, sum w_beta xi^2, sum w_mu eta and
+    sum w_beta xi: those a MidpointStepper step wrote for the state it
+    returned (``MidpointStepper.sums``), or, for any other state, those
+    history_sums() takes with the transport backend's sums entry, which
+    sums each column in the same node order from +0. A stepped state
+    therefore gives the same bits either way. ``sums`` holds the rows the
+    last call read, so the memory integrals are its rows 3 and 4. The
+    powers are taken once, and each call overwrites ``blocks``; total()
+    writes the per-mode sums into ``modal``."""
 
     def __init__(self, space: PhaseSpace, order: int):
         n = space.modes.count
@@ -216,22 +224,50 @@ class PhaseEnergy:
         self.powers = norm_powers(space, order)
         self.blocks = np.empty((6, n))
         self._triplet = tuple(self.blocks[:3])
-        self._quad_eta, self._quad_xi = self.blocks[3:5], self.blocks[5]
         self.modal = np.empty(n)
         self._running = np.empty(n)
-        # one scratch for both squares, the larger history's size
-        ne, nx = space.eta_size, space.xi_size
-        flat = aligned_empty((max(ne, nx) * n,))
-        self._eta_sq = flat[:ne * n].reshape((ne, n), order="F")
-        self._xi_sq = flat[:nx * n].reshape((nx, n), order="F")
+        # history_sums' output: zeros, never written, without history nodes
+        self.sums = self._own = np.zeros((5, n))
+        self._shapes = (space.eta_size, n), (space.xi_size, n)
+        self._weights = tuple(np.ascontiguousarray(w, dtype=float)
+                              for w in (space.w_eta, space.w_beta))
+        self._backend = ctransport.kernel()[0]
+        # (eta, xi, entry arguments) of the last arrays summed in place
+        self._last = None
 
-    def __call__(self, u, v, theta, eta, xi) -> np.ndarray:
-        """The blocks of a state in PhaseVector's layout, as ``blocks``."""
+    def history_sums(self, eta, xi) -> np.ndarray:
+        """The (5, modes) history sums of eta (eta_nodes, modes) and xi
+        (xi_nodes, modes) by the backend's sums entry, written into this
+        evaluator's own array and returned; ShapeError for another shape.
+        A history not in Fortran order is summed from a copy. The entry's
+        arguments for arrays read in place are kept, so a caller that sums
+        the same two arrays at every sample builds them once. Without
+        history nodes the sums are zero and no entry runs."""
+        (ne, n), (nx, _) = self._shapes
+        if not (ne or nx):
+            return self._own
+        last = self._last
+        if last is None or eta is not last[0] or xi is not last[1]:
+            read = tuple(np.asarray(h, dtype=float, order="F") for h in (eta, xi))
+            for name, h, shape in zip(("eta", "xi"), read, self._shapes):
+                if h.shape != shape:
+                    raise ShapeError(f"{name} must have shape {shape}, got {h.shape}")
+            w_eta, w_beta = self._weights
+            last = (eta, xi, self._backend.arguments(n, ne, nx, read[0], w_eta, read[1],
+                                                     w_beta, self._own))
+            # arguments that address a copy die with it
+            self._last = last if read[0] is eta and read[1] is xi else None
+        self._backend.sums(*last[2])
+        return self._own
+
+    def __call__(self, u, v, theta, eta, xi, sums=None) -> np.ndarray:
+        """The blocks of a state in PhaseVector's layout, as ``blocks``.
+        ``sums``, if given, are the state's history sums as a step wrote
+        them, and eta and xi are not read; else history_sums(eta, xi)."""
         for row, x in zip(self._triplet, (u, v, theta)):
             np.multiply(x, x, out=row)
-        space = self.space
-        np.matmul(space.w_eta, np.multiply(eta, eta, out=self._eta_sq), out=self._quad_eta)
-        np.matmul(space.w_beta, np.multiply(xi, xi, out=self._xi_sq), out=self._quad_xi)
+        self.sums = self.history_sums(eta, xi) if sums is None else sums
+        self.blocks[3:] = self.sums[:3]
         self.blocks *= self.powers
         return self.blocks
 

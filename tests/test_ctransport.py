@@ -163,6 +163,10 @@ def test_empty_blocks_never_reach_the_kernel(compiled, monkeypatch, small_space)
             sizes.extend(n.value for n in (ne, nx) if n.value)
             compiled.finish(modes, ne, nx, *args)
 
+        def sums(self, modes, ne, nx, *args):
+            assert ne.value in (0, 40) and nx.value in (0, 40) and ne.value + nx.value
+            compiled.sums(modes, ne, nx, *args)
+
     monkeypatch.setattr(ctransport, "kernel", lambda: (Recording(), "compiled recording"))
     for params, active in ((Params(0.5, 0.0, 0.0), 1), (Params(0.0, 0.5, 0.0), 1),
                            (Params(0.0, 0.0, 0.0), 0)):
@@ -240,7 +244,8 @@ def test_step_matches_forced_reference_bitwise(compiled, monkeypatch, modes, lay
 @settings(max_examples=40, deadline=None)
 def test_finish_matches_the_reference_bitwise(modes, ne, nx, seed):
     # every mode count, not only the self-check's four, with inputs of both
-    # signs spanning e-20 to e20
+    # signs spanning e-20 to e20: the finish, with the sums of the histories
+    # it completes, and the sums entry on other histories
     kernel = ctransport.kernel()[0]
     if kernel is ctransport.Reference:
         pytest.skip(f"compiled kernel unavailable ({ctransport.kernel()[1]})")
@@ -251,19 +256,24 @@ def test_finish_matches_the_reference_bitwise(modes, ne, nx, seed):
         return np.asarray(x, order=order)
 
     g = 10.0 ** rng.uniform(0, 3, modes)
-    values = (modes, ne, nx, float(10.0 ** rng.uniform(-20, 0)), data((modes, 3, 5)), g,
-              g * g, data((8, modes)), np.zeros((8, modes)), data(ne), data((ne, modes), "F"),
-              data((ne, modes), "F"), data(nx), data((nx, modes), "F"), data((nx, modes), "F"))
-    mine = tuple(v.copy(order="K") if isinstance(v, np.ndarray) else v for v in values)
-    ctransport.Reference.finish(*values)
-    kernel.finish(*kernel.arguments(*mine))
-    assert all(same_bits(v, w) for v, w in zip(values, mine) if isinstance(v, np.ndarray))
+    finish = (modes, ne, nx, float(10.0 ** rng.uniform(-20, 0)), data((modes, 3, 5)), g,
+              g * g, data((13, modes)), np.zeros((13, modes)), data(ne),
+              data((ne, modes), "F"), data((ne, modes), "F"), data((2, ne)), data(nx),
+              data((nx, modes), "F"), data((nx, modes), "F"), data(nx))
+    sums = (modes, ne, nx, data((ne, modes), "F"), data((2, ne)), data((nx, modes), "F"),
+            data(nx), np.zeros((5, modes)))
+    for entry, values in (("finish", finish), ("sums", sums)):
+        mine = tuple(v.copy(order="K") if isinstance(v, np.ndarray) else v for v in values)
+        getattr(ctransport.Reference, entry)(*values)
+        getattr(kernel, entry)(*kernel.arguments(*mine))
+        assert all(same_bits(v, w) for v, w in zip(values, mine) if isinstance(v, np.ndarray))
 
 
 # entry: (index of an array it writes, the status of its first self-check case)
 FIRST_CASES = {"solve": (5, "solve differs from tbtrs at 1 x 1"),
                "complete": (5, "complete differs from ger at 1 x 1"),
-               "finish": (8, "finish differs from the reference at modes = 1, 37 + 5 nodes")}
+               "finish": (8, "finish differs from the reference at modes = 1, 37 + 5 nodes"),
+               "sums": (7, "sums differs from the reference at modes = 1, 37 + 5 nodes")}
 
 
 @pytest.mark.parametrize("entry", list(FIRST_CASES))
@@ -287,7 +297,7 @@ def test_entry_that_rounds_otherwise_falls_back_by_name(compiled, monkeypatch, e
 @pytest.mark.parametrize("entry", list(FIRST_CASES))
 def test_kernel_that_writes_an_input_fails_the_check(compiled, entry):
     # the self-check compares every array a call leaves behind, its inputs
-    # too: here the band, the scaled drive or the map
+    # too: here the band, the scaled drive, the map or eta
     first = ctransport.ENTRIES[entry][1].index(ctypes.c_void_p)
 
     def scribbling(*args):
@@ -338,6 +348,33 @@ def test_zero_node_stepper_calls_no_backend(monkeypatch):
     completed = empty.complete(empty.partial(np.zeros((0, 4))), np.ones(4))
     assert calls == []
     assert solved.shape == completed.shape == (0, 4)
+
+
+@pytest.mark.parametrize("layout", list(BLOCK_LAYOUTS))
+def test_evolve_sums_once_and_finishes_every_step(monkeypatch, layout):
+    # the energy of every stepped state comes from the step's own sums, so
+    # the sums entry runs for the initial state alone; a block of 0 nodes is
+    # never solved, and with no history nodes at all nothing is summed
+    backend, calls = ctransport.kernel()[0], []
+
+    def recorded(entry):
+        def call(*args):
+            calls.append(entry)
+            getattr(backend, entry)(*args)
+        return staticmethod(call)
+
+    recording = type("Recording", (), {"arguments": staticmethod(backend.arguments),
+                                       **{e: recorded(e) for e in ctransport.ENTRIES}})
+    monkeypatch.setattr(ctransport, "kernel", lambda: (recording, "recording"))
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), 3),
+                              BLOCK_LAYOUTS[layout], grid_size=40)
+    z0 = initial_data_preset("spectral-decay 2", space, 0, with_history=True)
+    evolve(space, z0, 1e-2, 0.1)
+    blocks = (space.eta_size > 0) + (space.xi_size > 0)
+    assert calls.count("sums") == (1 if blocks else 0)
+    assert calls.count("finish") == 10
+    assert calls.count("solve") == 10 * blocks
+    assert len(calls) == calls.count("sums") + 10 + 10 * blocks
 
 
 def test_second_load_does_not_compile(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from memoplate import ctransport
 from memoplate.errors import (DomainError, ShapeError, SingularStepError,
                               UnsupportedOracleError)
 from memoplate.dynamics import (
@@ -219,6 +220,44 @@ def test_steps_read_their_own_state_set_in_place(interval_modes, params):
     assert [x.tobytes() for x in s1] == before
     assert not any(np.shares_memory(a, b) for a, b in zip(s1, s2))
     assert all(a is b for a, b in zip(stepper.step(*s2), s1))
+
+
+@pytest.mark.parametrize("viewed", [0, 1])
+def test_step_given_views_of_one_own_set_writes_none_of_them(interval_modes, viewed):
+    # views of a set's arrays are not the set, so they are copied in; the
+    # step must write none of them and give a fresh stepper's bits
+    space = build_phase_space(interval_modes, Params(0.5, 0.25, 0.5), grid_size=50)
+    stepper = MidpointStepper(space, 1e-3)
+    vec = random_state(space, 37)
+    s1 = stepper.step(vec.u, vec.v, vec.theta, vec.eta, vec.xi)
+    s0 = stepper.step(*s1)
+    given = tuple(x[...] for x in (s0, s1)[viewed])
+    copies = [x.copy() for x in given]
+    want = MidpointStepper(space, 1e-3).step(*copies)
+    got = stepper.step(*given)
+    assert [x.tobytes() for x in given] == [x.tobytes() for x in copies]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["kernel", "reference"])
+@pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
+def test_stepped_energy_is_the_same_from_the_step_and_from_the_entry(
+        monkeypatch, interval_modes, params, forced):
+    # the sums a step wrote for its state and the sums entry on that state
+    # sum in one order, so PhaseEnergy reads the same bits from either
+    if forced:
+        monkeypatch.setattr(ctransport, "kernel", lambda: (ctransport.Reference, "tbtrs: forced"))
+    space = build_phase_space(interval_modes, params, grid_size=50)
+    stepper = MidpointStepper(space, 1e-3)
+    vec = random_state(space, 41)
+    state = stepper.step(*stepper.step(vec.u, vec.v, vec.theta, vec.eta, vec.xi))
+    from_step, from_entry = PhaseEnergy(space, 1), PhaseEnergy(space, 1)
+    from_step(*state, sums=stepper.sums)
+    from_entry(*state)
+    assert from_step.sums is stepper.sums and from_entry.sums is not stepper.sums
+    assert from_step.sums.tobytes() == from_entry.sums.tobytes()
+    assert from_step.blocks.tobytes() == from_entry.blocks.tobytes()
+    assert from_step.total() == from_entry.total()
 
 
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")
