@@ -2,42 +2,51 @@
 LAPACK and BLAS reference it must match bitwise, behind one interface.
 
 A step of TransportStepper makes two passes over each history: the solve,
-(I + N)^-1 applied to the profile scaled by 2 D^-1, and the completion, which
-subtracts the old profile and adds the rank-one drive terms. The finish is
-the triplet half of a MidpointStepper step, once the step's quadratures are
-in: the memory load, the per-mode 3x3 map, the drive sums, the completion
-of both histories and the new state's history sums, which PhaseEnergy and
-the trajectory's memory integrals read. The sums are sum w_mu eta^2,
-sum w_nu eta^2, sum w_beta xi^2, sum w_mu eta and sum w_beta xi per mode,
-each summed in node order from +0 with each square formed as (w z) z.
+(I + N)^-1 applied to the profile scaled by 2 D^-1, which can also sum the
+step's quadratures sum_j w_j z_j of its result under one or two weight
+rows, and the completion, which subtracts the old profile and adds the
+rank-one drive terms. The finish is the triplet half of a MidpointStepper
+step, once the step's quadratures are in: the memory load, the per-mode
+3x3 map, the drive sums, the completion of both histories and the new
+state's history sums, which PhaseEnergy and the trajectory's memory
+integrals read. The sums are sum w_mu eta^2, sum w_nu eta^2,
+sum w_beta xi^2, sum w_mu eta and sum w_beta xi per mode. Every
+quadrature and sum runs in node order from +0, each term formed as w z and
+each square as (w z) z, so the stepped states' bits rest on the kernel and
+this reference, not on a BLAS summation order.
 
-Both backends have these four entries, ``solve(n, modes, band, s, p, x)``,
-``complete(n, modes, t, r, p, z)``, ``finish(modes, ne, nx, a, map, g, g2,
-x, x1, re, pe, ze, we, rx, px, zx, wx)`` and ``sums(modes, ne, nx, ze, we,
-zx, wx, s)``, which takes the same sums of a state that no step made, plus
-``arguments(*values)``, which turns a call's numbers and arrays into what
-the entries take. A stepper builds its calls' arguments once and calls the
-entries of ``kernel()[0]`` without asking which backend it is: ``kernel()``
-decides that once per process.
+Both backends have these four entries, ``solve(n, modes, band, s, p, x, nw,
+w, q)``, ``complete(n, modes, t, r, p, z)``, ``finish(modes, ne, nx, a, map,
+g, g2, x, x1, re, pe, ze, we, rx, px, zx, wx)`` and ``sums(modes, ne, nx, ze,
+we, zx, wx, s)``, which takes the same sums of a state that no step made,
+plus ``arguments(*values)``, which turns a call's numbers and arrays into
+what the entries take. A stepper builds its calls' arguments once and calls
+the entries of ``kernel()[0]`` without asking which backend it is:
+``kernel()`` decides that once per process.
 
-Reference runs the entries as an einsum scaling plus LAPACK tbtrs, a
-subtraction plus BLAS ger, and small elementwise NumPy calls plus two
-completions and the sums, whose node-order sums are np.add.accumulate.
-At this band width tbtrs is mostly call overhead: it costs about 4 ns per
-(mode x node) at every size. Kernel is the library built from SOURCE,
-which does each entry in one loop nest, with the fused multiply-adds by
-which OpenBLAS's tbsv and ger apply the same updates, so its results are
-bitwise those of Reference. Its (nodes, modes) arrays are the two
-Fortran-order buffers of a stepper, one read and the other written, or a
-state's histories in Fortran order, so the kernel takes no strides and its
-pointers are ``restrict``. The finish sums the map's five products in
-sequence from +0, written out as elementwise IEEE operations in both
+Every (n, modes) history array is node-major: C order, node j's modes in
+the contiguous row j. Reference runs the entries as a scaling and LAPACK
+tbtrs in a Fortran-order workspace copied back, a subtraction plus BLAS
+ger on the history's transpose, and small elementwise NumPy calls plus two
+completions and the sums, whose node-order sums are np.add.reduce over the
+rows (np.add.accumulate at one mode, where a reduce would sum pairwise).
+Kernel is the library built from SOURCE, which does each entry in one loop
+nest, with the fused multiply-adds by which OpenBLAS's tbsv and ger apply
+the same updates, so its results are bitwise those of Reference. It runs
+the modes of a node as the lanes of a vector: up to WIDE = 64 modes in
+blocks of eight lanes, each block down all nodes with its recurrences and
+sums in registers, and past that the nodes outer and each row's modes
+inner; both nests give the same bits. Its arrays are the two node-major
+buffers of a stepper, one read and the other written, a stepper's work
+arrays, or a state's histories in C order, so the kernel takes no strides
+and its pointers are ``restrict``. The finish sums the map's five products
+in sequence from +0, written out as elementwise IEEE operations in both
 backends, so neither depends on a NumPy loop order. The +0 start makes a
 sum of -0 products +0, as einsum's sum into a zeroed output did, so states
 stepped at two or more modes kept their bits when the einsum went. The
-history sums start from +0 too, and the kernel's finish and sums entry
-share one C function for them, so a stepped state's energy has the same
-bits from its step as from the sums entry.
+kernel's finish and sums entry share one C function for the history sums,
+so a stepped state's energy has the same bits from its step as from the
+sums entry.
 
 The C source is compiled with the system ``cc`` on first use, into
 ``$XDG_CACHE_HOME/memoplate`` (``~/.cache/memoplate`` by default), a
@@ -47,12 +56,13 @@ run on another CPU that shares the home directory. The library is built
 under a temporary name and moved into place, so concurrent first runs never
 load a partial file, and later runs load it without invoking the compiler.
 ``load`` then makes every call of ``cases`` on both backends (irregular and
-zero inputs; the finish at 1, 2, 8 and 11 modes with both histories, one or
-none; the sums at the same modes with both) and keeps the kernel only if
-every array the calls leave behind is bitwise equal. Without a compiler,
-on a build error, with an unusable cache directory or on a mismatch, the
-steppers run Reference, and the reason, naming the entry that differed, is
-reported.
+zero or -0 inputs; the solve with 0, 1 and 2 weight rows at 1, 8, 11 and
+65 modes; the finish at 1, 2, 8, 11 and 65 modes with both histories, one
+or none; the sums at the same modes with both), so that both loop nests
+of every entry run, and keeps the kernel only if every array the calls
+leave behind is bitwise equal. Without a compiler, on a build error, with
+an unusable cache directory or on a mismatch, the steppers run Reference,
+and the reason, naming the entry that differed, is reported.
 """
 from __future__ import annotations
 
@@ -75,121 +85,217 @@ SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
 
-/* Columns per block of the solve and of the history sums: independent
-   recurrences or sums whose operations overlap, each column read and
-   written as a sequential stream. */
-#define BLOCK 8
+/* Every (n, modes) array is node-major (row-major): node j's modes are the
+   contiguous row j, so the modes of a node are the lanes of a vector and
+   each mode's recurrence or sum runs down its lane. No two of a call's
+   arrays overlap. */
 
-/* Every (n, modes) array is column-major, and no two of a call's arrays
-   overlap. */
+/* LANES doubles, the modes [m, m + LANES) of one node, in GCC's and
+   clang's vector extension: elementwise IEEE operations, with no
+   contraction under -ffp-contract=off. */
+#define LANES 8
+typedef double lanes __attribute__((vector_size(LANES * sizeof(double))));
 
-static inline void solve_block(ptrdiff_t n, ptrdiff_t w, const double *restrict band,
-                               const double *restrict s, const double *restrict p,
-                               double *restrict x)
+/* Up to WIDE modes, a call runs mode blocks of LANES lanes, each block down
+   all nodes with its recurrences and sums in registers. Past WIDE modes a
+   row is long enough to vectorize alone, and a block's reads, one cache
+   line per row, stride too far for the prefetcher: the nodes run outer and
+   each row's modes inner, with the sums kept in their output rows. Both
+   nests apply the same operations to each element in node order, so they
+   give the same bits. */
+#define WIDE 64
+
+/* Macros, not functions: a function that returns lanes changes the ABI
+   where AVX-512 is off, and GCC warns of it. fma_lanes(a, b, c) is the fma
+   of each lane; load_lanes and store_lanes move the first w >= 1 of the
+   LANES lanes, the others read as 0 and left unwritten; splat(v) is v in
+   every lane. */
+#if defined(__AVX512F__)
+#include <immintrin.h>
+#define fma_lanes(a, b, c) ((lanes)_mm512_fmadd_pd((__m512d)(a), (__m512d)(b), (__m512d)(c)))
+#define load_lanes(p, w) ((lanes)_mm512_maskz_loadu_pd((__mmask8)((1u << (w)) - 1), (p)))
+#define store_lanes(p, y, w) \
+    _mm512_mask_storeu_pd((p), (__mmask8)((1u << (w)) - 1), (__m512d)(y))
+#else
+#define fma_lanes(a, b, c) ({ \
+    lanes a_ = (a), b_ = (b), c_ = (c), y_; \
+    for (int k_ = 0; k_ < LANES; k_++) \
+        y_[k_] = fma(a_[k_], b_[k_], c_[k_]); \
+    y_; })
+#define load_lanes(p, w) ({ \
+    lanes y_ = {0.0}; \
+    for (ptrdiff_t k_ = 0; k_ < (w); k_++) \
+        y_[k_] = (p)[k_]; \
+    y_; })
+#define store_lanes(p, y, w) do { \
+    lanes y_ = (y); \
+    for (ptrdiff_t k_ = 0; k_ < (w); k_++) \
+        (p)[k_] = y_[k_]; \
+} while (0)
+#endif
+#define splat(v) ((lanes){0.0} + (v))
+
+#define INLINE static inline __attribute__((always_inline))
+
+/* The solve of one block of w modes, and its nw <= 2 quadratures. */
+INLINE void solve_block(ptrdiff_t n, ptrdiff_t modes, ptrdiff_t w, const double *restrict band,
+                        const double *restrict s, const double *restrict p,
+                        double *restrict x, ptrdiff_t nw, const double *restrict wt,
+                        double *restrict q)
 {
-    double prev[BLOCK];
-    for (ptrdiff_t k = 0; k < w; k++)
-        prev[k] = x[k * n] = s[0] * p[k * n];
-    for (ptrdiff_t j = 1; j < n; j++)
-        for (ptrdiff_t k = 0; k < w; k++)
-            prev[k] = x[k * n + j] = fma(-prev[k], band[2 * j - 1], s[j] * p[k * n + j]);
+    lanes z = s[0] * load_lanes(p, w), q0 = {0.0}, q1 = {0.0};
+    if (nw > 0)
+        q0 = 0.0 + wt[0] * z;
+    if (nw > 1)
+        q1 = 0.0 + wt[n] * z;
+    store_lanes(x, z, w);
+    for (ptrdiff_t j = 1; j < n; j++) {
+        z = fma_lanes(-z, splat(band[2 * j - 1]), s[j] * load_lanes(p + j * modes, w));
+        store_lanes(x + j * modes, z, w);
+        if (nw > 0)
+            q0 += wt[j] * z;
+        if (nw > 1)
+            q1 += wt[n + j] * z;
+    }
+    if (nw > 0)
+        store_lanes(q, q0, w);
+    if (nw > 1)
+        store_lanes(q + modes, q1, w);
 }
 
 /* x = (I + N)^-1 (s * p), with I + N in LAPACK's lower band storage:
-   band[2 j + 1] is N's entry in row j + 1 and column j. */
+   band[2 j + 1] is N's entry in row j + 1 and column j. With nw = 1 or 2
+   weight rows wt (nw, n), also the quadratures q (nw, modes) of x,
+   q[i] = sum_j wt[i][j] x[j], each summed in node order from +0; with
+   nw = 0, wt and q are not read. */
 void transport_solve(ptrdiff_t n, ptrdiff_t modes, const double *restrict band,
-                     const double *restrict s, const double *restrict p, double *restrict x)
+                     const double *restrict s, const double *restrict p, double *restrict x,
+                     ptrdiff_t nw, const double *restrict wt, double *restrict q)
 {
-    ptrdiff_t m = 0;
-    for (; m + BLOCK <= modes; m += BLOCK)
-        solve_block(n, BLOCK, band, s, p + m * n, x + m * n);
-    if (m < modes)
-        solve_block(n, modes - m, band, s, p + m * n, x + m * n);
-}
-
-/* One column of the completion: z = (z - p) + t r, with ger's rounding. */
-static inline void complete_column(ptrdiff_t n, double t, const double *restrict r,
-                                   const double *restrict p, double *restrict z)
-{
-    for (ptrdiff_t j = 0; j < n; j++)
-        z[j] = fma(t, r[j], z[j] - p[j]);
+    if (modes > WIDE) {
+        for (ptrdiff_t m = 0; m < modes; m++)
+            x[m] = s[0] * p[m];
+        for (ptrdiff_t i = 0; i < nw; i++)
+            for (ptrdiff_t m = 0; m < modes; m++)
+                q[i * modes + m] = 0.0 + wt[i * n] * x[m];
+        for (ptrdiff_t j = 1; j < n; j++) {
+            double b = band[2 * j - 1], sj = s[j];
+            const double *restrict xp = x + (j - 1) * modes, *restrict pj = p + j * modes;
+            double *restrict xj = x + j * modes;
+            for (ptrdiff_t m = 0; m < modes; m++)
+                xj[m] = fma(-xp[m], b, sj * pj[m]);
+            for (ptrdiff_t i = 0; i < nw; i++) {
+                double wj = wt[i * n + j];
+                double *restrict qi = q + i * modes;
+                for (ptrdiff_t m = 0; m < modes; m++)
+                    qi[m] += wj * xj[m];
+            }
+        }
+        return;
+    }
+    for (ptrdiff_t m = 0; m < modes; m += LANES) {
+        ptrdiff_t w = modes - m < LANES ? modes - m : LANES;
+        if (nw == 2)
+            solve_block(n, modes, w, band, s, p + m, x + m, 2, wt, q + m);
+        else if (nw == 1)
+            solve_block(n, modes, w, band, s, p + m, x + m, 1, wt, q + m);
+        else
+            solve_block(n, modes, w, band, s, p + m, x + m, 0, wt, q + m);
+    }
 }
 
 /* z = (z - p) + t[m] r in every column m, where t holds a times the
-   summed drive of each mode. */
+   summed drive of each mode: ger's rounding. */
 void transport_complete(ptrdiff_t n, ptrdiff_t modes, const double *restrict t,
                         const double *restrict r, const double *restrict p, double *restrict z)
 {
-    for (ptrdiff_t m = 0; m < modes; m++)
-        complete_column(n, t[m], r, p + m * n, z + m * n);
+    for (ptrdiff_t j = 0; j < n; j++)
+        for (ptrdiff_t m = 0; m < modes; m++)
+            z[j * modes + m] = fma(t[m], r[j], z[j * modes + m] - p[j * modes + m]);
 }
 
-/* BLOCK doubles, one node of a block's columns, in GCC's and clang's
-   vector extension: elementwise IEEE operations, with no contraction under
-   -ffp-contract=off. The shuffles below are written for BLOCK 8. */
-typedef double lanes __attribute__((vector_size(BLOCK * sizeof(double))));
-#ifdef __clang__
-#define SHUFFLE(x, y, ...) __builtin_shufflevector(x, y, __VA_ARGS__)
-#else
-typedef long long picks __attribute__((vector_size(BLOCK * sizeof(long long))));
-#define SHUFFLE(x, y, ...) __builtin_shuffle(x, y, (picks){__VA_ARGS__})
-#endif
-
-/* The sums of a block of w <= BLOCK columns z of a history with n nodes,
-   each column's in node order from +0: qa[k] = sum (wa z) z, ia[k] =
-   sum wa z and, unless wb is NULL, qb[k] = sum (wb z) z, each product
-   formed as written. A full block reads 8 nodes of its 8 columns at a time
-   and transposes them in registers into one vector per node, so that each
-   column's sum is one lane of a vector sum; the nodes past the last 8 and
-   a partial block fill the lanes one by one, the unused ones with 0. */
-static inline void sum_block(ptrdiff_t n, ptrdiff_t w, const double *restrict z,
-                             const double *restrict wa, const double *restrict wb,
-                             double *restrict qa, double *restrict qb, double *restrict ia)
+/* The modes [m, m + w) of complete_sums, their drive a (d0 + d1) formed once. */
+INLINE void complete_block(ptrdiff_t n, ptrdiff_t modes, ptrdiff_t m, ptrdiff_t w, int complete,
+                           int two, double a, const double *restrict d0,
+                           const double *restrict d1, const double *restrict r,
+                           const double *restrict p, double *restrict z,
+                           const double *restrict wa, const double *restrict wb,
+                           double *restrict qa, double *restrict qb, double *restrict ia)
 {
-    lanes sa = {0.0}, sb = {0.0}, si = {0.0}, node[BLOCK];
-    ptrdiff_t j0 = 0;
-    for (; w == BLOCK && j0 + BLOCK <= n; j0 += BLOCK) {
-        lanes c[BLOCK], x[BLOCK];
-        for (int k = 0; k < BLOCK; k++)
-            __builtin_memcpy(&c[k], z + k * n + j0, sizeof c[k]);
-        /* three rounds of pairs: odd and even nodes, then pairs of nodes,
-           then halves, so that node[i] holds node j0 + i of every column */
-        for (int k = 0; k < BLOCK; k += 2) {
-            x[k] = SHUFFLE(c[k], c[k + 1], 0, 8, 2, 10, 4, 12, 6, 14);
-            x[k + 1] = SHUFFLE(c[k], c[k + 1], 1, 9, 3, 11, 5, 13, 7, 15);
+    lanes t = {0.0}, sa = {0.0}, sb = {0.0}, si = {0.0};
+    if (complete)
+        t = a * (load_lanes(d0 + m, w) + load_lanes(d1 + m, w));
+    for (ptrdiff_t j = 0; j < n; j++) {
+        lanes y = load_lanes(z + j * modes + m, w);
+        if (complete) {
+            y = fma_lanes(t, splat(r[j]), y - load_lanes(p + j * modes + m, w));
+            store_lanes(z + j * modes + m, y, w);
         }
-        for (int k = 0; k < BLOCK; k += 4)
-            for (int i = k; i < k + 2; i++) {
-                c[i] = SHUFFLE(x[i], x[i + 2], 0, 1, 8, 9, 4, 5, 12, 13);
-                c[i + 2] = SHUFFLE(x[i], x[i + 2], 2, 3, 10, 11, 6, 7, 14, 15);
-            }
-        for (int i = 0; i < 4; i++) {
-            node[i] = SHUFFLE(c[i], c[i + 4], 0, 1, 2, 3, 8, 9, 10, 11);
-            node[i + 4] = SHUFFLE(c[i], c[i + 4], 4, 5, 6, 7, 12, 13, 14, 15);
-        }
-        for (int i = 0; i < BLOCK; i++) {
-            lanes u = wa[j0 + i] * node[i];
-            sa += u * node[i];
-            si += u;
-            if (wb)
-                sb += (wb[j0 + i] * node[i]) * node[i];
-        }
-    }
-    for (ptrdiff_t j = j0; j < n; j++) {
-        lanes y = {0.0};
-        for (ptrdiff_t k = 0; k < w; k++)
-            y[k] = z[k * n + j];
         lanes u = wa[j] * y;
         sa += u * y;
         si += u;
-        if (wb)
+        if (two)
             sb += (wb[j] * y) * y;
     }
-    for (ptrdiff_t k = 0; k < w; k++) {
-        qa[k] = sa[k];
-        ia[k] = si[k];
-        if (wb)
-            qb[k] = sb[k];
+    store_lanes(qa + m, sa, w);
+    store_lanes(ia + m, si, w);
+    if (two)
+        store_lanes(qb + m, sb, w);
+}
+
+/* The rows nest of complete_sums. */
+INLINE void complete_rows(ptrdiff_t n, ptrdiff_t modes, int complete, int two, double a,
+                          const double *restrict d0, const double *restrict d1,
+                          const double *restrict r, const double *restrict p,
+                          double *restrict z, const double *restrict wa,
+                          const double *restrict wb, double *restrict qa,
+                          double *restrict qb, double *restrict ia)
+{
+    for (ptrdiff_t m = 0; m < modes; m++) {
+        qa[m] = ia[m] = 0.0;
+        if (two)
+            qb[m] = 0.0;
+    }
+    for (ptrdiff_t j = 0; j < n; j++) {
+        double rj = complete ? r[j] : 0.0, aj = wa[j], bj = two ? wb[j] : 0.0;
+        double *restrict zj = z + j * modes;
+        const double *restrict pj = complete ? p + j * modes : NULL;
+        for (ptrdiff_t m = 0; m < modes; m++) {
+            double y = zj[m];
+            if (complete) {
+                y = fma(a * (d0[m] + d1[m]), rj, y - pj[m]);
+                zj[m] = y;
+            }
+            double u = aj * y;
+            qa[m] += u * y;
+            ia[m] += u;
+            if (two)
+                qb[m] += (bj * y) * y;
+        }
+    }
+}
+
+/* Unless complete is 0, the completion z = (z - p) + (a (d0[m] + d1[m])) r
+   of each column m of a history z with n nodes; then its sums, each in
+   node order from +0 with each product formed as written: qa = sum (wa z) z,
+   ia = sum wa z and, if two, qb = sum (wb z) z. From LANES to WIDE modes,
+   blocks of LANES modes with the nodes inner; the rows nest otherwise,
+   also below LANES modes, where a block's load of a row would overlap the
+   row it just stored. */
+INLINE void complete_sums(ptrdiff_t n, ptrdiff_t modes, int complete, int two, double a,
+                          const double *restrict d0, const double *restrict d1,
+                          const double *restrict r, const double *restrict p,
+                          double *restrict z, const double *restrict wa,
+                          const double *restrict wb, double *restrict qa,
+                          double *restrict qb, double *restrict ia)
+{
+    if (modes < LANES || modes > WIDE) {
+        complete_rows(n, modes, complete, two, a, d0, d1, r, p, z, wa, wb, qa, qb, ia);
+        return;
+    }
+    for (ptrdiff_t m = 0; m < modes; m += LANES) {
+        ptrdiff_t w = modes - m < LANES ? modes - m : LANES;
+        complete_block(n, modes, m, w, complete, two, a, d0, d1, r, p, z, wa, wb, qa, qb, ia);
     }
 }
 
@@ -203,11 +309,11 @@ void history_sums(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, const double *res
                   const double *restrict we, const double *restrict zx,
                   const double *restrict wx, double *restrict s)
 {
-    for (ptrdiff_t m = 0; m < modes; m += BLOCK) {
-        ptrdiff_t w = modes - m < BLOCK ? modes - m : BLOCK;
-        sum_block(ne, w, ze + m * ne, we, we + ne, s + m, s + modes + m, s + 3 * modes + m);
-        sum_block(nx, w, zx + m * nx, wx, NULL, s + 2 * modes + m, NULL, s + 4 * modes + m);
-    }
+    /* read only: complete is 0, so z is not written */
+    complete_sums(ne, modes, 0, 1, 0.0, NULL, NULL, NULL, NULL, (double *)ze, we, we + ne, s,
+                  s + modes, s + 3 * modes);
+    complete_sums(nx, modes, 0, 0, 0.0, NULL, NULL, NULL, NULL, (double *)zx, wx, NULL,
+                  s + 2 * modes, NULL, s + 4 * modes);
 }
 
 /* The triplet half of a midpoint step, once the quadratures are in rows
@@ -216,9 +322,8 @@ void history_sums(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, const double *res
    - the new triplet x1[0:3], the map [P | -Q] (modes, 3, 5) applied to
      x[0:5], its five products summed in sequence from +0;
    - the completion of each history, eta (ne nodes) by the drive sum
-     a (theta + theta1) and xi (nx nodes) by a (v + v1), a block of 8
-     modes at a time, each block summed by sum_block while it is still in
-     cache: the new state's sums, into rows 8-12 of x1 in history_sums'
+     a (theta + theta1) and xi (nx nodes) by a (v + v1), and the new
+     state's sums, by complete_sums, into rows 8-12 of x1 in history_sums'
      layout and order. */
 void midpoint_finish(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, double a,
                      const double *restrict map, const double *restrict g,
@@ -244,17 +349,10 @@ void midpoint_finish(ptrdiff_t modes, ptrdiff_t ne, ptrdiff_t nx, double a,
             x1[i * modes + m] = ((((0.0 + t[0]) + t[1]) + t[2]) + t[3]) + t[4];
         }
     double *s = x1 + 8 * modes;
-    for (ptrdiff_t m = 0; m < modes; m += BLOCK) {
-        ptrdiff_t w = modes - m < BLOCK ? modes - m : BLOCK;
-        for (ptrdiff_t k = m; k < m + w; k++)
-            complete_column(ne, a * (x[2 * modes + k] + x1[2 * modes + k]), re, pe + k * ne,
-                            ze + k * ne);
-        sum_block(ne, w, ze + m * ne, we, we + ne, s + m, s + modes + m, s + 3 * modes + m);
-        for (ptrdiff_t k = m; k < m + w; k++)
-            complete_column(nx, a * (x[modes + k] + x1[modes + k]), rx, px + k * nx,
-                            zx + k * nx);
-        sum_block(nx, w, zx + m * nx, wx, NULL, s + 2 * modes + m, NULL, s + 4 * modes + m);
-    }
+    complete_sums(ne, modes, 1, 1, a, x + 2 * modes, x1 + 2 * modes, re, pe, ze, we, we + ne, s,
+                  s + modes, s + 3 * modes);
+    complete_sums(nx, modes, 1, 0, a, x + modes, x1 + modes, rx, px, zx, wx, NULL,
+                  s + 2 * modes, NULL, s + 4 * modes);
 }
 """
 
@@ -278,8 +376,8 @@ def memory_load(g: np.ndarray, g2: np.ndarray, q: np.ndarray, out: np.ndarray) -
 
 class Reference:
     """The entries by NumPy, LAPACK and BLAS, on their arguments as numbers
-    and arrays, each (n, modes) array in Fortran order as the kernel's are.
-    Like the kernel's, they write into their output arrays and return
+    and arrays, each (n, modes) array node-major (C order) as the kernel's
+    are. Like the kernel's, they write into their output arrays and return
     nothing."""
 
     @staticmethod
@@ -288,24 +386,34 @@ class Reference:
         return values
 
     @staticmethod
-    def solve(n, modes, band, s, p, x) -> None:
+    def solve(n, modes, band, s, p, x, nw, w, q) -> None:
         """x = (I + N)^-1 (s * p), with I + N unit lower bidiagonal in LAPACK
-        band storage ``band`` (2, n): the scaling by einsum into x, then tbtrs
-        in place. Needs n > 0, since tbtrs on 0 rows corrupts the heap."""
-        # einsum, not a broadcast multiply: NumPy's ufunc iterator allocates a
-        # buffer of up to 64 KB for the broadcast operand
-        info = _TBTRS(band, np.einsum("i,ij->ij", s, p, out=x), uplo="L", diag="U",
-                      overwrite_b=True)[1]
+        band storage ``band`` (2, n): the scaling into a Fortran-order
+        workspace, tbtrs there in place and a copy into x; then, for nw = 1
+        or 2, the quadratures q[i] = sum_j w[i, j] x[j] of the rows of
+        w (nw, n) into the rows of q (nw, modes), by _node_sum. Needs n > 0,
+        since tbtrs on 0 rows corrupts the heap."""
+        f = _workspace("solve", (n, modes), "F")
+        # s p as the kernel forms it, a -0 entry -0; einsum sums its products
+        # into a zeroed output, which makes it +0
+        np.copyto(f, p)
+        np.multiply(f, s[:, None], out=f)
+        info = _TBTRS(band, f, uplo="L", diag="U", overwrite_b=True)[1]
         if info != 0:
             raise SingularStepError(f"triangular transport solve failed (info {info})")
+        np.copyto(x, f)
+        terms = _workspace("u", x.shape)
+        for i in range(nw):
+            _node_sum(np.multiply(w[i, :, None], x, out=terms), q[i])
 
     @staticmethod
     def complete(n, modes, t, r, p, z) -> None:
         """z = (z - p) + r t^T, for t (modes,), by a subtraction and BLAS ger
-        with alpha 1, both in place. ger forms alpha t_m first, so for
-        t = a drive this is ger(a, r, drive) to the bit."""
+        with alpha 1 on z's transpose, both in place. ger adds (1 r_j) t to
+        each column j of the transpose, t_m r_j to each entry: for t = a
+        drive, the bits of the drive's rank-one update."""
         np.subtract(z, p, out=z)
-        _GER(1.0, r, t, a=z, overwrite_a=True)
+        _GER(1.0, t, r, a=z.T, overwrite_a=True)
 
     @staticmethod
     def sums(modes, ne, nx, ze, we, zx, wx, s) -> None:
@@ -352,20 +460,32 @@ def _fold(terms: np.ndarray, out: np.ndarray) -> None:
     np.add(0.0, np.add.accumulate(terms, axis=0, out=terms)[-1], out=out)
 
 
+def _node_sum(terms: np.ndarray, out: np.ndarray) -> None:
+    """out = the C-order ``terms`` (nodes, modes) summed over its nodes in
+    node order from +0, as the kernel sums them, with ``terms`` overwritten.
+    Over the rows of a C-order array, np.add.reduce adds each row in turn
+    into ``out``; at one mode the rows are one contiguous axis, which it
+    would sum pairwise, so there _fold accumulates it instead."""
+    if terms.shape[1] == 1:
+        _fold(terms, out)
+    else:
+        np.add(0.0, np.add.reduce(terms, axis=0, out=out), out=out)
+
+
 def _state_sums(ne, nx, ze, we, zx, wx, s) -> None:
     """Reference.sums into ``s``, 0 for a history of 0 nodes."""
     s.fill(0.0)
     for n, z, wa, wb, qa, qb, ia in ((ne, ze, we[0], we[1], s[0], s[1], s[3]),
                                     (nx, zx, wx, None, s[2], None, s[4])):
         if n:
-            # the kernel's sum_block: (wa z) z, wa z and (wb z) z per node
-            u = np.multiply(wa[:, None], z, out=_workspace("u", z.shape, "F"))
-            q = np.multiply(u, z, out=_workspace("q", z.shape, "F"))
-            _fold(q, qa)
-            _fold(u, ia)
+            # the kernel's complete_sums: (wa z) z, wa z and (wb z) z per node
+            u = np.multiply(wa[:, None], z, out=_workspace("u", z.shape))
+            q = np.multiply(u, z, out=_workspace("q", z.shape))
+            _node_sum(q, qa)
+            _node_sum(u, ia)
             if wb is not None:
                 np.multiply(wb[:, None], z, out=q)
-                _fold(np.multiply(q, z, out=q), qb)
+                _node_sum(np.multiply(q, z, out=q), qb)
 
 
 class KernelUnavailable(Exception):
@@ -374,7 +494,7 @@ class KernelUnavailable(Exception):
 
 _SIZE, _PTR = ctypes.c_ssize_t, ctypes.c_void_p
 # entry: (C function, argument types)
-ENTRIES = {"solve": ("transport_solve", (_SIZE,) * 2 + (_PTR,) * 4),
+ENTRIES = {"solve": ("transport_solve", (_SIZE,) * 2 + (_PTR,) * 4 + (_SIZE,) + (_PTR,) * 2),
            "complete": ("transport_complete", (_SIZE,) * 2 + (_PTR,) * 4),
            "finish": ("midpoint_finish", (_SIZE,) * 3 + (ctypes.c_double,) + (_PTR,) * 13),
            "sums": ("history_sums", (_SIZE,) * 3 + (_PTR,) * 5)}
@@ -472,9 +592,9 @@ def _spread(count: int, seed: float) -> np.ndarray:
     return np.modf(seed + 0.6180339887498949 * np.arange(1, count + 1))[0]
 
 
-def _data(shape: tuple, seed: float, zero: bool, order: str = "C") -> np.ndarray:
-    """Zeros, or irregular values in (-2, 2), of the given shape and order."""
-    y = np.zeros(shape, order=order)
+def _data(shape: tuple, seed: float, zero: bool) -> np.ndarray:
+    """Zeros, or irregular values in (-2, 2), of the given shape."""
+    y = np.zeros(shape)
     if not zero:
         y[...] = 4.0 * _spread(y.size, seed).reshape(shape) - 2.0
     return y
@@ -482,28 +602,34 @@ def _data(shape: tuple, seed: float, zero: bool, order: str = "C") -> np.ndarray
 
 def cases():
     """The self-check's calls (entry, where, values), on irregular and on
-    zero inputs: the solve and the completion at n x modes = 1 x 1,
-    37 x 11 and 64 x 8, so for a block of eight modes and for partial ones;
-    the finish at 1, 2, 8 and 11 modes with 37 + 5, 37 + 0, 0 + 5 and
-    0 + 0 history nodes, on zero inputs with 37 + 5 and 0 + 0 only; and
-    the sums at the same modes with 37 + 5 nodes. ``where`` names the
-    reference's call and the size."""
+    zero inputs, -0 where a sum reads +0 only from its +0 start: the solve
+    with 0, 1 and 2 weight rows and the completion at n x modes = 1 x 1,
+    37 x 11, 64 x 8 and 5 x 65, so for a block of eight modes, for partial
+    ones and past WIDE modes; the finish at 1, 2, 8 and 11 modes with
+    37 + 5, 37 + 0, 0 + 5 and 0 + 0 history nodes, on zero inputs with
+    37 + 5 and 0 + 0 only, and at 65 modes with 37 + 5; and the sums at the
+    same modes with 37 + 5 nodes. So the finish and the sums run both of
+    their loop nests, below LANES and past WIDE modes and between. ``where``
+    names the reference's call and the size."""
     a = 0.0123456789
-    for n, modes in ((1, 1), (37, 11), (64, 8)):
+    for n, modes in ((1, 1), (37, 11), (64, 8), (5, 65)):
         band = np.ones((2, n), order="F")
         band[1] = -_spread(n, 0.1)
         scale, response = 0.5 + 1.5 * _spread(n, 0.2), _spread(n, 0.3)
         for zero in (False, True):
-            profile = _data((n, modes), 0.4, zero, "F")
-            yield ("solve", f"tbtrs at {n} x {modes}",
-                   (n, modes, band, scale, profile, np.zeros((n, modes), order="F")))
+            # negated, the zero profile is -0, and so is every quadrature term
+            profile = -_data((n, modes), 0.4, zero)
+            for nw in (0, 1, 2):
+                yield ("solve", f"tbtrs at {n} x {modes}, {nw} weight rows",
+                       (n, modes, band, scale, profile, np.zeros((n, modes)), nw,
+                        _spread(nw * n, 0.5).reshape(nw, n), np.ones((nw, modes))))
             for drive in (2.0 * _spread(modes, 0.5) - 1.0, np.zeros(modes)):
                 yield ("complete", f"ger at {n} x {modes}",
-                       (n, modes, a * drive, response, profile, _data((n, modes), 0.6, zero, "F")))
-    for modes in (1, 2, 8, 11):
+                       (n, modes, a * drive, response, profile, _data((n, modes), 0.6, zero)))
+    for modes in (1, 2, 8, 11, 65):
         g = 1.0 + 40.0 * _spread(modes, 0.6)
         signed = 2.0 * _spread(15 * modes, 0.7).reshape(modes, 3, 5) - 1.0
-        for ne, nx in ((37, 5), (37, 0), (0, 5), (0, 0)):
+        for ne, nx in ((37, 5), (37, 0), (0, 5), (0, 0)) if modes < 65 else ((37, 5),):
             we, wx = _spread(2 * ne, 0.8).reshape(2, ne), _spread(nx, 0.9)
             # zero inputs with both histories and with none: the completions
             # and sums of one history run the same code as with both
@@ -513,15 +639,15 @@ def cases():
                 yield ("finish", f"the reference at modes = {modes}, {ne} + {nx} nodes",
                        (modes, ne, nx, a, -np.abs(signed) if zero else signed, g, g * g,
                         _data((13, modes), 0.8, zero), np.ones((13, modes)), _spread(ne, 0.9),
-                        _data((ne, modes), 0.1, zero, "F"), _data((ne, modes), 0.2, zero, "F"),
-                        we, _spread(nx, 0.3), _data((nx, modes), 0.4, zero, "F"),
-                        _data((nx, modes), 0.5, zero, "F"), wx))
+                        _data((ne, modes), 0.1, zero), _data((ne, modes), 0.2, zero),
+                        we, _spread(nx, 0.3), _data((nx, modes), 0.4, zero),
+                        _data((nx, modes), 0.5, zero), wx))
                 if ne and nx:
                     # negated, the zero histories are -0, whose integrals
                     # read +0 only from the +0 start
                     yield ("sums", f"the reference at modes = {modes}, {ne} + {nx} nodes",
-                           (modes, ne, nx, -_data((ne, modes), 0.3, zero, "F"), we,
-                            -_data((nx, modes), 0.4, zero, "F"), wx, np.ones((5, modes))))
+                           (modes, ne, nx, -_data((ne, modes), 0.3, zero), we,
+                            -_data((nx, modes), 0.4, zero), wx, np.ones((5, modes))))
 
 
 def mismatch(kernel: Kernel) -> str | None:

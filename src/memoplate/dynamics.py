@@ -22,22 +22,25 @@ right-hand side is scaled by the inverse diagonal. The rank-one drive terms
 are folded into the 3x3 map once, and enter the new history as one
 rank-one update with the old and new drive summed.
 
-A step with both histories makes five foreign calls, each one pass over a
-history array or less: the transport backend of ctransport solves each
-history (two calls, the scaled substitution); np.matmul takes the memory
-load's quadratures of the solves (two BLAS calls); and the backend's finish
-does the triplet half, from the quadratures to the load, the 3x3 map of
-every mode, the drive sums, the update of each history in place and the
-new state's history sums. The quadratures stay in BLAS, whose summation
-order the stepped states' bits rest on. The history sums, sum w z^2 of
-each history under each of its kernels and the memory integrals
-sum w_mu eta and sum w_beta xi, are what the stepping driver records: so
-the energy record reads no history array, and a stepped state's energy is
-ready when its step returns. The steppers do not know which backend runs:
-ctransport.kernel() gives the compiled kernel, which makes three passes
-over each history array a step, or its bitwise reference, which makes
-more, and the steppers build its calls' arguments once and call its
-entries.
+A step with both histories makes three foreign calls and two passes over
+each history array: the transport backend of ctransport solves each history
+(two calls, the scaled substitution), and each solve also sums the memory
+load's quadratures of its result; the backend's finish then does the
+triplet half, from the quadratures to the load, the 3x3 map of every mode,
+the drive sums, the update of each history in place and the new state's
+history sums. Every history is a node-major (nodes, modes) array in C
+order, so the backend runs the modes of a node as the lanes of a vector.
+The quadratures and the history sums are each summed in node order from
++0, in the compiled kernel and in its bitwise reference alike, so the
+stepped states' bits rest on those two and on no BLAS summation order. The
+history sums, sum w z^2 of each history under each of its kernels and the
+memory integrals sum w_mu eta and sum w_beta xi, are what the stepping
+driver records: so the energy record reads no history array, and a
+stepped state's energy is ready when its step returns. The steppers do not
+know which backend runs: ctransport.kernel() gives the compiled kernel,
+which makes two passes over each history array a step, or its bitwise
+reference, which makes more, and the steppers build its calls' arguments
+once and call its entries.
 
 A step allocates no state array. A MidpointStepper owns two state sets,
 allocated once: set k is the triplet rows of its work array k and buffer k
@@ -50,7 +53,8 @@ returns therefore belong to the stepper and stay valid until the step after
 next; a caller that keeps a state longer copies it. The stepping driver
 measures each state's energy with PhaseEnergy, whose eigenvalue powers are
 taken once per run, from the step's sums, and the initial state's from the
-backend's sums entry.
+backend's sums entry, and squares a stepped triplet, rows 0-2 of one work
+array, in one call.
 """
 from __future__ import annotations
 
@@ -135,8 +139,8 @@ def default_time_step(params: Params) -> float:
 class TransportStepper:
     """Implicit midpoint for a driven transport block on one history grid.
 
-    Advances all modes at once, profiles stored (nodes, modes) in Fortran
-    order, through the Cayley form 2 (I - aT)^-1 - I of the midpoint map
+    Advances all modes at once, profiles stored (nodes, modes) in C order,
+    node-major, through the Cayley form 2 (I - aT)^-1 - I of the midpoint map
     (I - aT)^-1 (I + aT). With c = a/h, I - aT = D (I + N) for D = diag(1 + c)
     and N strictly lower with subdiagonal -c_i/(1 + c_i): a profile scaled by
     2 D^-1 needs one unit-diagonal lower-bidiagonal substitution, which
@@ -149,18 +153,25 @@ class TransportStepper:
     absent block (grid None) has 0 nodes and never reaches the backend,
     where tbtrs on 0 rows corrupts the heap.
 
-    The stepper owns two (nodes, modes) Fortran-order buffers for the whole
-    run, and both passes read and write only those. A profile that is one
-    of the buffers is read where it is; any other array of the same shape,
-    even a view of a buffer, is copied into buffer 1 first. partial() then
-    writes into the other buffer, and complete() reads the old profile back
-    from the buffer that partial() did not write. A stepped profile is
-    therefore valid until the step after next, which writes into its buffer
-    again. The backend's arguments for both directions, read buffer k and
-    write buffer 1 - k, are built once, here.
+    Given ``weights`` (k, nodes), k = 1 or 2, and ``quadratures``, a pair of
+    (k, modes) arrays, the solve of a profile read from buffer j also sums
+    its quadratures weights @ solution into quadratures[j], each in node
+    order from +0; without them it sums none. MidpointStepper passes its
+    work arrays' quadrature rows, so that its step needs no matmul.
+
+    The stepper owns two (nodes, modes) C-order buffers for the whole run,
+    and both passes read and write only those. A profile that is one of the
+    buffers is read where it is; any other array of the same shape, in any
+    memory order and even a view of a buffer, is copied into buffer 1 first.
+    partial() then writes into the other buffer, and complete() reads the
+    old profile back from the buffer that partial() did not write. A stepped
+    profile is therefore valid until the step after next, which writes into
+    its buffer again. The backend's arguments for both directions, read
+    buffer k and write buffer 1 - k, are built once, here.
     """
 
-    def __init__(self, grid, dt: float, modes: int):
+    def __init__(self, grid, dt: float, modes: int, weights: np.ndarray | None = None,
+                 quadratures: tuple = ()):
         self.a = 0.5 * dt
         c = self.a / (np.zeros(0) if grid is None else grid.spacing)
         dinv = 1.0 / (1.0 + c)
@@ -171,22 +182,28 @@ class TransportStepper:
         self._band[0] = 1.0
         self._band[1, :-1] = -c[1:] * dinv[1:]
         self.nodes = c.size
-        self._buffers = tuple(aligned_empty((c.size, modes), order="F") for _ in range(2))
+        self._buffers = tuple(aligned_empty((c.size, modes)) for _ in range(2))
         # response of the implicit half to a unit constant drive, by the
         # reference directly so that solve() runs once per active history
         # block and step
-        response = np.zeros((c.size, 1), order="F")
+        response = np.zeros((c.size, 1))
         self.unit_response = response[:, 0]
         if not c.size:
             # a stepper of 0 nodes never calls a backend
             return
-        Reference.solve(c.size, 1, self._band, dinv, np.ones((c.size, 1)), response)
+        if weights is None:
+            # no weight rows: the solve sums no quadratures
+            weights, quadratures = np.zeros((0, c.size)), (np.zeros((0, modes)),) * 2
+        Reference.solve(c.size, 1, self._band, dinv, np.ones((c.size, 1)), response, 0,
+                        weights[:0], quadratures[0][:0])
         self._scaled_drive = np.empty(modes)
         self._backend = backend = ctransport.kernel()[0]
-        # (read, written) pairs, indexed by the buffer read as the profile
+        # (read, written) pairs, indexed by the buffer read as the profile,
+        # and the quadratures of that read
         pairs = (self._buffers, self._buffers[::-1])
-        self._solve_args = tuple(backend.arguments(c.size, modes, self._band, self._two_dinv, *rw)
-                                 for rw in pairs)
+        self._solve_args = tuple(backend.arguments(c.size, modes, self._band, self._two_dinv,
+                                                   *rw, len(weights), weights, q)
+                                 for rw, q in zip(pairs, quadratures))
         self._complete_args = tuple(backend.arguments(c.size, modes, self._scaled_drive,
                                                       self.unit_response, *rw) for rw in pairs)
 
@@ -272,15 +289,18 @@ class MidpointStepper:
     memory in a layout other than its arrays', may be written.
 
     Calls: a step with histories solves each one (TransportStepper.partial,
-    one backend call each) and writes the quadratures of the solves into
-    rows 5-7 (np.matmul, one BLAS call per history). One call of the
-    backend's finish then does the rest: the load rows 3-4, the new triplet
-    by the map, each entry's five products summed in sequence from +0, the
-    drive sums a (theta + theta1) and a (v + v1), the completion of each
-    history with nodes, in the buffer its solve wrote, and the new
-    histories' sums. The call's arguments are built once for each of the
-    two sets read. With both blocks collapsed a step makes that one call,
-    with a zero load, no completion and zero sums.
+    one backend call each), and each solve writes the quadratures of its
+    solution into rows 5-7 of the work array read, each summed in node
+    order from +0. One call of the backend's finish then does the rest: the
+    load rows 3-4, the new triplet by the map, each entry's five products
+    summed in sequence from +0, the drive sums a (theta + theta1) and
+    a (v + v1), the completion of each history with nodes, in the buffer its
+    solve wrote, and the new histories' sums. So a step with both histories
+    makes three foreign calls. The calls' arguments are built once for each
+    of the two sets read. With both blocks collapsed a step makes the one
+    call of the finish, with a zero load, no completion and zero sums.
+    ``triplet`` and ``sums`` point at rows 0-2 and 8-12 of the work array
+    the last step wrote, which PhaseEnergy reads.
     """
 
     def __init__(self, space: PhaseSpace, dt: float):
@@ -291,8 +311,16 @@ class MidpointStepper:
         a = 0.5 * dt
         g = np.ascontiguousarray(space.modes.eigenvalues, dtype=float)
         n = g.size
-        self.eta_t = TransportStepper(space.eta_grid, dt, n)
-        self.xi_t = TransportStepper(space.xi_grid, dt, n)
+        self._work = (np.zeros((13, n)), np.zeros((13, n)))
+        # kept, since the kernel's arguments hold only their addresses
+        self._weights = w_eta, w_beta = tuple(np.ascontiguousarray(w, dtype=float)
+                                              for w in (space.w_eta, space.w_beta))
+        # each solve of set k's history writes its quadratures into rows 5-7
+        # of work array k, which stay zero for a block of 0 nodes
+        self.eta_t = TransportStepper(space.eta_grid, dt, n, w_eta,
+                                      tuple(w[5:7] for w in self._work))
+        self.xi_t = TransportStepper(space.xi_grid, dt, n, w_beta[None],
+                                     tuple(w[7:8] for w in self._work))
 
         T = np.zeros((n, 3, 3))
         T[:, 0, 1] = 1.0
@@ -318,20 +346,17 @@ class MidpointStepper:
         Ainv = np.linalg.inv(eye - a * T)
         # [P | -Q] without Q's first column, which meets M's zero entry
         self.map = np.concatenate([Ainv @ (eye + a * T), -a * Ainv[:, :, 1:]], axis=2)
-        self._work = (np.zeros((13, n)), np.zeros((13, n)))
         # state set k: work array k's triplet rows and history buffers k
         self._sets = tuple((*w[:3], self.eta_t._buffers[k], self.xi_t._buffers[k])
                            for k, w in enumerate(self._work))
+        self._triplets = tuple(w[:3] for w in self._work)
         self._sums = tuple(w[8:] for w in self._work)
-        self.sums = None
+        self.triplet = self.sums = None
         self._active = bool(self.eta_t.nodes or self.xi_t.nodes)
 
         # the finish's arguments, indexed by the set read
         backend = ctransport.kernel()[0]
         self._finish = backend.finish
-        # kept, like g and g2
-        self._weights = w_eta, w_beta = tuple(np.ascontiguousarray(w, dtype=float)
-                                              for w in (space.w_eta, space.w_beta))
         self._finish_args = tuple(
             backend.arguments(n, self.eta_t.nodes, self.xi_t.nodes, a, self.map, g, g2,
                               self._work[k], self._work[1 - k], self.eta_t.unit_response,
@@ -365,13 +390,13 @@ class MidpointStepper:
             for own, x in zip(old, state):
                 np.copyto(own, x)
         if self._active:
-            # each solve writes set 1 - k's history; on a block of 0 nodes
-            # partial() solves nothing and returns an empty buffer
-            x = self._work[k]
-            np.matmul(self.space.w_eta, self.eta_t.partial(old[3]), out=x[5:7])
-            np.matmul(self.space.w_beta, self.xi_t.partial(old[4]), out=x[7])
+            # each solve writes set 1 - k's history and its quadratures into
+            # rows 5-7 of work array k; on a block of 0 nodes partial()
+            # solves nothing
+            self.eta_t.partial(old[3])
+            self.xi_t.partial(old[4])
         self._finish(*self._finish_args[k])
-        self.sums = self._sums[1 - k]
+        self.triplet, self.sums = self._triplets[1 - k], self._sums[1 - k]
         return self._sets[1 - k]
 
 
@@ -457,16 +482,16 @@ def _drive(stepper: MidpointStepper, initial: PhaseVector, horizon: float, strid
     stored = _stored_steps(nsteps, stride)
     step_energy = np.zeros(nsteps + 1)
     energy = PhaseEnergy(space, initial.order)
-    columns = sums = None
+    columns = sums = triplet = None
     k = 0
     state = stepper.check(initial.u, initial.v, initial.theta, initial.eta, initial.xi)
     for step in range(nsteps + 1):
         if step:
             state = stepper.step(*state)
-            sums = stepper.sums
+            sums, triplet = stepper.sums, stepper.triplet
             if advance is not None:
                 advance()
-        energy(*state, sums=sums)
+        energy(*state, sums=sums, triplet=triplet)
         e = energy.total()
         if not math.isfinite(e):
             raise SingularStepError(f"state left the finite range at step {step} "

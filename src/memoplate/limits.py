@@ -156,8 +156,8 @@ def compare_trajectories(space: PhaseSpace, initial: PhaseVector, dt: float,
         xi_hat = rec_xi.complete(rec_xi.partial(xi_hat), drive_v)
 
     gap = PhaseEnergy(space, m)
-    gap_eta = aligned_empty(initial.eta.shape, order="F")
-    gap_xi = aligned_empty(initial.xi.shape, order="F")
+    gap_eta = aligned_empty(initial.eta.shape)
+    gap_xi = aligned_empty(initial.xi.shape)
     limit_energy = PhaseEnergy(lim.space, m)
 
     def sample(state, energy):

@@ -223,7 +223,7 @@ class PhaseEnergy:
         self.space = space
         self.powers = norm_powers(space, order)
         self.blocks = np.empty((6, n))
-        self._triplet = tuple(self.blocks[:3])
+        self._head, self._tail = self.blocks[:3], self.blocks[3:]
         self.modal = np.empty(n)
         self._running = np.empty(n)
         # history_sums' output: zeros, never written, without history nodes
@@ -239,7 +239,7 @@ class PhaseEnergy:
         """The (5, modes) history sums of eta (eta_nodes, modes) and xi
         (xi_nodes, modes) by the backend's sums entry, written into this
         evaluator's own array and returned; ShapeError for another shape.
-        A history not in Fortran order is summed from a copy. The entry's
+        A history not in C order is summed from a copy. The entry's
         arguments for arrays read in place are kept, so a caller that sums
         the same two arrays at every sample builds them once. Without
         history nodes the sums are zero and no entry runs."""
@@ -248,7 +248,7 @@ class PhaseEnergy:
             return self._own
         last = self._last
         if last is None or eta is not last[0] or xi is not last[1]:
-            read = tuple(np.asarray(h, dtype=float, order="F") for h in (eta, xi))
+            read = tuple(np.asarray(h, dtype=float, order="C") for h in (eta, xi))
             for name, h, shape in zip(("eta", "xi"), read, self._shapes):
                 if h.shape != shape:
                     raise ShapeError(f"{name} must have shape {shape}, got {h.shape}")
@@ -260,14 +260,20 @@ class PhaseEnergy:
         self._backend.sums(*last[2])
         return self._own
 
-    def __call__(self, u, v, theta, eta, xi, sums=None) -> np.ndarray:
+    def __call__(self, u, v, theta, eta, xi, sums=None, triplet=None) -> np.ndarray:
         """The blocks of a state in PhaseVector's layout, as ``blocks``.
         ``sums``, if given, are the state's history sums as a step wrote
-        them, and eta and xi are not read; else history_sums(eta, xi)."""
-        for row, x in zip(self._triplet, (u, v, theta)):
-            np.multiply(x, x, out=row)
+        them, and eta and xi are not read; else history_sums(eta, xi).
+        ``triplet``, if given, is the (3, modes) array whose rows are u, v
+        and theta, as a step returns them (``MidpointStepper.triplet``), and
+        is squared in one call; the squares have the same bits either way."""
+        if triplet is None:
+            for row, x in zip(self._head, (u, v, theta)):
+                np.multiply(x, x, out=row)
+        else:
+            np.multiply(triplet, triplet, out=self._head)
         self.sums = self.history_sums(eta, xi) if sums is None else sums
-        self.blocks[3:] = self.sums[:3]
+        np.copyto(self._tail, self.sums[:3])
         self.blocks *= self.powers
         return self.blocks
 

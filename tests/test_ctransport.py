@@ -94,7 +94,7 @@ def test_kernel_matches_tbtrs_and_ger_bitwise(compiled, monkeypatch, name):
                         got = fast.complete(fast.partial(profile), drive)
                         assert same_bits(got, want)
             # consecutive steps through the steppers' own buffers
-            p_ref = p_fast = np.asfortranarray(rng.standard_normal(shape))
+            p_ref = p_fast = rng.standard_normal(shape)
             for _ in range(3):
                 drive = rng.standard_normal(n)
                 p_ref = ref.complete(ref.partial(p_ref), drive)
@@ -243,9 +243,10 @@ def test_step_matches_forced_reference_bitwise(compiled, monkeypatch, modes, lay
        nx=st.sampled_from([0, 1, 37]), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_finish_matches_the_reference_bitwise(modes, ne, nx, seed):
-    # every mode count, not only the self-check's four, with inputs of both
-    # signs spanning e-20 to e20: the finish, with the sums of the histories
-    # it completes, and the sums entry on other histories
+    # every mode count, not only the self-check's five, on both sides of
+    # each loop nest's threshold, with inputs of both signs spanning e-20 to
+    # e20: the finish, with the sums of the histories it completes, the sums
+    # entry on other histories and the solve with 0, 1 and 2 weight rows
     kernel = ctransport.kernel()[0]
     if kernel is ctransport.Reference:
         pytest.skip(f"compiled kernel unavailable ({ctransport.kernel()[1]})")
@@ -257,20 +258,61 @@ def test_finish_matches_the_reference_bitwise(modes, ne, nx, seed):
 
     g = 10.0 ** rng.uniform(0, 3, modes)
     finish = (modes, ne, nx, float(10.0 ** rng.uniform(-20, 0)), data((modes, 3, 5)), g,
-              g * g, data((13, modes)), np.zeros((13, modes)), data(ne),
-              data((ne, modes), "F"), data((ne, modes), "F"), data((2, ne)), data(nx),
-              data((nx, modes), "F"), data((nx, modes), "F"), data(nx))
-    sums = (modes, ne, nx, data((ne, modes), "F"), data((2, ne)), data((nx, modes), "F"),
-            data(nx), np.zeros((5, modes)))
-    for entry, values in (("finish", finish), ("sums", sums)):
+              g * g, data((13, modes)), np.zeros((13, modes)), data(ne), data((ne, modes)),
+              data((ne, modes)), data((2, ne)), data(nx), data((nx, modes)),
+              data((nx, modes)), data(nx))
+    sums = (modes, ne, nx, data((ne, modes)), data((2, ne)), data((nx, modes)), data(nx),
+            np.zeros((5, modes)))
+    n = max(ne, 1)
+    band = np.ones((2, n), order="F")
+    band[1] = -rng.uniform(0, 1, n)
+    solves = [(n, modes, band, 10.0 ** rng.uniform(-1, 1, n), data((n, modes)),
+               np.zeros((n, modes)), nw, data((nw, n)), np.zeros((nw, modes)))
+              for nw in (0, 1, 2)]
+    for entry, values in [("finish", finish), ("sums", sums)] + [("solve", v) for v in solves]:
         mine = tuple(v.copy(order="K") if isinstance(v, np.ndarray) else v for v in values)
         getattr(ctransport.Reference, entry)(*values)
         getattr(kernel, entry)(*kernel.arguments(*mine))
         assert all(same_bits(v, w) for v, w in zip(values, mine) if isinstance(v, np.ndarray))
 
 
+def node_loop(terms):
+    """The rows of ``terms`` summed one after another from +0."""
+    total = np.zeros(terms.shape[1])
+    for row in terms:
+        total = total + row
+    return total
+
+
+@pytest.mark.parametrize("modes", [1, 8, 11])
+def test_reference_sums_and_quadratures_follow_a_plain_loop(modes):
+    # the fallback sums by np.add.reduce over the rows of C-order arrays, or
+    # accumulates at one mode, where a reduce would sum pairwise; on -0
+    # histories every sum reads +0 only from the +0 start
+    rng = np.random.default_rng(modes)
+    ne, nx = 37, 5
+    we, wx = rng.uniform(0.1, 1.0, (2, ne)), rng.uniform(0.1, 1.0, nx)
+    band = np.ones((2, ne), order="F")
+    band[1] = -rng.uniform(0.0, 1.0, ne)
+    for zero in (False, True):
+        eta, xi = ((-np.zeros((n, modes)) if zero else rng.standard_normal((n, modes)))
+                   for n in (ne, nx))
+        s = np.ones((5, modes))
+        ctransport.Reference.sums(modes, ne, nx, eta, we, xi, wx, s)
+        want = (node_loop((we[0][:, None] * eta) * eta), node_loop((we[1][:, None] * eta) * eta),
+                node_loop((wx[:, None] * xi) * xi), node_loop(we[0][:, None] * eta),
+                node_loop(wx[:, None] * xi))
+        assert all(same_bits(row, w) for row, w in zip(s, want))
+        x, q = np.ones((ne, modes)), np.ones((2, modes))
+        ctransport.Reference.solve(ne, modes, band, rng.uniform(0.5, 2.0, ne), eta, x, 2, we, q)
+        if zero:
+            # -0 terms, summed to +0
+            assert np.signbit(x).all() and not np.signbit(q).any()
+        assert all(same_bits(q[i], node_loop(we[i][:, None] * x)) for i in range(2))
+
+
 # entry: (index of an array it writes, the status of its first self-check case)
-FIRST_CASES = {"solve": (5, "solve differs from tbtrs at 1 x 1"),
+FIRST_CASES = {"solve": (5, "solve differs from tbtrs at 1 x 1, 0 weight rows"),
                "complete": (5, "complete differs from ger at 1 x 1"),
                "finish": (8, "finish differs from the reference at modes = 1, 37 + 5 nodes"),
                "sums": (7, "sums differs from the reference at modes = 1, 37 + 5 nodes")}

@@ -124,20 +124,21 @@ def test_steps_allocate_less_than_one_history():
     assert peak - base < history_bytes
 
 
-@pytest.mark.parametrize("layout", ["C", "strided"])
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
 def test_first_step_allocates_less_than_one_history(layout):
     # a caller's history is copied into a buffer the stepper already owns,
-    # so even the first step of a fresh stepper from a C-ordered or strided
-    # initial state allocates no history-sized temporary
+    # so even the first step of a fresh stepper from an initial state in the
+    # buffers' C order, in Fortran order or strided allocates no
+    # history-sized temporary
     space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), 4),
                               Params(0.5, 0.25, 0.5), grid_size=400)
     vec = random_state(space, 23)
-    if layout == "C":
-        eta, xi = (np.ascontiguousarray(h) for h in (vec.eta, vec.xi))
-    else:
+    if layout == "strided":
         # every other column of a wider C-ordered array
         eta, xi = (np.repeat(h, 2, axis=1)[:, ::2] for h in (vec.eta, vec.xi))
-    assert not eta.flags.f_contiguous and not xi.flags.f_contiguous
+    else:
+        eta, xi = (np.asarray(h, order=layout) for h in (vec.eta, vec.xi))
+    assert (layout == "C") == (eta.flags.c_contiguous and xi.flags.c_contiguous)
     stepper = MidpointStepper(space, 1e-3)
     tracemalloc.start()
     try:
@@ -160,7 +161,7 @@ def test_transport_stepper_takes_only_its_buffers(small_space):
         with pytest.raises(ShapeError):
             tr.partial(np.ones(shape))
     z = tr.partial(np.ones((nodes, n)))
-    for other in (z[:], z.copy(order="F"), np.ones((nodes, n))):
+    for other in (z[:], z.copy(), np.asfortranarray(z), np.ones((nodes, n))):
         with pytest.raises(ShapeError):
             tr.complete(other, np.ones(n))
     assert tr.complete(z, np.ones(n)) is z
@@ -277,8 +278,54 @@ def test_step_leaves_its_inputs_unchanged(interval_modes, params, layout):
     for tr, profile, drive in ((stepper.eta_t, state[3], vec.theta),
                                (stepper.xi_t, state[4], vec.v)):
         z = tr.partial(profile)
-        assert z.flags.f_contiguous and tr.complete(z, drive) is z
+        assert z.flags.c_contiguous and tr.complete(z, drive) is z
     assert [x.tobytes() for x in state] == before
+
+
+def test_evolve_reads_any_initial_history_layout(small_space):
+    # the first step copies the initial histories into the stepper's
+    # node-major buffers, so their memory order leaves no trace in any bit
+    z0 = initial_data_preset("spectral-decay 2", small_space, 0, with_history=True)
+    runs = []
+    for layout in ("C", "F", "strided"):
+        if layout == "strided":
+            # every other column of a wider C-ordered array
+            eta, xi = (np.repeat(h, 2, axis=1)[:, ::2] for h in (z0.eta, z0.xi))
+        else:
+            eta, xi = (np.asarray(h, order=layout) for h in (z0.eta, z0.xi))
+        vec = PhaseVector(small_space, 0, z0.u, z0.v, z0.theta, eta, xi)
+        traj = evolve(small_space, vec, 1e-2, 0.2)
+        runs.append([x.tobytes() for x in (
+            traj.u, traj.v, traj.theta, traj.modal_energy, traj.history_energy, traj.imu,
+            traj.ibe, traj.step_energy, traj.final_state.eta, traj.final_state.xi)])
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["kernel", "reference"])
+@pytest.mark.parametrize("modes", [1, 8, 11, 65])
+def test_step_quadratures_follow_a_plain_loop(monkeypatch, modes, forced):
+    # the solves of a step write the quadratures of the undriven solves into
+    # rows 5-7 of the work array they read, each summed in node order from
+    # +0, with each term formed as w_j z_j
+    if forced:
+        monkeypatch.setattr(ctransport, "kernel", lambda: (ctransport.Reference, "tbtrs: forced"))
+    elif ctransport.kernel()[0] is ctransport.Reference:
+        pytest.skip(f"compiled kernel unavailable ({ctransport.kernel()[1]})")
+    space = build_phase_space(dirichlet_eigenvalues(Domain("interval", (np.pi,)), modes),
+                              Params(0.5, 0.25, 0.5), grid_size=40)
+    stepper = MidpointStepper(space, 1e-2)
+    vec = random_state(space, modes)
+    # a caller's state is copied into set 0, whose work array the step reads
+    stepper.step(vec.u, vec.v, vec.theta, vec.eta, vec.xi)
+    rows = iter(stepper._work[0][5:8])
+    for grid, profile, weights in ((space.eta_grid, vec.eta, (space.w_mu, space.w_nu)),
+                                   (space.xi_grid, vec.xi, (space.w_beta,))):
+        z = TransportStepper(grid, 1e-2, modes).partial(profile)
+        for w in weights:
+            want = np.zeros(modes)
+            for j in range(z.shape[0]):
+                want = want + w[j] * z[j]
+            assert next(rows).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("params", PARAM_CASES, ids=lambda p: f"s{p.sigma}-t{p.tau}-e{p.eps}")

@@ -170,16 +170,17 @@ def test_block_norm_additivity(small_space):
 
 
 def test_phase_energy_reads_any_history_layout_and_checks_its_shape(small_space):
-    # the sums entry reads Fortran-order histories: another layout is summed
-    # from a copy, to the same bits, and another shape never reaches it
+    # the sums entry reads C-order histories: another layout is summed from
+    # a copy, to the same bits, and another shape never reaches it
     rng = np.random.default_rng(5)
     n = small_space.modes.count
     state = [rng.standard_normal(n) for _ in range(3)] + [
         rng.standard_normal((size, n)) for size in (small_space.eta_size, small_space.xi_size)]
     energy = PhaseEnergy(small_space, 0)
-    want = energy(*state[:3], *(np.asfortranarray(h) for h in state[3:])).copy()
-    # C order, then every other column of a wider array
-    for eta, xi in (state[3:], [np.repeat(h, 2, axis=1)[:, ::2] for h in state[3:]]):
+    want = energy(*state[:3], *state[3:]).copy()
+    # Fortran order, then every other column of a wider array
+    for eta, xi in ([np.asfortranarray(h) for h in state[3:]],
+                    [np.repeat(h, 2, axis=1)[:, ::2] for h in state[3:]]):
         assert energy(*state[:3], eta, xi).tobytes() == want.tobytes()
     with pytest.raises(ShapeError, match="eta must have shape"):
         energy(*state[:3], state[3][1:], state[4])
